@@ -112,6 +112,57 @@ BoundaryPlan::recvIds(PlanPhase phase, int rank) const
         static_cast<std::size_t>(rank));
 }
 
+const std::vector<int>&
+BoundaryPlan::localSendIds(PlanPhase phase) const
+{
+    requireCurrent();
+    return local_send_[static_cast<int>(phase)];
+}
+
+const std::vector<int>&
+BoundaryPlan::localRecvIds(PlanPhase phase) const
+{
+    requireCurrent();
+    return local_recv_[static_cast<int>(phase)];
+}
+
+const std::vector<std::vector<int>>&
+BoundaryPlan::slotWriters(PlanPhase phase) const
+{
+    requireCurrent();
+    return slot_writers_[static_cast<int>(phase)];
+}
+
+const std::vector<int>&
+BoundaryPlan::recvSendSlot(PlanPhase phase) const
+{
+    requireCurrent();
+    return recv_send_slot_[static_cast<int>(phase)];
+}
+
+const std::vector<PlanSubPack>&
+BoundaryPlan::subPacks() const
+{
+    requireCurrent();
+    return sub_packs_;
+}
+
+int
+BoundaryPlan::subPackOf(int gid) const
+{
+    requireCurrent();
+    const int p = sub_pack_of_.at(static_cast<std::size_t>(gid));
+    require(p >= 0, "block ", gid, " is not owned by this replica");
+    return p;
+}
+
+const PlanPhaseProfile&
+BoundaryPlan::profile(PlanPhase phase) const
+{
+    requireCurrent();
+    return profile_[static_cast<int>(phase)];
+}
+
 const PlanMessage*
 BoundaryPlan::messageFor(PlanPhase phase, int src, int dst) const
 {
@@ -220,7 +271,58 @@ BoundaryPlan::rebuild()
             recv_ids[static_cast<std::size_t>(msgs[m].dst)].push_back(
                 static_cast<int>(m));
         }
+
+        // A sharded replica plays its own rank's part; a classic mesh
+        // steps every block, so it plays every rank's.
+        if (mesh_->sharded()) {
+            const auto me = static_cast<std::size_t>(mesh_->shardRank());
+            local_send_[phase] = send_ids.at(me);
+            local_recv_[phase] = recv_ids.at(me);
+        } else {
+            local_send_[phase].resize(msgs.size());
+            for (std::size_t m = 0; m < msgs.size(); ++m)
+                local_send_[phase][m] = static_cast<int>(m);
+            local_recv_[phase] = local_send_[phase];
+        }
+
+        // The arguments the fused kernels have always been recorded
+        // with: per entry, in slot order.
+        PlanPhaseProfile& prof = profile_[phase];
+        prof = PlanPhaseProfile{};
+        for (int id : local_send_[phase]) {
+            const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
+            for (const PlanEntry& e : m.entries) {
+                prof.sendRanks.push_back(m.src);
+                prof.sendItems.push_back(static_cast<double>(e.count));
+                if (bounds) {
+                    const BoundsChannel& ch = cache_->bounds()[e.channel];
+                    prof.sendInnermost +=
+                        (ch.levelDiff == 1 ? ch.recv : ch.send).i.count();
+                } else {
+                    prof.sendInnermost +=
+                        cache_->flux()[e.channel].recvFaces.i.count();
+                }
+            }
+        }
+        for (int id : local_recv_[phase]) {
+            const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
+            for (const PlanEntry& e : m.entries) {
+                prof.setRanks.push_back(m.dst);
+                if (bounds) {
+                    const BoundsChannel& ch = cache_->bounds()[e.channel];
+                    prof.setItems.push_back(
+                        static_cast<double>(ch.recv.cells()) * ncomp);
+                    prof.setInnermost += ch.recv.i.count();
+                } else {
+                    const FluxChannel& ch = cache_->flux()[e.channel];
+                    prof.setItems.push_back(
+                        static_cast<double>(ch.wireFaces()) * ncomp);
+                    prof.setInnermost += ch.recvFaces.i.count();
+                }
+            }
+        }
     }
+    buildSubPacks();
 
     generation_ = cache_->rebuildCount();
     built_ = true;
@@ -232,6 +334,134 @@ BoundaryPlan::rebuild()
                    mesh_->collectiveRank(), "boundary_plan_metadata",
                    static_cast<double>(cache_->bounds().size() +
                                        cache_->flux().size()));
+}
+
+void
+BoundaryPlan::buildSubPacks()
+{
+    const std::vector<MeshBlock*>& owned = mesh_->ownedBlocks();
+    const std::size_t nblocks = owned.size();
+    auto sender_gid = [&](int phase, int channel) {
+        return phase == static_cast<int>(PlanPhase::Bounds)
+                   ? cache_->bounds()[channel].sender->gid()
+                   : cache_->flux()[channel].sender->gid();
+    };
+    auto receiver_gid = [&](int phase, int channel) {
+        return phase == static_cast<int>(PlanPhase::Bounds)
+                   ? cache_->bounds()[channel].receiver->gid()
+                   : cache_->flux()[channel].receiver->gid();
+    };
+
+    // Balance weight per owned block: the bounds payload doubles it
+    // packs plus those it unpacks (+1 so blocks without neighbors
+    // still spread out).
+    std::vector<int> position(mesh_->numBlocks(), -1);
+    for (std::size_t i = 0; i < nblocks; ++i)
+        position[static_cast<std::size_t>(owned[i]->gid())] =
+            static_cast<int>(i);
+    std::vector<double> weight(nblocks, 1.0);
+    const int bounds = static_cast<int>(PlanPhase::Bounds);
+    const auto& bounds_msgs = messages_[bounds];
+    auto add_weight = [&](int gid, std::size_t count) {
+        const int pos = position.at(static_cast<std::size_t>(gid));
+        require(pos >= 0, "plan entry touches block ", gid,
+                ", which this replica does not own");
+        weight[static_cast<std::size_t>(pos)] +=
+            static_cast<double>(count);
+    };
+    for (int id : local_send_[bounds])
+        for (const PlanEntry& e :
+             bounds_msgs[static_cast<std::size_t>(id)].entries)
+            add_weight(sender_gid(bounds, e.channel), e.count);
+    for (int id : local_recv_[bounds])
+        for (const PlanEntry& e :
+             bounds_msgs[static_cast<std::size_t>(id)].entries)
+            add_weight(receiver_gid(bounds, e.channel), e.count);
+
+    // Contiguous Z-order cut at the weight quantiles; a forced cut
+    // keeps every sub-pack non-empty.
+    const int threads = mesh_->ctx().space().concurrency();
+    const std::size_t target =
+        threads <= 1 ? 1
+                     : static_cast<std::size_t>(kSubPacksPerThread) *
+                           static_cast<std::size_t>(threads);
+    const std::size_t npacks =
+        std::max<std::size_t>(1, std::min(target, nblocks));
+    double total = 0;
+    for (double w : weight)
+        total += w;
+    sub_packs_.assign(npacks, PlanSubPack{});
+    sub_pack_of_.assign(mesh_->numBlocks(), -1);
+    std::size_t p = 0;
+    double acc = 0;
+    for (std::size_t i = 0; i < nblocks; ++i) {
+        const bool must_cut = nblocks - i <= npacks - 1 - p;
+        const bool quantile_cut =
+            acc + 0.5 * weight[i] >
+            total * static_cast<double>(p + 1) /
+                static_cast<double>(npacks);
+        if (p + 1 < npacks && !sub_packs_[p].blocks.empty() &&
+            (must_cut || quantile_cut))
+            ++p;
+        sub_packs_[p].blocks.push_back(owned[i]);
+        sub_pack_of_[static_cast<std::size_t>(owned[i]->gid())] =
+            static_cast<int>(p);
+        acc += weight[i];
+    }
+
+    // Work lists. Rows are appended in slot order, so a sub-pack's
+    // slot lists come out sorted and deduplicated by a back() check.
+    auto pack_of = [&](int gid) {
+        const int pack = sub_pack_of_.at(static_cast<std::size_t>(gid));
+        require(pack >= 0, "plan entry touches block ", gid,
+                ", which this replica does not own");
+        return pack;
+    };
+    for (int phase = 0; phase < kNumPlanPhases; ++phase) {
+        const auto& msgs = messages_[phase];
+        const auto& send = local_send_[phase];
+        const auto& recv = local_recv_[phase];
+        auto& writers = slot_writers_[phase];
+        writers.assign(send.size(), {});
+        std::vector<int> send_slot_of(msgs.size(), -1);
+        for (std::size_t s = 0; s < send.size(); ++s) {
+            send_slot_of[static_cast<std::size_t>(send[s])] =
+                static_cast<int>(s);
+            const auto& entries =
+                msgs[static_cast<std::size_t>(send[s])].entries;
+            for (std::size_t e = 0; e < entries.size(); ++e) {
+                const int pack =
+                    pack_of(sender_gid(phase, entries[e].channel));
+                PlanSubPack& sp = sub_packs_[static_cast<std::size_t>(pack)];
+                sp.sendRows[phase].push_back(
+                    {static_cast<int>(s), static_cast<int>(e)});
+                if (sp.sendSlots[phase].empty() ||
+                    sp.sendSlots[phase].back() != static_cast<int>(s)) {
+                    sp.sendSlots[phase].push_back(static_cast<int>(s));
+                    writers[s].push_back(pack);
+                }
+            }
+        }
+        for (std::vector<int>& packs : writers)
+            std::sort(packs.begin(), packs.end());
+        auto& recv_send = recv_send_slot_[phase];
+        recv_send.assign(recv.size(), -1);
+        for (std::size_t r = 0; r < recv.size(); ++r) {
+            recv_send[r] = send_slot_of[static_cast<std::size_t>(recv[r])];
+            const auto& entries =
+                msgs[static_cast<std::size_t>(recv[r])].entries;
+            for (std::size_t e = 0; e < entries.size(); ++e) {
+                const int pack =
+                    pack_of(receiver_gid(phase, entries[e].channel));
+                PlanSubPack& sp = sub_packs_[static_cast<std::size_t>(pack)];
+                sp.recvRows[phase].push_back(
+                    {static_cast<int>(r), static_cast<int>(e)});
+                if (sp.recvSlots[phase].empty() ||
+                    sp.recvSlots[phase].back() != static_cast<int>(r))
+                    sp.recvSlots[phase].push_back(static_cast<int>(r));
+            }
+        }
+    }
 }
 
 } // namespace vibe

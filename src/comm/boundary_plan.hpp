@@ -9,7 +9,8 @@
  * BoundaryBufferCache into a buffer table so that
  *
  *  - all pack/unpack (plus restrict-on-pack / prolong-on-unpack) work
- *    for a phase is a single fused launch over table rows, and
+ *    for a phase is split into a few sub-pack work lists (see
+ *    PlanSubPack) that run as concurrent tasks, and
  *  - all traffic between one (src rank, dst rank) pair per phase is
  *    coalesced into ONE combined RankWorld mailbox message whose
  *    payload is the offset-directory concatenation of the per-face
@@ -34,11 +35,21 @@
  * still matches, so a stale plan is structurally unusable rather than
  * quietly wrong.
  *
+ * Sub-packs (Parthenon's pack_size): the replica's owned blocks are
+ * cut into contiguous Z-order ranges balanced by bounds payload
+ * doubles, one range per sub-pack. Each sub-pack lists the plan
+ * entries its blocks send and receive, so the driver schedules one
+ * pack task and one unpack task per sub-pack and every worker takes a
+ * share of each phase. The sub-pack count follows the space's
+ * concurrency: 1 on a
+ * serial space, kSubPacksPerThread per thread otherwise, so the task
+ * executor's ready queue can even out uneven sub-packs.
+ *
  * Thread safety: the rebuild state (built_/generation_/counters) is
  * guarded by mutex_ and annotated for clang's thread-safety analysis.
  * The message tables themselves are written only inside
  * ensureBuilt()/invalidate() — called at serial points on the owning
- * rank's driver thread — and are read lock-free by the fused launches.
+ * rank's driver thread — and are read lock-free by the sub-pack tasks.
  */
 #pragma once
 
@@ -89,6 +100,45 @@ struct PlanMessage
     std::int64_t wireUnits = 0;
     /** Offset directory, sorted by canonical channel key. */
     std::vector<PlanEntry> entries;
+};
+
+/** One entry of a sub-pack's work list: `entry` of local slot `slot`. */
+struct PlanRow
+{
+    /** Index into localSendIds(phase) or localRecvIds(phase). */
+    int slot = 0;
+    /** Index into that message's entries. */
+    int entry = 0;
+};
+
+/** A contiguous Z-order range of the replica's owned blocks. */
+struct PlanSubPack
+{
+    /** The range, in Z (gid) order. */
+    std::vector<MeshBlock*> blocks;
+    /** Per phase: entries whose sender is in the range. */
+    std::vector<PlanRow> sendRows[kNumPlanPhases];
+    /** Per phase: distinct send slots sendRows writes. */
+    std::vector<int> sendSlots[kNumPlanPhases];
+    /** Per phase: entries whose receiver is in the range. */
+    std::vector<PlanRow> recvRows[kNumPlanPhases];
+    /** Per phase: distinct recv slots recvRows reads. */
+    std::vector<int> recvSlots[kNumPlanPhases];
+};
+
+/**
+ * Profiler arguments of one phase's pack and unpack kernels, one
+ * element per entry of the local messages in slot order. Precomputed
+ * so each phase records its kernels once, at a serial point.
+ */
+struct PlanPhaseProfile
+{
+    std::vector<int> sendRanks;
+    std::vector<double> sendItems;
+    double sendInnermost = 0;
+    std::vector<int> setRanks;
+    std::vector<double> setItems;
+    double setInnermost = 0;
 };
 
 /**
@@ -146,8 +196,41 @@ class BoundaryPlan
     const PlanMessage* messageFor(PlanPhase phase, int src,
                                   int dst) const;
 
+    /**
+     * Indices into messages(phase) this replica sends / receives: the
+     * shard rank's pairs on a sharded replica, every pair on a classic
+     * mesh (which steps all blocks). Position in the list is the
+     * message's send / recv slot.
+     */
+    const std::vector<int>& localSendIds(PlanPhase phase) const;
+    const std::vector<int>& localRecvIds(PlanPhase phase) const;
+
+    /**
+     * Sub-packs whose sendRows write each send slot. A message may be
+     * sent once all of them have packed.
+     */
+    const std::vector<std::vector<int>>& slotWriters(PlanPhase phase) const;
+
+    /** Send slot of recv slot r's message when this replica sends it
+     *  too (self pairs; every pair on a classic mesh), else -1. */
+    const std::vector<int>& recvSendSlot(PlanPhase phase) const;
+
+    /** The sub-packs; never empty once built. */
+    const std::vector<PlanSubPack>& subPacks() const;
+
+    /** Sub-pack holding owned block `gid`. */
+    int subPackOf(int gid) const;
+
+    /** Profiler arguments for the phase's pack/unpack kernels. */
+    const PlanPhaseProfile& profile(PlanPhase phase) const;
+
+    /** Sub-packs per thread on a threaded space (see file comment). */
+    static constexpr int kSubPacksPerThread = 3;
+
   private:
     void rebuild() VIBE_REQUIRES(mutex_);
+    /** Cut the owned blocks into sub-packs and fill their rows. */
+    void buildSubPacks() VIBE_REQUIRES(mutex_);
     /** Panic unless built against the cache's current generation. */
     void requireCurrent() const;
 
@@ -167,6 +250,14 @@ class BoundaryPlan
     std::vector<PlanMessage> messages_[kNumPlanPhases];
     std::vector<std::vector<int>> send_ids_[kNumPlanPhases];
     std::vector<std::vector<int>> recv_ids_[kNumPlanPhases];
+    std::vector<int> local_send_[kNumPlanPhases];
+    std::vector<int> local_recv_[kNumPlanPhases];
+    std::vector<std::vector<int>> slot_writers_[kNumPlanPhases];
+    std::vector<int> recv_send_slot_[kNumPlanPhases];
+    PlanPhaseProfile profile_[kNumPlanPhases];
+    std::vector<PlanSubPack> sub_packs_;
+    /** Sub-pack index by gid; -1 for blocks this replica does not own. */
+    std::vector<int> sub_pack_of_;
 };
 
 } // namespace vibe

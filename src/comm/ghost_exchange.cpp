@@ -61,9 +61,7 @@ GhostExchange::exchangeBounds()
         // serial points, so the lazy rebuild may happen right here.
         plan_.ensureBuilt();
         startReceiveBoundBufsFused();
-        sendBoundBufsFused();
-        receiveBoundBufsFused();
-        setBoundsFused();
+        runFusedPhase(PlanPhase::Bounds);
         return;
     }
     startReceiveBoundBufs();
@@ -117,7 +115,6 @@ GhostExchange::startReceiveBoundBufs()
         mesh_->sharded()
             ? cache_->recvChannelCountFor(mesh_->shardRank())
             : cache_->bounds().size();
-    pending_receives_.store(expected);
     // Buffer preparation is pure serial host work: one item per
     // expected buffer.
     recordSerialAt(mesh_->ctx(), "StartReceiveBoundBufs",
@@ -379,7 +376,6 @@ GhostExchange::setBlockBounds(MeshBlock& block)
                    innermost / static_cast<double>(channels.size()));
     recordSerialAt(ctx, "SetBounds", block.rank(), "bound_buf_metadata",
                    static_cast<double>(channels.size()));
-    pending_receives_.fetch_sub(channels.size());
 }
 
 void
@@ -514,9 +510,7 @@ GhostExchange::exchangeFluxCorrections()
     if (fused()) {
         // Serial point for monolithic callers; see exchangeBounds().
         plan_.ensureBuilt();
-        sendFluxCorrectionsFused();
-        receiveFluxCorrectionsFused();
-        setFluxCorrectionsFused();
+        runFusedPhase(PlanPhase::Flux);
         return;
     }
     for (MeshBlock* block : mesh_->ownedBlocks())
@@ -738,31 +732,91 @@ GhostExchange::applyPhysicalBoundariesBlock(MeshBlock& block)
 // builders (and the monolithic exchange entry points) call
 // plan_.ensureBuilt() at a serial point first, and the accessors
 // themselves panic on a stale generation. ensureBuilt() is NEVER
-// called from in here — a rebuild racing a fused launch would be a
+// called from in here — a rebuild racing a sub-pack task would be a
 // data race on the plan tables.
+//
+// Concurrency: sub-pack tasks of one phase write disjoint payload
+// slices (send) or disjoint receiver regions (set); each poll task
+// writes only its own inbox slot; the writer counts are atomics whose
+// acq_rel decrement orders every writer's packing before the isend.
 // ---------------------------------------------------------------------
 
-std::vector<int>
-GhostExchange::fusedSendIds(PlanPhase phase) const
+void
+GhostExchange::invalidatePlan()
 {
-    if (mesh_->sharded())
-        return plan_.sendIds(phase, mesh_->shardRank());
-    // A classic mesh steps every block, so it plays all ranks' parts.
-    std::vector<int> ids(plan_.messages(phase).size());
-    for (std::size_t m = 0; m < ids.size(); ++m)
-        ids[m] = static_cast<int>(m);
-    return ids;
+    plan_.invalidate();
+    for (FusedPhaseState& st : fused_) {
+        st.out.clear();
+        st.inbox.clear();
+    }
+    LockGuard lock(pool_mutex_);
+    for (auto& pool : pool_)
+        pool.clear();
 }
 
-std::vector<int>
-GhostExchange::fusedRecvIds(PlanPhase phase) const
+std::uint64_t
+GhostExchange::freshPayloadAllocs() const
 {
-    if (mesh_->sharded())
-        return plan_.recvIds(phase, mesh_->shardRank());
-    std::vector<int> ids(plan_.messages(phase).size());
-    for (std::size_t m = 0; m < ids.size(); ++m)
-        ids[m] = static_cast<int>(m);
-    return ids;
+    LockGuard lock(pool_mutex_);
+    return fresh_allocs_;
+}
+
+std::size_t
+GhostExchange::pooledPayloads() const
+{
+    LockGuard lock(pool_mutex_);
+    std::size_t held = 0;
+    for (const auto& pool : pool_)
+        held += pool.size();
+    return held;
+}
+
+std::vector<double>
+GhostExchange::acquirePayload(PlanPhase phase, std::size_t count)
+{
+    // Best fit: the smallest pooled buffer that already holds `count`
+    // doubles, so a large payload is never spent on a small message
+    // while the large one then allocates. On a rank team what a rank
+    // receives from a peer serves its send back to that peer; only a
+    // one-way message (flux corrections flow fine -> coarse) keeps
+    // allocating on its sender and is dropped by the receiver's cap.
+    auto& pool = pool_[static_cast<int>(phase)];
+    std::size_t best = pool.size();
+    for (std::size_t b = 0; b < pool.size(); ++b)
+        if (pool[b].capacity() >= count &&
+            (best == pool.size() ||
+             pool[b].capacity() < pool[best].capacity()))
+            best = b;
+    if (best == pool.size()) {
+        ++fresh_allocs_;
+        return std::vector<double>(count);
+    }
+    std::vector<double> payload = std::move(pool[best]);
+    pool[best] = std::move(pool.back());
+    pool.pop_back();
+    // Within capacity: no reallocation; only a grown tail is zeroed.
+    payload.resize(count);
+    return payload;
+}
+
+void
+GhostExchange::recyclePayload(PlanPhase phase,
+                              std::vector<double> payload,
+                              std::size_t cap)
+{
+    if (payload.capacity() == 0)
+        return;
+    auto& pool = pool_[static_cast<int>(phase)];
+    pool.push_back(std::move(payload));
+    if (pool.size() <= cap)
+        return;
+    // Over the cap: drop the smallest buffer.
+    auto smallest = std::min_element(
+        pool.begin(), pool.end(), [](const auto& a, const auto& b) {
+            return a.capacity() < b.capacity();
+        });
+    *smallest = std::move(pool.back());
+    pool.pop_back();
 }
 
 void
@@ -774,81 +828,62 @@ GhostExchange::startReceiveBoundBufsFused()
     last_send_bytes_.store(0);
     if (!world_->concurrent())
         discardStaleDeliveries();
-    const std::vector<int> inbound = fusedRecvIds(PlanPhase::Bounds);
-    pending_receives_.store(inbound.size());
     // One coalesced buffer to prepare per inbound rank pair — this is
     // the point of the plan: O(ranks) bookkeeping, not O(faces).
     recordSerialAt(mesh_->ctx(), "StartReceiveBoundBufs",
                    mesh_->collectiveRank(), "recv_buf_prepare",
-                   static_cast<double>(inbound.size()));
+                   static_cast<double>(
+                       plan_.localRecvIds(PlanPhase::Bounds).size()));
 }
 
 void
-GhostExchange::sendFusedPhase(PlanPhase phase)
+GhostExchange::beginFusedPhase(PlanPhase phase)
 {
     const ExecContext& ctx = mesh_->ctx();
     const bool bounds = phase == PlanPhase::Bounds;
     const auto& msgs = plan_.messages(phase);
-    const std::vector<int> ids = fusedSendIds(phase);
-    if (ids.empty())
-        return;
+    const auto& send = plan_.localSendIds(phase);
+    const auto& recv = plan_.localRecvIds(phase);
+    FusedPhaseState& st = fused_[static_cast<int>(phase)];
 
-    // One row per plan entry; each row writes its disjoint payload
-    // slice, so the single launch below is race-free by construction.
-    struct Row
     {
-        int channel;
-        double* out;
-    };
-    std::size_t nentries = 0;
-    for (int id : ids)
-        nentries += msgs[static_cast<std::size_t>(id)].entries.size();
-    std::vector<std::vector<double>> payloads(ids.size());
-    std::vector<Row> rows;
-    std::vector<int> ranks;
-    std::vector<double> items;
-    ranks.reserve(nentries);
-    items.reserve(nentries);
-    if (ctx.executing())
-        rows.reserve(nentries);
-    double innermost = 0;
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-        const PlanMessage& m = msgs[static_cast<std::size_t>(ids[s])];
-        if (ctx.executing())
-            payloads[s].resize(m.doubles);
-        for (const PlanEntry& e : m.entries) {
-            ranks.push_back(m.src);
-            items.push_back(static_cast<double>(e.count));
-            if (bounds) {
-                const BoundsChannel& ch = cache_->bounds()[e.channel];
-                innermost += rangeCount(
-                    ch.levelDiff == 1 ? ch.recv : ch.send, 0);
-            } else {
-                innermost += cache_->flux()[e.channel].recvFaces.i.count();
-            }
-            if (ctx.executing())
-                rows.push_back({e.channel, payloads[s].data() + e.offset});
-        }
+        // The phase's pool holds at most one buffer per outbound plan
+        // message — exactly what the next round of sends needs.
+        LockGuard lock(pool_mutex_);
+        for (Message& msg : st.inbox)
+            recyclePayload(phase, std::move(msg.payload), send.size());
+        for (std::vector<double>& unsent : st.out)
+            recyclePayload(phase, std::move(unsent), send.size());
+        st.out.resize(send.size());
+        for (std::size_t s = 0; s < send.size(); ++s)
+            st.out[s] =
+                ctx.executing()
+                    ? acquirePayload(
+                          phase,
+                          msgs[static_cast<std::size_t>(send[s])].doubles)
+                    : std::vector<double>();
     }
+    st.inbox.assign(recv.size(), Message{});
+    const auto& writers = plan_.slotWriters(phase);
+    if (st.writersLeft.size() != send.size())
+        st.writersLeft = std::vector<std::atomic<int>>(send.size());
+    for (std::size_t s = 0; s < send.size(); ++s)
+        st.writersLeft[s].store(static_cast<int>(writers[s].size()),
+                                std::memory_order_relaxed);
 
-    // ONE fused launch packs (and restricts) every outbound channel of
-    // the phase — the per-face path pays one launch per block.
-    parForExecRows(
-        ctx, 0, static_cast<int>(rows.size()) - 1, 0, 0,
-        [&](int, int row, int) {
-            const Row& r = rows[static_cast<std::size_t>(row)];
-            if (bounds)
-                packBoundsChannel(cache_->bounds()[r.channel], r.out);
-            else
-                packFluxChannel(cache_->flux()[r.channel], r.out);
-        });
-    recordPackKernelItems(
-        ctx, "SendBoundBufs", "SendBoundBufs", {1.0, 2.0 * sizeof(double)},
-        ranks.data(), items.data(), static_cast<int>(ranks.size()),
-        innermost / static_cast<double>(ranks.size()));
-
-    for (std::size_t s = 0; s < ids.size(); ++s) {
-        const PlanMessage& m = msgs[static_cast<std::size_t>(ids[s])];
+    // One record per phase, with the arguments of the historical
+    // single fused launch: the tables do not depend on how the
+    // sub-pack tasks interleave or which workers run them.
+    const PlanPhaseProfile& prof = plan_.profile(phase);
+    if (!prof.sendRanks.empty())
+        recordPackKernelItems(
+            ctx, "SendBoundBufs", "SendBoundBufs",
+            {1.0, 2.0 * sizeof(double)}, prof.sendRanks.data(),
+            prof.sendItems.data(), static_cast<int>(prof.sendRanks.size()),
+            prof.sendInnermost /
+                static_cast<double>(prof.sendRanks.size()));
+    for (int id : send) {
+        const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
         const bool remote = m.src != m.dst;
         recordSerialAt(ctx, "SendBoundBufs", m.src,
                        remote ? "msg_remote" : "msg_local", 1.0);
@@ -859,35 +894,99 @@ GhostExchange::sendFusedPhase(PlanPhase phase)
         // once per rank pair, not once per block.
         recordSerialAt(ctx, "SendBoundBufs", m.src, "bound_buf_metadata",
                        static_cast<double>(m.entries.size()));
-        if (bounds)
-            last_wire_cells_.fetch_add(m.wireUnits);
-        countSend(m.bytes);
-        world_->isend(m.id, m.src, m.dst, std::move(payloads[s]),
-                      m.bytes);
     }
+    if (!prof.setRanks.empty()) {
+        const KernelCosts costs =
+            bounds ? KernelCosts{1.0, 2.0 * sizeof(double)}
+                   : KernelCosts{0.0, 2.0 * sizeof(double)};
+        recordPackKernelItems(
+            ctx, "SetBounds", "SetBounds", costs, prof.setRanks.data(),
+            prof.setItems.data(), static_cast<int>(prof.setRanks.size()),
+            prof.setInnermost / static_cast<double>(prof.setRanks.size()));
+    }
+    if (bounds)
+        for (int id : recv) {
+            const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
+            recordSerialAt(ctx, "SetBounds", m.dst, "bound_buf_metadata",
+                           static_cast<double>(m.entries.size()));
+        }
 }
 
 void
-GhostExchange::sendBoundBufsFused()
+GhostExchange::sendFusedSubPack(PlanPhase phase, int p)
 {
-    sendFusedPhase(PlanPhase::Bounds);
+    const int ph = static_cast<int>(phase);
+    const PlanSubPack& pack =
+        plan_.subPacks()[static_cast<std::size_t>(p)];
+    FusedPhaseState& st = fused_[ph];
+    if (mesh_->ctx().executing()) {
+        const auto& msgs = plan_.messages(phase);
+        const auto& send = plan_.localSendIds(phase);
+        for (const PlanRow& row : pack.sendRows[ph]) {
+            const PlanMessage& m =
+                msgs[static_cast<std::size_t>(send[row.slot])];
+            const PlanEntry& e =
+                m.entries[static_cast<std::size_t>(row.entry)];
+            double* out = st.out[static_cast<std::size_t>(row.slot)].data() +
+                          e.offset;
+            if (phase == PlanPhase::Bounds)
+                packBoundsChannel(cache_->bounds()[e.channel], out);
+            else
+                packFluxChannel(cache_->flux()[e.channel], out);
+        }
+    }
+    for (int slot : pack.sendSlots[ph])
+        if (st.writersLeft[static_cast<std::size_t>(slot)].fetch_sub(
+                1, std::memory_order_acq_rel) == 1)
+            sendFusedMessage(phase, slot);
 }
 
 void
-GhostExchange::sendFluxCorrectionsFused()
+GhostExchange::sendFusedMessage(PlanPhase phase, int slot)
 {
-    sendFusedPhase(PlanPhase::Flux);
+    const PlanMessage& m = plan_.messages(phase)[static_cast<std::size_t>(
+        plan_.localSendIds(phase)[static_cast<std::size_t>(slot)])];
+    if (phase == PlanPhase::Bounds)
+        last_wire_cells_.fetch_add(m.wireUnits);
+    countSend(m.bytes);
+    world_->isend(m.id, m.src, m.dst,
+                  std::move(fused_[static_cast<int>(phase)]
+                                .out[static_cast<std::size_t>(slot)]),
+                  m.bytes);
+}
+
+void
+GhostExchange::takeFusedMessage(PlanPhase phase, int slot)
+{
+    const PlanMessage& m = plan_.messages(phase)[static_cast<std::size_t>(
+        plan_.localRecvIds(phase)[static_cast<std::size_t>(slot)])];
+    auto msg = world_->receive(m.id);
+    require(msg.has_value(), "missing coalesced ", planPhaseName(phase),
+            " message ", m.src, " -> ", m.dst);
+    require(msg->src == m.src && msg->dst == m.dst, "coalesced ",
+            planPhaseName(phase), " message rank mismatch: carried ",
+            msg->src, " -> ", msg->dst, ", expected ", m.src, " -> ",
+            m.dst);
+    require(!mesh_->ctx().executing() || msg->payload.size() == m.doubles,
+            "coalesced ", planPhaseName(phase),
+            " payload size mismatch: ", msg->payload.size(),
+            " doubles, directory says ", m.doubles);
+    fused_[static_cast<int>(phase)].inbox[static_cast<std::size_t>(slot)] =
+        std::move(*msg);
 }
 
 bool
-GhostExchange::pollFusedMessage(const PlanMessage& msg)
+GhostExchange::pollFusedMessage(PlanPhase phase, int slot)
 {
-    if (!world_->iprobe(msg.id))
+    const PlanMessage& m = plan_.messages(phase)[static_cast<std::size_t>(
+        plan_.localRecvIds(phase)[static_cast<std::size_t>(slot)])];
+    if (!world_->iprobe(m.id))
         return false;
+    takeFusedMessage(phase, slot);
     // One probe per rank pair, recorded on completion like the
     // per-block poll tasks.
-    recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", msg.dst,
-                   "recv_poll", 1.0);
+    recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", m.dst, "recv_poll",
+                   1.0);
     return true;
 }
 
@@ -895,17 +994,16 @@ void
 GhostExchange::receiveFusedPhase(PlanPhase phase)
 {
     const auto& msgs = plan_.messages(phase);
-    const std::vector<int> ids = fusedRecvIds(phase);
-    if (mesh_->sharded()) {
-        // Concurrent peers: poll with a deadline, as the per-face
-        // sharded receive loop does.
-        // vibe-lint: allow(obs-isolation) peer-wait deadline bounding
-        // the Iprobe progress loop, not timing instrumentation.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration<double>(kPeerWaitSeconds);
-        for (int id : ids) {
-            const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
+    const auto& ids = plan_.localRecvIds(phase);
+    // vibe-lint: allow(obs-isolation) peer-wait deadline bounding the
+    // Iprobe progress loop, not timing instrumentation.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration<double>(kPeerWaitSeconds);
+    for (std::size_t r = 0; r < ids.size(); ++r) {
+        const PlanMessage& m = msgs[static_cast<std::size_t>(ids[r])];
+        if (mesh_->sharded()) {
+            // Concurrent peers: poll with a deadline, as the per-face
+            // sharded receive loop does.
             while (!world_->iprobe(m.id)) {
                 require(!world_->failed(),
                         "fused ghost exchange aborted: a peer rank "
@@ -917,13 +1015,12 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
                         m.src, " on rank ", m.dst);
                 std::this_thread::yield();
             }
-        }
-    } else {
-        for (int id : ids)
-            require(world_->iprobe(
-                        msgs[static_cast<std::size_t>(id)].id),
+        } else {
+            require(world_->iprobe(m.id),
                     "fused ghost exchange lost a coalesced ",
                     planPhaseName(phase), " message");
+        }
+        takeFusedMessage(phase, static_cast<int>(r));
     }
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs",
                    mesh_->collectiveRank(), "recv_poll",
@@ -931,122 +1028,45 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
 }
 
 void
-GhostExchange::receiveBoundBufsFused()
+GhostExchange::setFusedSubPack(PlanPhase phase, int p)
 {
-    receiveFusedPhase(PlanPhase::Bounds);
-}
-
-void
-GhostExchange::receiveFluxCorrectionsFused()
-{
-    receiveFusedPhase(PlanPhase::Flux);
-}
-
-void
-GhostExchange::setFusedPhase(PlanPhase phase)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const bool bounds = phase == PlanPhase::Bounds;
-    const int ncomp = mesh_->registry().ncompConserved();
-    const auto& msgs = plan_.messages(phase);
-    const std::vector<int> ids = fusedRecvIds(phase);
-    if (ids.empty())
+    if (!mesh_->ctx().executing())
         return;
-
-    struct Row
-    {
-        int channel;
-        const double* payload;
-        std::size_t count;
-    };
-    // Reserve up front: rows hold pointers into received payloads, and
-    // a Message move keeps its payload's heap buffer stable.
-    std::vector<Message> received;
-    received.reserve(ids.size());
-    std::vector<Row> rows;
-    std::vector<int> ranks;
-    std::vector<double> items;
-    double innermost = 0;
-    for (int id : ids) {
-        const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
-        auto msg = world_->receive(m.id);
-        require(msg.has_value(), "missing coalesced ",
-                planPhaseName(phase), " message ", m.src, " -> ",
-                m.dst);
-        require(msg->src == m.src && msg->dst == m.dst,
-                "coalesced ", planPhaseName(phase),
-                " message rank mismatch: carried ", msg->src, " -> ",
-                msg->dst, ", expected ", m.src, " -> ", m.dst);
-        require(!ctx.executing() || msg->payload.size() == m.doubles,
-                "coalesced ", planPhaseName(phase),
-                " payload size mismatch: ", msg->payload.size(),
-                " doubles, directory says ", m.doubles);
-        received.push_back(std::move(*msg));
-        const Message& stored = received.back();
-        for (const PlanEntry& e : m.entries) {
-            ranks.push_back(m.dst);
-            if (bounds) {
-                const BoundsChannel& ch = cache_->bounds()[e.channel];
-                items.push_back(static_cast<double>(ch.recv.cells()) *
-                                ncomp);
-                innermost += ch.recv.i.count();
-            } else {
-                const FluxChannel& ch = cache_->flux()[e.channel];
-                items.push_back(static_cast<double>(ch.wireFaces()) *
-                                ncomp);
-                innermost += ch.recvFaces.i.count();
-            }
-            if (ctx.executing())
-                rows.push_back(
-                    {e.channel, stored.payload.data() + e.offset,
-                     e.count});
-        }
-    }
-
-    // ONE fused launch unpacks (and prolongates) every inbound entry.
+    const int ph = static_cast<int>(phase);
+    const PlanSubPack& pack =
+        plan_.subPacks()[static_cast<std::size_t>(p)];
+    const FusedPhaseState& st = fused_[ph];
+    const auto& msgs = plan_.messages(phase);
+    const auto& recv = plan_.localRecvIds(phase);
     // Each entry writes only its receiver's ghost region (or its own
     // flux faces), and prolongation's interior fallback reads cells no
-    // unpack writes, so rows are independent.
-    parForExecRows(
-        ctx, 0, static_cast<int>(rows.size()) - 1, 0, 0,
-        [&](int, int row, int) {
-            const Row& r = rows[static_cast<std::size_t>(row)];
-            if (bounds)
-                unpackBoundsChannel(cache_->bounds()[r.channel],
-                                    r.payload, r.count);
-            else
-                unpackFluxChannel(cache_->flux()[r.channel], r.payload,
-                                  r.count);
-        });
-    const KernelCosts costs =
-        bounds ? KernelCosts{1.0, 2.0 * sizeof(double)}
-               : KernelCosts{0.0, 2.0 * sizeof(double)};
-    recordPackKernelItems(ctx, "SetBounds", "SetBounds", costs,
-                          ranks.data(), items.data(),
-                          static_cast<int>(ranks.size()),
-                          innermost /
-                              static_cast<double>(ranks.size()));
-    if (bounds) {
-        for (int id : ids) {
-            const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
-            recordSerialAt(ctx, "SetBounds", m.dst,
-                           "bound_buf_metadata",
-                           static_cast<double>(m.entries.size()));
-        }
-        pending_receives_.fetch_sub(ids.size());
+    // unpack writes, so rows — and sub-packs — are independent.
+    for (const PlanRow& row : pack.recvRows[ph]) {
+        const PlanMessage& m =
+            msgs[static_cast<std::size_t>(recv[row.slot])];
+        const PlanEntry& e =
+            m.entries[static_cast<std::size_t>(row.entry)];
+        const double* payload =
+            st.inbox[static_cast<std::size_t>(row.slot)].payload.data() +
+            e.offset;
+        if (phase == PlanPhase::Bounds)
+            unpackBoundsChannel(cache_->bounds()[e.channel], payload,
+                                e.count);
+        else
+            unpackFluxChannel(cache_->flux()[e.channel], payload, e.count);
     }
 }
 
 void
-GhostExchange::setBoundsFused()
+GhostExchange::runFusedPhase(PlanPhase phase)
 {
-    setFusedPhase(PlanPhase::Bounds);
-}
-
-void
-GhostExchange::setFluxCorrectionsFused()
-{
-    setFusedPhase(PlanPhase::Flux);
+    beginFusedPhase(phase);
+    const int npacks = static_cast<int>(plan_.subPacks().size());
+    for (int p = 0; p < npacks; ++p)
+        sendFusedSubPack(phase, p);
+    receiveFusedPhase(phase);
+    for (int p = 0; p < npacks; ++p)
+        setFusedSubPack(phase, p);
 }
 
 } // namespace vibe

@@ -30,23 +30,33 @@
  *   faces), and all profiler records carry explicit phase/rank
  *   attribution instead of touching shared ambient state.
  *
- * Per-cycle state (pending-receive count, wire-cell counter, stale
+ * Per-cycle state (wire-cell and message counters, stale
  * mailbox entries from a cycle that threw) is reset at the top of
  * startReceiveBoundBufs(), so an exchange aborted mid-cycle can never
  * leave the next one waiting on phantom messages.
  *
  * A third granularity sits on top of both (<exec> fused_boundaries,
- * default on): the BoundaryPlan path. All pack (or unpack) work for a
- * phase runs as ONE fused launch over the plan's buffer table, and all
- * traffic per (src rank, dst rank) pair per phase travels as ONE
- * coalesced mailbox message. The per-channel pack/unpack arithmetic is
- * shared verbatim with the per-face path (packBoundsChannel and
- * friends), every channel writes a disjoint payload slice or receiver
- * region, and prolongation's interior fallback reads cells no unpack
- * writes — so the fused path is bitwise identical to the per-face path
- * at any thread or rank count. The plan must be current
- * (BoundaryPlan::ensureBuilt() at a serial point — the driver's graph
- * builders do this) before any fused phase function runs.
+ * default on): the BoundaryPlan path. All traffic per (src rank, dst
+ * rank) pair per phase travels as ONE coalesced mailbox message, and
+ * the pack (or unpack) work of a phase is split into the plan's
+ * sub-packs — contiguous Z-order block ranges — which the driver runs
+ * as concurrent tasks: every worker packs and unpacks, not just the
+ * one that picked up a single fused task. A message is sent by
+ * whichever sub-pack finishes writing it last; a poll task moves each
+ * arrival into a per-message inbox slot that several unpack
+ * sub-packs then read. Payload buffers are recycled through a small
+ * pool instead of allocated (and zero-filled) per phase. The
+ * per-channel pack/unpack arithmetic is shared verbatim with the
+ * per-face path (packBoundsChannel and friends), every channel writes
+ * a disjoint payload slice or receiver region, and prolongation's
+ * interior fallback reads cells no unpack writes — so the fused path
+ * is bitwise identical to the per-face path at any thread or rank
+ * count. The plan must be current (BoundaryPlan::ensureBuilt() at a
+ * serial point — the driver's graph builders do this) before any
+ * fused phase function runs, and beginFusedPhase() opens each phase
+ * at a serial point: it hands out the pooled payloads and records the
+ * phase's profiler rows once, so profiler tables do not depend on how
+ * sub-packs interleave.
  */
 #pragma once
 
@@ -57,6 +67,7 @@
 #include "comm/boundary_plan.hpp"
 #include "comm/rank_world.hpp"
 #include "mesh/mesh.hpp"
+#include "util/thread_safety.hpp"
 
 namespace vibe {
 
@@ -120,33 +131,45 @@ class GhostExchange
     const BoundaryPlan& plan() const { return plan_; }
 
     /**
-     * Coalesced messages this replica sends / expects for `phase`:
-     * the shard rank's pairs on a sharded replica, every pair on a
-     * classic mesh (which steps all blocks). Plan must be current.
+     * Mark the plan stale and drop the payload pool and inbox with it
+     * (message sizes change with the structure). The driver chains
+     * this into the cache's rebuild hook; a serial point.
      */
-    std::vector<int> fusedSendIds(PlanPhase phase) const;
-    std::vector<int> fusedRecvIds(PlanPhase phase) const;
+    void invalidatePlan();
 
     /** Fused counterpart of startReceiveBoundBufs(). */
     void startReceiveBoundBufsFused();
-    /** Pack all outbound bounds entries (one launch), send each pair. */
-    void sendBoundBufsFused();
     /**
-     * Probe one coalesced message (task-graph poll node); records the
-     * polling cost on success.
+     * Open one fused phase at a serial point (no task of the phase
+     * running): recycle the phase's previous inbox into the payload
+     * pool, hand each outbound message a pooled payload, arm the
+     * per-message writer counts, and record the phase's pack/unpack
+     * kernels and per-message bookkeeping in the profiler.
      */
-    bool pollFusedMessage(const PlanMessage& msg);
-    /** Blocking poll for every inbound bounds message (monolithic). */
-    void receiveBoundBufsFused();
-    /** Receive + one fused unpack launch over all inbound entries. */
-    void setBoundsFused();
+    void beginFusedPhase(PlanPhase phase);
+    /**
+     * Pack sub-pack `p`'s outbound entries into their payload slices;
+     * send each message this sub-pack was the last writer of.
+     */
+    void sendFusedSubPack(PlanPhase phase, int p);
+    /**
+     * Probe the message in recv slot `slot` (task-graph poll node); on
+     * arrival move it into the inbox slot and record the polling cost.
+     */
+    bool pollFusedMessage(PlanPhase phase, int slot);
+    /** Unpack (and prolongate) sub-pack `p`'s inbound entries. */
+    void setFusedSubPack(PlanPhase phase, int p);
 
-    /** Pack all outbound flux entries (one launch), send each pair. */
-    void sendFluxCorrectionsFused();
-    /** Blocking poll for every inbound flux message (monolithic). */
-    void receiveFluxCorrectionsFused();
-    /** Receive + one fused unpack launch over the flux entries. */
-    void setFluxCorrectionsFused();
+    /**
+     * Payload buffers the fused path allocated because the pool held
+     * none large enough (cumulative). Zero per cycle once warm on a
+     * classic mesh, until the next remesh or migration drops the pool;
+     * on a rank team a message with no reverse message (flux flows
+     * fine -> coarse) allocates on its sender every phase.
+     */
+    std::uint64_t freshPayloadAllocs() const;
+    /** Buffers the pool currently holds. */
+    std::size_t pooledPayloads() const;
 
     /** Ghost cells moved in the most recent exchange cycle. */
     std::int64_t lastWireCells() const { return last_wire_cells_.load(); }
@@ -186,12 +209,20 @@ class GhostExchange
     void unpackFluxChannel(const FluxChannel& ch, const double* payload,
                            std::size_t count) const;
 
-    /** Shared body of the two fused send phases. */
-    void sendFusedPhase(PlanPhase phase);
-    /** Shared body of the two fused receive-poll phases. */
+    /** One whole fused phase on the calling thread (monolithic). */
+    void runFusedPhase(PlanPhase phase);
+    /** Blocking poll for every inbound message of a phase. */
     void receiveFusedPhase(PlanPhase phase);
-    /** Shared body of the two fused set phases. */
-    void setFusedPhase(PlanPhase phase);
+    /** Move a present message into its inbox slot, validating it. */
+    void takeFusedMessage(PlanPhase phase, int slot);
+    /** isend the finished payload of send slot `slot`. */
+    void sendFusedMessage(PlanPhase phase, int slot);
+    /** Best-fit pooled payload of `count` doubles (or a fresh one). */
+    std::vector<double> acquirePayload(PlanPhase phase, std::size_t count)
+        VIBE_REQUIRES(pool_mutex_);
+    /** Return a payload to the phase's pool, keeping at most `cap`. */
+    void recyclePayload(PlanPhase phase, std::vector<double> payload,
+                        std::size_t cap) VIBE_REQUIRES(pool_mutex_);
 
     /** Account one boundary send against the per-cycle counters. */
     void countSend(double bytes);
@@ -207,8 +238,29 @@ class GhostExchange
     RankWorld* world_;
     BoundaryBufferCache* cache_;
     BoundaryPlan plan_;
+
+    /** Per-phase fused state; slots index the plan's local id lists. */
+    struct FusedPhaseState
+    {
+        /** Outbound payloads; the last writer moves each into isend. */
+        std::vector<std::vector<double>> out;
+        /** Sub-packs still packing into each send slot. */
+        std::vector<std::atomic<int>> writersLeft;
+        /** Arrived messages, filled by the poll tasks. */
+        std::vector<Message> inbox;
+    };
+    FusedPhaseState fused_[kNumPlanPhases];
+
+    /**
+     * Recycled payload buffers per phase, at most one per outbound plan
+     * message of that phase; see beginFusedPhase().
+     */
+    mutable Mutex pool_mutex_;
+    std::vector<std::vector<double>> pool_[kNumPlanPhases]
+        VIBE_GUARDED_BY(pool_mutex_);
+    std::uint64_t fresh_allocs_ VIBE_GUARDED_BY(pool_mutex_) = 0;
+
     std::atomic<std::int64_t> last_wire_cells_{0};
-    std::atomic<std::uint64_t> pending_receives_{0};
     std::atomic<std::uint64_t> last_messages_{0};
     /** Modeled bytes are integral (cells x components x 8). */
     std::atomic<std::int64_t> last_send_bytes_{0};

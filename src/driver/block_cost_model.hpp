@@ -3,8 +3,9 @@
  * Measured per-block cost estimation for load balancing (§V).
  *
  * The task-graph executor already wall-clocks every task and the fused
- * pack path batches per-block item runs; per-block task names carry a
- * ":<gid>" suffix, so the driver can fold one cycle's task seconds
+ * pack path batches per-block item runs; per-block tasks carry their
+ * block's gid (TaskList::addTask), so the driver can fold one cycle's
+ * task seconds
  * back onto blocks. This model accumulates those samples, normalizes
  * them against the *global* mean block seconds (a Sum collective — a
  * per-rank mean would erase exactly the cross-rank imbalance the
@@ -19,6 +20,7 @@
 #include <cstddef>
 #include <map>
 #include <string>
+#include <vector>
 
 namespace vibe {
 
@@ -77,6 +79,16 @@ class BlockCostModel
 
     /** Distinct blocks sampled this cycle. */
     std::size_t numSamples() const { return samples_.size(); }
+
+    /** The gids sampled this cycle, ascending. */
+    std::vector<int> sampledGids() const
+    {
+        std::vector<int> gids;
+        gids.reserve(samples_.size());
+        for (const auto& [gid, seconds] : samples_)
+            gids.push_back(gid);
+        return gids;
+    }
 
     /**
      * Fold this cycle's samples into the owned blocks' costs:

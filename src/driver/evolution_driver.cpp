@@ -63,7 +63,7 @@ EvolutionDriver::EvolutionDriver(Mesh& mesh,
     // flag flips — the rebuilds happen lazily at the next serial point.
     cache_.setRebuildHook([this] {
         pack_.invalidate();
-        exchange_.plan().invalidate();
+        exchange_.invalidatePlan();
     });
 }
 
@@ -369,31 +369,6 @@ EvolutionDriver::doCycle()
     }
 }
 
-namespace {
-
-/**
- * Parse the ":<gid>" suffix per-block task names carry, or -1. Fused
- * and pairwise tasks use non-numeric suffixes (":plan:bounds",
- * ":r0>r1"), so requiring all digits after the last ':' is exact.
- */
-int
-taskNameGid(const std::string& name)
-{
-    const std::size_t pos = name.rfind(':');
-    if (pos == std::string::npos || pos + 1 >= name.size())
-        return -1;
-    int gid = 0;
-    for (std::size_t i = pos + 1; i < name.size(); ++i) {
-        const char c = name[i];
-        if (c < '0' || c > '9')
-            return -1;
-        gid = gid * 10 + (c - '0');
-    }
-    return gid;
-}
-
-} // namespace
-
 void
 EvolutionDriver::runGraph(TaskList& tl, const TaskExecOptions& options)
 {
@@ -402,12 +377,12 @@ EvolutionDriver::runGraph(TaskList& tl, const TaskExecOptions& options)
     // Measured-cost harvest: fold each per-block task's wall clock
     // onto its block. Comm tasks are included — pack/unpack scale with
     // a block's surface and belong to it; poll attempts are cheap
-    // probes that add noise the EMA smooths out.
+    // probes that add noise the EMA smooths out. Tasks spanning
+    // several blocks (plan sub-packs, rank-pair polls) carry no gid.
     if (config_.lbCost == LbCostMode::Measured)
-        tl.forEachTask([this](const std::string& name, TaskCategory,
-                              double seconds) {
-            const int gid = taskNameGid(name);
-            if (gid >= 0)
+        tl.forEachTask([this](const std::string&, TaskCategory,
+                              double seconds, int gid) {
+            if (gid != TaskList::kNoBlock)
                 cost_model_.addSample(gid, seconds);
         });
     const double wall = tl.lastExecuteSeconds();
@@ -469,6 +444,8 @@ EvolutionDriver::emitHeartbeat(const CycleStats& stats,
     m.set("boundary.messages",
           static_cast<double>(stats.boundaryMessages));
     m.set("boundary.bytes", stats.boundaryBytes);
+    m.set("boundary.payload_fresh_allocs",
+          static_cast<double>(exchange_.freshPayloadAllocs()));
     m.set("wire.cells", static_cast<double>(stats.wireCells));
     m.set("wire.faces", static_cast<double>(stats.wireFaces));
     m.set("amr.refined", static_cast<double>(stats.refined));
@@ -699,6 +676,10 @@ EvolutionDriver::buildFluxCorrGraph()
 EvolutionDriver::FusedBoundsIds
 EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
 {
+    // Serial point: payloads and profiler rows for the whole phase.
+    exchange_.beginFusedPhase(PlanPhase::Bounds);
+    const BoundaryPlan& plan = exchange_.plan();
+    const int npacks = static_cast<int>(plan.subPacks().size());
     const TaskId t_start = tl.addTask(
         "StartReceiveBoundBufs",
         [this] {
@@ -707,86 +688,127 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
         },
         {}, TaskCategory::Comm);
     FusedBoundsIds ids;
-    ids.send = tl.addTask(
-        "SendBoundBufs:plan:bounds",
-        [this] {
-            exchange_.sendBoundBufsFused();
-            return TaskStatus::Complete;
-        },
-        {t_start}, TaskCategory::Comm);
-    // One poll per inbound coalesced message — O(rank pairs), where
-    // the per-face graph polls O(blocks). Self-pair polls depend only
-    // on t_start: the send task has no poll dependencies, so the
-    // executor always reaches it and the polls then complete.
-    std::vector<TaskId> polls;
-    const auto& msgs = exchange_.plan().messages(PlanPhase::Bounds);
-    for (int id : exchange_.fusedRecvIds(PlanPhase::Bounds)) {
-        const PlanMessage* m = &msgs[static_cast<std::size_t>(id)];
-        polls.push_back(tl.addTask(
-            "ReceiveBoundBufs:plan:bounds:r" + std::to_string(m->src) +
-                ">r" + std::to_string(m->dst),
-            [this, m] {
-                return exchange_.pollFusedMessage(*m)
-                           ? TaskStatus::Complete
-                           : TaskStatus::Iterate;
+    for (int p = 0; p < npacks; ++p)
+        ids.send.push_back(tl.addTask(
+            "SendBoundBufs:plan:bounds:p" + std::to_string(p),
+            [this, p] {
+                exchange_.sendFusedSubPack(PlanPhase::Bounds, p);
+                return TaskStatus::Complete;
             },
             {t_start}, TaskCategory::Comm));
+    // One poll per inbound coalesced message — O(rank pairs), where
+    // the per-face graph polls O(blocks). A message this graph sends
+    // itself is polled once its writers finished; a peer's message is
+    // polled from the start of the phase.
+    const std::vector<TaskId> polls =
+        addFusedPollTasks(tl, PlanPhase::Bounds, "ReceiveBoundBufs",
+                          ids.send, {t_start});
+    for (int p = 0; p < npacks; ++p) {
+        const PlanSubPack& pack =
+            plan.subPacks()[static_cast<std::size_t>(p)];
+        std::vector<TaskId> deps;
+        for (int slot : pack.recvSlots[static_cast<int>(PlanPhase::Bounds)])
+            deps.push_back(polls[static_cast<std::size_t>(slot)]);
+        if (deps.empty())
+            deps.push_back(t_start);
+        ids.set.push_back(tl.addTask(
+            "SetBounds:plan:bounds:p" + std::to_string(p),
+            [this, blocks = &pack.blocks, p] {
+                exchange_.setFusedSubPack(PlanPhase::Bounds, p);
+                // Each block's physical fill follows its own unpacks,
+                // preserving the per-face order (unpack, then fill).
+                for (MeshBlock* block : *blocks)
+                    exchange_.applyPhysicalBoundariesBlock(*block);
+                return TaskStatus::Complete;
+            },
+            std::move(deps), TaskCategory::Comm));
     }
-    ids.set = tl.addTask(
-        "SetBounds:plan:bounds",
-        [this] {
-            exchange_.setBoundsFused();
-            // Physical fills run after ALL unpacks, preserving each
-            // block's per-face order (unpack, then fill).
-            for (MeshBlock* block : mesh_->ownedBlocks())
-                exchange_.applyPhysicalBoundariesBlock(*block);
-            return TaskStatus::Complete;
-        },
-        std::move(polls), TaskCategory::Comm);
     return ids;
 }
 
-TaskId
-EvolutionDriver::addFusedFluxCorrTasks(TaskList& tl,
-                                       std::vector<TaskId> deps)
+std::vector<TaskId>
+EvolutionDriver::addFusedPollTasks(TaskList& tl, PlanPhase phase,
+                                   const char* label,
+                                   const std::vector<TaskId>& sends,
+                                   const std::vector<TaskId>& peer_deps)
 {
-    const TaskId t_fsend = tl.addTask(
-        "FluxCorrSend:plan:flux",
-        [this] {
-            exchange_.sendFluxCorrectionsFused();
-            return TaskStatus::Complete;
-        },
-        std::move(deps), TaskCategory::Comm);
-    std::vector<TaskId> apply_deps{t_fsend};
-    const auto& msgs = exchange_.plan().messages(PlanPhase::Flux);
-    for (int id : exchange_.fusedRecvIds(PlanPhase::Flux)) {
-        const PlanMessage* m = &msgs[static_cast<std::size_t>(id)];
-        apply_deps.push_back(tl.addTask(
-            "FluxCorrRecv:plan:flux:r" + std::to_string(m->src) +
-                ">r" + std::to_string(m->dst),
-            [this, m] {
-                return exchange_.pollFusedMessage(*m)
+    const BoundaryPlan& plan = exchange_.plan();
+    const auto& msgs = plan.messages(phase);
+    const auto& recv = plan.localRecvIds(phase);
+    const auto& writers = plan.slotWriters(phase);
+    const auto& send_slot = plan.recvSendSlot(phase);
+    std::vector<TaskId> polls;
+    polls.reserve(recv.size());
+    for (std::size_t r = 0; r < recv.size(); ++r) {
+        const PlanMessage& m = msgs[static_cast<std::size_t>(recv[r])];
+        std::vector<TaskId> deps = peer_deps;
+        if (send_slot[r] >= 0) {
+            deps.clear();
+            for (int p : writers[static_cast<std::size_t>(send_slot[r])])
+                deps.push_back(sends[static_cast<std::size_t>(p)]);
+        }
+        const int slot = static_cast<int>(r);
+        polls.push_back(tl.addTask(
+            std::string(label) + ":plan:" + planPhaseName(phase) + ":r" +
+                std::to_string(m.src) + ">r" + std::to_string(m.dst),
+            [this, phase, slot] {
+                return exchange_.pollFusedMessage(phase, slot)
                            ? TaskStatus::Complete
                            : TaskStatus::Iterate;
             },
-            {t_fsend}, TaskCategory::Comm));
+            std::move(deps), TaskCategory::Comm));
     }
-    return tl.addTask(
-        "FluxCorrApply:plan:flux",
-        [this] {
-            exchange_.setFluxCorrectionsFused();
-            return TaskStatus::Complete;
-        },
-        std::move(apply_deps), TaskCategory::Comm);
+    return polls;
+}
+
+std::vector<TaskId>
+EvolutionDriver::addFusedFluxCorrTasks(
+    TaskList& tl, std::vector<std::vector<TaskId>> send_deps)
+{
+    exchange_.beginFusedPhase(PlanPhase::Flux);
+    const BoundaryPlan& plan = exchange_.plan();
+    const int npacks = static_cast<int>(plan.subPacks().size());
+    std::vector<TaskId> sends;
+    for (int p = 0; p < npacks; ++p)
+        sends.push_back(tl.addTask(
+            "FluxCorrSend:plan:flux:p" + std::to_string(p),
+            [this, p] {
+                exchange_.sendFusedSubPack(PlanPhase::Flux, p);
+                return TaskStatus::Complete;
+            },
+            std::move(send_deps[static_cast<std::size_t>(p)]),
+            TaskCategory::Comm));
+    // A peer's corrections are polled once this rank's own are out,
+    // as the single fused send used to gate them.
+    const std::vector<TaskId> polls = addFusedPollTasks(
+        tl, PlanPhase::Flux, "FluxCorrRecv", sends, sends);
+    std::vector<TaskId> applies;
+    for (int p = 0; p < npacks; ++p) {
+        // Apply after the corrections p's own blocks send: a block
+        // both sends (fine side) and receives (coarse side) fluxes.
+        std::vector<TaskId> deps{sends[static_cast<std::size_t>(p)]};
+        for (int slot : plan.subPacks()[static_cast<std::size_t>(p)]
+                            .recvSlots[static_cast<int>(PlanPhase::Flux)])
+            deps.push_back(polls[static_cast<std::size_t>(slot)]);
+        applies.push_back(tl.addTask(
+            "FluxCorrApply:plan:flux:p" + std::to_string(p),
+            [this, p] {
+                exchange_.setFusedSubPack(PlanPhase::Flux, p);
+                return TaskStatus::Complete;
+            },
+            std::move(deps), TaskCategory::Comm));
+    }
+    return applies;
 }
 
 /**
  * One RK stage over the boundary plan: the comm side of the graph
- * collapses from O(blocks x faces) tasks to O(rank pairs) — one fused
- * send, one poll per inbound coalesced message, one fused set — while
- * the per-block compute chain is unchanged. The tradeoff mirrors
- * pack_interior: per-block receive/compute overlap is traded for one
- * launch (and one message) per phase per rank pair.
+ * collapses from O(blocks x faces) tasks to O(rank pairs + sub-packs)
+ * — one send and one set task per sub-pack, one poll per inbound
+ * coalesced message — while the per-block compute chain is unchanged.
+ * Each block's compute waits only on its own sub-pack's set, and its
+ * update only on its own sub-pack's send, so comm and compute of
+ * different sub-packs overlap.
  */
 TaskList
 EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
@@ -794,6 +816,7 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
     // Serial point: if the rebuild hook fired, the plan rebuild
     // happens here, before any task can read the tables.
     exchange_.plan().ensureBuilt();
+    const BoundaryPlan& plan = exchange_.plan();
     TaskList tl;
     tl.setLabel("plan:bounds+flux stage " + std::to_string(stage));
     const FusedBoundsIds bounds = addFusedBoundsTasks(tl);
@@ -804,10 +827,15 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
     TaskId prev_flux = -1;
 
     const std::vector<MeshBlock*>& owned = mesh_->ownedBlocks();
+    std::vector<int> pack_of(owned.size());
     std::vector<TaskId> flux_tasks;
+    std::vector<std::vector<TaskId>> pack_fluxes(plan.subPacks().size());
     flux_tasks.reserve(owned.size());
-    for (MeshBlock* block : owned) {
-        std::vector<TaskId> flux_deps{bounds.set};
+    for (std::size_t b = 0; b < owned.size(); ++b) {
+        MeshBlock* block = owned[b];
+        pack_of[b] = plan.subPackOf(block->gid());
+        const auto p = static_cast<std::size_t>(pack_of[b]);
+        std::vector<TaskId> flux_deps{bounds.set[p]};
         if (serialize_flux && prev_flux >= 0)
             flux_deps.push_back(prev_flux);
         const TaskId t_flux = tl.addTask(
@@ -816,20 +844,22 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
                 package_->calculateFluxesBlock(*mesh_, *block);
                 return TaskStatus::Complete;
             },
-            std::move(flux_deps));
+            std::move(flux_deps), TaskCategory::Compute, block->gid());
         prev_flux = t_flux;
         flux_tasks.push_back(t_flux);
+        pack_fluxes[p].push_back(t_flux);
     }
 
-    // The fused correction gates every divergence: corrections only
-    // flow once all fluxes exist, exactly as the per-face path orders
-    // each block's send before its apply.
-    TaskId t_fapply = -1;
+    // A sub-pack's corrections flow once its own blocks' fluxes exist,
+    // exactly as the per-face path orders each block's send after its
+    // flux task.
+    std::vector<TaskId> applies;
     if (flux_correction)
-        t_fapply = addFusedFluxCorrTasks(tl, flux_tasks);
+        applies = addFusedFluxCorrTasks(tl, std::move(pack_fluxes));
 
     for (std::size_t b = 0; b < owned.size(); ++b) {
         MeshBlock* block = owned[b];
+        const auto p = static_cast<std::size_t>(pack_of[b]);
         const std::string gid = std::to_string(block->gid());
         const TaskId t_div = tl.addTask(
             "FluxDivergence:" + gid,
@@ -837,16 +867,17 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
                 package_->fluxDivergenceBlock(*mesh_, *block);
                 return TaskStatus::Complete;
             },
-            {flux_correction ? t_fapply : flux_tasks[b]});
+            {flux_correction ? applies[p] : flux_tasks[b]},
+            TaskCategory::Compute, block->gid());
         // As in the per-face graph: the update rewrites the interior
-        // the fused send reads, so it must trail the send task.
+        // the sub-pack's send reads, so it must trail that send task.
         tl.addTask(
             "WeightedSumData:" + gid,
             [this, block, stage] {
                 stageUpdateBlock(*mesh_, *block, stage, dt_);
                 return TaskStatus::Complete;
             },
-            {t_div, bounds.send});
+            {t_div, bounds.send[p]}, TaskCategory::Compute, block->gid());
     }
     return tl;
 }
@@ -867,7 +898,9 @@ EvolutionDriver::buildFluxCorrGraphFused()
     exchange_.plan().ensureBuilt();
     TaskList tl;
     tl.setLabel("plan:flux");
-    addFusedFluxCorrTasks(tl, {});
+    // Packed mode: every flux is computed before this graph runs.
+    addFusedFluxCorrTasks(tl, std::vector<std::vector<TaskId>>(
+                                  exchange_.plan().subPacks().size()));
     return tl;
 }
 
@@ -913,7 +946,7 @@ EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
                 package_->calculateFluxesBlock(*mesh_, *block);
                 return TaskStatus::Complete;
             },
-            std::move(flux_deps));
+            std::move(flux_deps), TaskCategory::Compute, block->gid());
         prev_flux = t_flux;
 
         TaskId t_prev = t_flux;
@@ -925,7 +958,7 @@ EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
                 package_->fluxDivergenceBlock(*mesh_, *block);
                 return TaskStatus::Complete;
             },
-            {t_prev});
+            {t_prev}, TaskCategory::Compute, block->gid());
         // The update rewrites the block's interior, which the block's
         // own send task reads — the t_send edge keeps a slow pack from
         // racing an overtaking update chain.
@@ -935,7 +968,7 @@ EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
                 stageUpdateBlock(*mesh_, *block, stage, dt_);
                 return TaskStatus::Complete;
             },
-            {t_div, bounds.send});
+            {t_div, bounds.send}, TaskCategory::Compute, block->gid());
     }
     return tl;
 }
@@ -955,7 +988,7 @@ EvolutionDriver::addBoundsTasks(TaskList& tl, MeshBlock* block,
             exchange_.sendBlockBounds(*block);
             return TaskStatus::Complete;
         },
-        {t_start}, TaskCategory::Comm);
+        {t_start}, TaskCategory::Comm, block->gid());
     ids.poll = tl.addTask(
         "ReceiveBoundBufs:" + gid,
         [this, block] {
@@ -963,7 +996,7 @@ EvolutionDriver::addBoundsTasks(TaskList& tl, MeshBlock* block,
                        ? TaskStatus::Complete
                        : TaskStatus::Iterate;
         },
-        {t_start}, TaskCategory::Comm);
+        {t_start}, TaskCategory::Comm, block->gid());
     ids.set = tl.addTask(
         "SetBounds:" + gid,
         [this, block] {
@@ -971,7 +1004,7 @@ EvolutionDriver::addBoundsTasks(TaskList& tl, MeshBlock* block,
             exchange_.applyPhysicalBoundariesBlock(*block);
             return TaskStatus::Complete;
         },
-        {ids.poll}, TaskCategory::Comm);
+        {ids.poll}, TaskCategory::Comm, block->gid());
     return ids;
 }
 
@@ -986,7 +1019,7 @@ EvolutionDriver::addFluxCorrTasks(TaskList& tl, MeshBlock* block,
             exchange_.sendBlockFluxCorrections(*block);
             return TaskStatus::Complete;
         },
-        deps, TaskCategory::Comm);
+        deps, TaskCategory::Comm, block->gid());
     const TaskId t_fpoll = tl.addTask(
         "FluxCorrRecv:" + gid,
         [this, block] {
@@ -994,14 +1027,14 @@ EvolutionDriver::addFluxCorrTasks(TaskList& tl, MeshBlock* block,
                        ? TaskStatus::Complete
                        : TaskStatus::Iterate;
         },
-        std::move(deps), TaskCategory::Comm);
+        std::move(deps), TaskCategory::Comm, block->gid());
     return tl.addTask(
         "FluxCorrApply:" + gid,
         [this, block] {
             exchange_.setBlockFluxCorrections(*block);
             return TaskStatus::Complete;
         },
-        {t_fsend, t_fpoll}, TaskCategory::Comm);
+        {t_fsend, t_fpoll}, TaskCategory::Comm, block->gid());
 }
 
 RefinementFlagMap

@@ -249,6 +249,8 @@ class EvolutionDriver
 
     BoundaryBufferCache& bufferCache() { return cache_; }
     GhostExchange& exchange() { return exchange_; }
+    /** Measured-cost samples of the current cycle (lb_cost measured). */
+    const BlockCostModel& costModel() const { return cost_model_; }
 
     /**
      * The fused-launch pack over the current block list (used when
@@ -297,23 +299,35 @@ class EvolutionDriver
     /** Flux-correction-only task graph (send/poll/apply per block). */
     TaskList buildFluxCorrGraph();
 
-    /** Ids of the fused (boundary-plan) ghost-bounds task chain. */
+    /** Per-sub-pack task ids of the fused ghost-bounds chain. */
     struct FusedBoundsIds
     {
-        TaskId send = -1, set = -1;
+        std::vector<TaskId> send, set;
     };
     /**
-     * Add the fused bounds chain: start -> one fused send -> one poll
-     * per inbound coalesced message -> one fused set. O(rank pairs)
-     * tasks per phase instead of O(blocks). Requires a current plan
-     * (the fused builders call ensureBuilt() first, at a serial point).
+     * Add the fused bounds chain: start -> one send per plan sub-pack
+     * -> one poll per inbound coalesced message -> one set per
+     * sub-pack, each set gated only on the polls of the messages its
+     * blocks receive from. Opens the phase (beginFusedPhase), so it
+     * must be called at a serial point with a current plan (the fused
+     * builders call ensureBuilt() first).
      */
     FusedBoundsIds addFusedBoundsTasks(TaskList& tl);
     /**
-     * Add the fused flux-correction chain gated on `deps`; returns the
-     * apply task id.
+     * Add one poll task per inbound message of `phase` (recv slot
+     * order). A message this replica sends itself waits on its writer
+     * sub-packs among `sends`; a peer's message waits on `peer_deps`.
      */
-    TaskId addFusedFluxCorrTasks(TaskList& tl, std::vector<TaskId> deps);
+    std::vector<TaskId> addFusedPollTasks(
+        TaskList& tl, PlanPhase phase, const char* label,
+        const std::vector<TaskId>& sends,
+        const std::vector<TaskId>& peer_deps);
+    /**
+     * Add the fused flux-correction chain; sub-pack p's send waits on
+     * `send_deps[p]`. Returns the per-sub-pack apply task ids.
+     */
+    std::vector<TaskId> addFusedFluxCorrTasks(
+        TaskList& tl, std::vector<std::vector<TaskId>> send_deps);
     /** Fused-path counterpart of buildStageGraph. */
     TaskList buildStageGraphFused(int stage, bool flux_correction);
     /** Fused-path counterpart of buildBoundsGraph. */
@@ -407,8 +421,8 @@ class EvolutionDriver
     MetricsWriter* metrics_writer_ = nullptr;
     /**
      * Measured per-block cost accumulator (lb_cost = measured).
-     * Samples are harvested from every executed task graph and fused
-     * pack launch, keyed by the ":<gid>" task-name suffix.
+     * Samples are harvested from every executed task graph (tasks
+     * carrying a block gid) and fused pack launch.
      */
     BlockCostModel cost_model_;
     std::vector<CycleStats> history_;

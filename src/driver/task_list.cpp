@@ -47,13 +47,13 @@ traceAttempt(const std::string& name, TaskCategory category, int rank,
 
 TaskId
 TaskList::addTask(std::string name, TaskFn fn, std::vector<TaskId> deps,
-                  TaskCategory category)
+                  TaskCategory category, int gid)
 {
     for (TaskId dep : deps)
         require(dep >= 0 && dep < static_cast<TaskId>(tasks_.size()),
                 "task '", name, "' depends on unknown task id ", dep);
     tasks_.push_back({std::move(name), std::move(fn), std::move(deps),
-                      category, false, 0.0});
+                      category, gid, false, 0.0});
     return static_cast<TaskId>(tasks_.size()) - 1;
 }
 

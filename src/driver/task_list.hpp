@@ -15,7 +15,9 @@
  *   tasks behind other ready work. Kernels launched from inside a task
  *   body degrade to in-line execution on the worker (the space's
  *   nested-launch rule), so a task is a unit of concurrency exactly as
- *   in Parthenon's one-task-per-stream model.
+ *   in Parthenon's one-task-per-stream model. Work too wide for one
+ *   worker is therefore split into several tasks by its builder — the
+ *   fused boundary phases run one task per plan sub-pack.
  *
  * Both backends record wall time per task (summed over Iterate
  * retries) and aggregate it by TaskCategory, which is what the
@@ -105,11 +107,19 @@ class TaskList
      * Add a task.
      * @param deps Tasks that must complete before this one runs.
      * @param category Overlap-accounting class (Compute by default).
+     * @param gid The one mesh block whose work this task is, or
+     *        kNoBlock for tasks spanning several blocks (sub-packs,
+     *        rank-pair polls). Measured-cost load balancing charges a
+     *        task's wall time to this block.
      * @return Id usable as a dependency for later tasks.
      */
     TaskId addTask(std::string name, TaskFn fn,
                    std::vector<TaskId> deps = {},
-                   TaskCategory category = TaskCategory::Compute);
+                   TaskCategory category = TaskCategory::Compute,
+                   int gid = kNoBlock);
+
+    /** gid of a task attributed to no single block. */
+    static constexpr int kNoBlock = -1;
 
     /** Number of tasks added. */
     std::size_t size() const { return tasks_.size(); }
@@ -172,16 +182,15 @@ class TaskList
     double categorySeconds(TaskCategory category) const;
 
     /**
-     * Visit every task's (name, category, measured seconds) after an
-     * execute(). Per-block graphs suffix task names with ":<gid>", so
-     * a visitor can re-attribute this graph's wall clocks to blocks
-     * (the measured-cost load balancer's input).
+     * Visit every task's (name, category, measured seconds, gid) after
+     * an execute(), so a visitor can re-attribute this graph's wall
+     * clocks to blocks (the measured-cost load balancer's input).
      */
     template <typename Fn>
     void forEachTask(Fn&& fn) const
     {
         for (const Task& task : tasks_)
-            fn(task.name, task.category, task.seconds);
+            fn(task.name, task.category, task.seconds, task.gid);
     }
 
   private:
@@ -191,6 +200,7 @@ class TaskList
         TaskFn fn;
         std::vector<TaskId> deps;
         TaskCategory category = TaskCategory::Compute;
+        int gid = kNoBlock;
         bool complete = false;
         double seconds = 0;
     };

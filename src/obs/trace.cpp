@@ -116,11 +116,14 @@ TraceRecorder::record(TraceEvent event)
         ++buf.dropped;
         return;
     }
-    // Grow in fixed chunks so steady-state appends never reallocate:
-    // reserving ahead of capacity keeps the amortized doubling out of
-    // the recording path once warm.
+    // Grow geometrically up to the cap: fixed-size steps would recopy
+    // the whole buffer every kReserveEvents appends (quadratic copying
+    // on long traces); doubling keeps the total copy linear in the
+    // events recorded.
     if (buf.events.size() == buf.events.capacity())
-        buf.events.reserve(buf.events.capacity() + kReserveEvents);
+        buf.events.reserve(std::min(
+            std::max(buf.events.capacity() * 2, kReserveEvents),
+            kMaxEvents));
     event.tid = buf.tid;
     buf.events.push_back(event);
 }

@@ -19,8 +19,8 @@
  * identical to (and within run-to-run noise of) an uninstrumented
  * build. Cost when on: one steady_clock read per span edge and one
  * fixed-size struct append into a pre-reserved per-thread buffer
- * (no allocation until a buffer chunk fills, which re-reserves in
- * large steps).
+ * (no allocation until the buffer fills, which doubles its
+ * reservation up to the per-thread cap).
  *
  * Event names are copied into fixed-size arrays at record time, so
  * callers may pass transient strings (task names) without lifetime

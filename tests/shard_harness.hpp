@@ -93,6 +93,8 @@ struct ShardRun
     std::int64_t remeshEvents = 0;
     int movedBlocks = 0;
     double migratedBytes = 0;
+    /** The run's profiler tables (classic runs only). */
+    KernelProfiler profiler;
 };
 
 inline void
@@ -143,6 +145,7 @@ runClassic(const std::string& package_name, int num_threads,
     captureHistory(driver.history(), &out);
     for (const auto& block : mesh.blocks())
         captureBlock(*block, &out);
+    out.profiler = profiler;
     return out;
 }
 

@@ -11,14 +11,24 @@
  * - Elision: rank pairs that share no boundary get no PlanMessage at
  *   all; the offset directory of a real message tiles its payload
  *   exactly.
+ * - Sub-packs: the plan cuts the owned blocks into contiguous Z-order
+ *   ranges (one on a serial space) whose send/recv work lists cover
+ *   every local entry exactly once.
+ * - Payload pool: warm cycles without a remesh allocate no payloads,
+ *   and on a rank team the pools stay bounded across cycles.
  * - Equivalence: the fused path is bitwise identical to the per-face
- *   path for both physics packages across 1/2/4 threads and 1/2/4
- *   ranks, through mid-run remeshes and real storage migrations.
+ *   path for all three physics packages across 1/2/4 threads and
+ *   1/2/4 ranks, through mid-run remeshes and real storage migrations,
+ *   with and without packed interiors; its profiler tables do not
+ *   depend on the thread (hence sub-pack) count.
  */
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "comm/boundary_buffers.hpp"
@@ -197,7 +207,230 @@ TEST(BoundaryPlanDirectory, NonAdjacentRankPairsAreElided)
     EXPECT_EQ(fx.plan.recvIds(PlanPhase::Bounds, 2).size(), 2u);
 }
 
+// --- Sub-pack tables ----------------------------------------------------
+
+TEST(BoundaryPlanSubPacks, SerialSpaceHasOneSubPack)
+{
+    PlanFixture fx(shardMeshConfig(1, 1, false), 1);
+    fx.plan.ensureBuilt();
+    ASSERT_EQ(fx.plan.subPacks().size(), 1u);
+    EXPECT_EQ(fx.plan.subPacks()[0].blocks, fx.mesh.ownedBlocks());
+}
+
+TEST(BoundaryPlanSubPacks, RangesAndWorkListsCoverEveryEntryOnce)
+{
+    // A 4-thread space on a refined (two-level) mesh: fine-coarse
+    // faces put entries into both phases.
+    auto package = makePackage("advection");
+    VariableRegistry registry = package->buildRegistry();
+    KernelProfiler profiler;
+    MemoryTracker tracker;
+    ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
+                    makeExecutionSpace(4));
+    Mesh mesh(shardMeshConfig(1, 4, false, /*fused=*/true), registry, ctx);
+    RankWorld world(1);
+    SphericalWaveTagger tagger(shardWaveParams());
+    EvolutionDriver driver(mesh, *package, world, tagger,
+                           shardDriverConfig());
+    driver.initialize();
+    const BoundaryPlan& plan = driver.exchange().plan();
+    ASSERT_TRUE(plan.current());
+    ASSERT_FALSE(plan.messages(PlanPhase::Flux).empty());
+
+    const auto& owned = mesh.ownedBlocks();
+    const auto& packs = plan.subPacks();
+    EXPECT_EQ(packs.size(),
+              std::min<std::size_t>(
+                  BoundaryPlan::kSubPacksPerThread * 4, owned.size()));
+    // Contiguous, non-empty, in Z order, covering the owned blocks.
+    std::vector<MeshBlock*> concat;
+    for (std::size_t p = 0; p < packs.size(); ++p) {
+        EXPECT_FALSE(packs[p].blocks.empty()) << "sub-pack " << p;
+        for (MeshBlock* block : packs[p].blocks) {
+            concat.push_back(block);
+            EXPECT_EQ(plan.subPackOf(block->gid()), static_cast<int>(p));
+        }
+    }
+    EXPECT_EQ(concat, owned);
+
+    for (PlanPhase phase : {PlanPhase::Bounds, PlanPhase::Flux}) {
+        const int ph = static_cast<int>(phase);
+        const auto& msgs = plan.messages(phase);
+        const auto& send = plan.localSendIds(phase);
+        const auto& recv = plan.localRecvIds(phase);
+        auto endpoint = [&](int channel, bool sender) {
+            if (phase == PlanPhase::Bounds) {
+                const BoundsChannel& ch =
+                    driver.bufferCache().bounds()[channel];
+                return (sender ? ch.sender : ch.receiver)->gid();
+            }
+            const FluxChannel& ch = driver.bufferCache().flux()[channel];
+            return (sender ? ch.sender : ch.receiver)->gid();
+        };
+        // (slot, entry) -> times seen; every local entry exactly once
+        // per side, filed under the sub-pack of its sender / receiver.
+        std::map<std::pair<int, int>, int> sent, received;
+        std::vector<std::vector<int>> writers(send.size());
+        for (std::size_t p = 0; p < packs.size(); ++p) {
+            for (const PlanRow& row : packs[p].sendRows[ph]) {
+                ++sent[{row.slot, row.entry}];
+                const PlanEntry& e =
+                    msgs[static_cast<std::size_t>(send[row.slot])]
+                        .entries[static_cast<std::size_t>(row.entry)];
+                EXPECT_EQ(plan.subPackOf(endpoint(e.channel, true)),
+                          static_cast<int>(p));
+            }
+            for (int slot : packs[p].sendSlots[ph])
+                writers[static_cast<std::size_t>(slot)].push_back(
+                    static_cast<int>(p));
+            for (const PlanRow& row : packs[p].recvRows[ph]) {
+                ++received[{row.slot, row.entry}];
+                const PlanEntry& e =
+                    msgs[static_cast<std::size_t>(recv[row.slot])]
+                        .entries[static_cast<std::size_t>(row.entry)];
+                EXPECT_EQ(plan.subPackOf(endpoint(e.channel, false)),
+                          static_cast<int>(p));
+            }
+        }
+        std::size_t send_entries = 0, recv_entries = 0;
+        for (int id : send)
+            send_entries += msgs[static_cast<std::size_t>(id)].entries.size();
+        for (int id : recv)
+            recv_entries += msgs[static_cast<std::size_t>(id)].entries.size();
+        EXPECT_EQ(sent.size(), send_entries) << planPhaseName(phase);
+        EXPECT_EQ(received.size(), recv_entries) << planPhaseName(phase);
+        for (const auto& [key, times] : sent)
+            EXPECT_EQ(times, 1);
+        for (const auto& [key, times] : received)
+            EXPECT_EQ(times, 1);
+        EXPECT_EQ(writers, plan.slotWriters(phase)) << planPhaseName(phase);
+    }
+    // Bounds traffic exists on every sub-pack's blocks, so every
+    // sub-pack has send work — the phase really is spread out.
+    for (const PlanSubPack& pack : packs)
+        EXPECT_FALSE(pack.sendRows[0].empty());
+}
+
+// --- Payload pool -------------------------------------------------------
+
+TEST(FusedPayloadPool, WarmCyclesWithoutRemeshAllocateNothing)
+{
+    // 1 rank x 4 threads (sub-packs on). The first cycle after a cache
+    // rebuild re-fills the pool; every other cycle recycles.
+    auto package = makePackage("advection");
+    VariableRegistry registry = package->buildRegistry();
+    KernelProfiler profiler;
+    MemoryTracker tracker;
+    ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
+                    makeExecutionSpace(4));
+    Mesh mesh(shardMeshConfig(1, 4, false, /*fused=*/true), registry, ctx);
+    RankWorld world(1);
+    SphericalWaveTagger tagger(shardWaveParams());
+    DriverConfig config = shardDriverConfig();
+    config.ncycles = 16;
+    EvolutionDriver driver(mesh, *package, world, tagger, config);
+    driver.initialize();
+    const GhostExchange& exchange = driver.exchange();
+
+    bool rebuilt_last = true; // cycle 0 warms the flux buffer up
+    int steady = 0, remeshed = 0;
+    for (int c = 0; c < config.ncycles; ++c) {
+        const std::uint64_t rebuilds = driver.bufferCache().rebuildCount();
+        const std::uint64_t allocs = exchange.freshPayloadAllocs();
+        driver.doCycle();
+        if (!rebuilt_last) {
+            EXPECT_EQ(exchange.freshPayloadAllocs(), allocs)
+                << "fresh payloads in warm cycle " << c;
+            ++steady;
+        }
+        rebuilt_last = driver.bufferCache().rebuildCount() != rebuilds;
+        remeshed += rebuilt_last;
+        // One coalesced (self) message per phase on a classic mesh.
+        EXPECT_LE(exchange.pooledPayloads(), 2u);
+    }
+    EXPECT_GT(steady, 0) << "workload must have warm cycles";
+    EXPECT_GT(remeshed, 0) << "workload must remesh mid-run";
+    EXPECT_GT(exchange.freshPayloadAllocs(), 0u);
+}
+
+TEST(FusedPayloadPool, TeamPoolsDoNotGrowAcrossCycles)
+{
+    // 2 ranks x 2 threads on a static two-level mesh (initial
+    // refinement only, no load balance): payloads travel between the
+    // ranks' pools. Where one rank sends a peer more messages than it
+    // gets back (flux corrections flow fine -> coarse only) it keeps
+    // allocating and the peer drops the surplus, but no pool ever
+    // holds more than its outbound messages need, and a run three
+    // times as long ends with the same pools.
+    auto package = makePackage("advection");
+    VariableRegistry registry = package->buildRegistry();
+    auto run = [&](int cycles) {
+        DriverConfig config = shardDriverConfig();
+        config.ncycles = cycles;
+        config.refineEvery = 0;
+        config.lbEvery = 0;
+        auto team = std::make_unique<RankTeam>(
+            shardMeshConfig(2, 2, false, /*fused=*/true), registry,
+            *package, config, [](int) {
+                return std::make_unique<SphericalWaveTagger>(
+                    shardWaveParams());
+            });
+        team->run();
+        return team;
+    };
+    auto short_run = run(3);
+    auto long_run = run(9);
+    for (int r = 0; r < 2; ++r) {
+        GhostExchange& exchange = long_run->driver(r).exchange();
+        const BoundaryPlan& plan = exchange.plan();
+        ASSERT_TRUE(plan.current());
+        ASSERT_FALSE(plan.messages(PlanPhase::Flux).empty());
+        const std::size_t cap =
+            plan.localSendIds(PlanPhase::Bounds).size() +
+            plan.localSendIds(PlanPhase::Flux).size();
+        EXPECT_LE(exchange.pooledPayloads(), cap) << "rank " << r;
+        EXPECT_EQ(exchange.pooledPayloads(),
+                  short_run->driver(r).exchange().pooledPayloads())
+            << "rank " << r << " pool grew past warm-up";
+    }
+}
+
 // --- Fused vs per-face bitwise equivalence ----------------------------
+
+/** Profiler tables must agree exactly (launches, items, flops, bytes,
+ *  per-rank items), whatever the thread and sub-pack count. */
+void
+expectSameProfile(const KernelProfiler& a, const KernelProfiler& b,
+                  const std::string& what)
+{
+    const auto& ka = a.kernels();
+    const auto& kb = b.kernels();
+    ASSERT_EQ(ka.size(), kb.size()) << what;
+    for (const auto& [key, stats] : ka) {
+        const auto it = kb.find(key);
+        ASSERT_NE(it, kb.end()) << what << ": " << key.first << "/"
+                                << key.second;
+        const std::string where =
+            what + ": " + key.first + "/" + key.second;
+        EXPECT_EQ(stats.launches, it->second.launches) << where;
+        EXPECT_EQ(stats.items, it->second.items) << where;
+        EXPECT_EQ(stats.flops, it->second.flops) << where;
+        EXPECT_EQ(stats.bytes, it->second.bytes) << where;
+        EXPECT_EQ(stats.itemsByRank, it->second.itemsByRank) << where;
+    }
+    const auto& sa = a.serial();
+    const auto& sb = b.serial();
+    ASSERT_EQ(sa.size(), sb.size()) << what;
+    for (const auto& [key, stats] : sa) {
+        const auto it = sb.find(key);
+        ASSERT_NE(it, sb.end()) << what << ": " << key.first << "/"
+                                << key.second;
+        EXPECT_EQ(stats.items, it->second.items)
+            << what << ": " << key.first << "/" << key.second;
+        EXPECT_EQ(stats.itemsByRank, it->second.itemsByRank)
+            << what << ": " << key.first << "/" << key.second;
+    }
+}
 
 class FusedBoundaryEquivalence
     : public ::testing::TestWithParam<const char*>
@@ -211,6 +444,7 @@ TEST_P(FusedBoundaryEquivalence, FusedMatchesPerFaceBitwise)
     // chunk-ordered sums, deterministic for a fixed thread count);
     // the fused path — classic and rank-sharded — must add no
     // difference on top of it.
+    ShardRun fused_serial;
     for (int threads : {1, 2, 4}) {
         const ShardRun per_face =
             runClassic(package, threads, 1, false, /*fused=*/false);
@@ -222,6 +456,12 @@ TEST_P(FusedBoundaryEquivalence, FusedMatchesPerFaceBitwise)
         expectBitwiseEqual(per_face, fused,
                            package + " fused classic @" +
                                std::to_string(threads) + " threads");
+        if (threads == 1)
+            fused_serial = fused;
+        else
+            expectSameProfile(fused_serial.profiler, fused.profiler,
+                              package + " fused profile @1 vs " +
+                                  std::to_string(threads) + " threads");
 
         for (int ranks : {2, 4}) {
             const ShardRun team = runTeam(package, ranks, threads, 1,
@@ -239,8 +479,25 @@ TEST_P(FusedBoundaryEquivalence, FusedMatchesPerFaceBitwise)
     }
 }
 
+TEST_P(FusedBoundaryEquivalence, PackedInteriorFusedMatchesPerFace)
+{
+    // pack_interior: stepPacked runs the same sub-pack comm tasks as
+    // bounds-only and flux-only graphs around the pack launches (4
+    // threads, so there are several sub-packs).
+    const std::string package = GetParam();
+    const ShardRun per_face =
+        runClassic(package, 4, 1, true, /*fused=*/false);
+    expectBitwiseEqual(per_face,
+                       runClassic(package, 4, 1, true, /*fused=*/true),
+                       package + " packed fused classic @4 threads");
+    expectBitwiseEqual(per_face,
+                       runTeam(package, 2, 4, 1, true, /*fused=*/true),
+                       package + " packed fused @2 ranks x 4 threads");
+}
+
 INSTANTIATE_TEST_SUITE_P(Packages, FusedBoundaryEquivalence,
-                         ::testing::Values("burgers", "advection"));
+                         ::testing::Values("burgers", "advection",
+                                           "reaction"));
 
 } // namespace
 } // namespace vibe

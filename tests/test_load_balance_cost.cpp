@@ -11,12 +11,14 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "driver/block_cost_model.hpp"
 #include "driver/load_balance.hpp"
+#include "driver/task_list.hpp"
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_writer.hpp"
 #include "pkg/reaction_package.hpp"
@@ -302,6 +304,59 @@ TEST(LoadBalanceCost, MeasuredMatchesUniformBitwise)
     expectBitwiseEqual(
         uniform2t, runTeamCost("advection", 2, 2, LbCostMode::Measured),
         "measured team @2r x 2t");
+}
+
+TEST(LoadBalanceCost, OnlyTasksCarryingAGidAreAttributed)
+{
+    // Block attribution is a typed task field, not name parsing: a
+    // sub-pack task whose name ends in digits ("...:p3") or a bare
+    // number is never charged to a block.
+    TaskList tl;
+    auto done = [] { return TaskStatus::Complete; };
+    tl.addTask("SendBoundBufs:plan:bounds:p3", done, {},
+               TaskCategory::Comm);
+    tl.addTask("SetBounds:plan:bounds:3", done, {}, TaskCategory::Comm);
+    tl.addTask("CalculateFluxes:3", done, {}, TaskCategory::Compute, 3);
+    tl.execute();
+    std::map<std::string, int> gids;
+    tl.forEachTask([&](const std::string& name, TaskCategory, double,
+                       int gid) { gids[name] = gid; });
+    EXPECT_EQ(gids.at("SendBoundBufs:plan:bounds:p3"), TaskList::kNoBlock);
+    EXPECT_EQ(gids.at("SetBounds:plan:bounds:3"), TaskList::kNoBlock);
+    EXPECT_EQ(gids.at("CalculateFluxes:3"), 3);
+}
+
+TEST(LoadBalanceCost, MeasuredSamplesEveryOwnedBlockEachCycle)
+{
+    // The reaction deck (uniform mesh, measured costs) at 4 threads:
+    // per-block tasks charge their block on both boundary paths, the
+    // plan's sub-pack and rank-pair tasks charge nobody, so each cycle
+    // samples exactly the owned blocks.
+    for (bool fused : {false, true}) {
+        auto package = makePackage("reaction");
+        VariableRegistry registry = package->buildRegistry();
+        KernelProfiler profiler;
+        MemoryTracker tracker;
+        ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
+                        makeExecutionSpace(4));
+        MeshConfig mesh_config = shardMeshConfig(1, 4, false, fused);
+        mesh_config.amrLevels = 1;
+        Mesh mesh(mesh_config, registry, ctx);
+        RankWorld world(1);
+        SphericalWaveTagger tagger(shardWaveParams());
+        DriverConfig config = shardDriverConfig();
+        config.lbCost = LbCostMode::Measured;
+        EvolutionDriver driver(mesh, *package, world, tagger, config);
+        driver.initialize();
+        for (int c = 0; c < 3; ++c) {
+            std::vector<int> owned;
+            for (const MeshBlock* block : mesh.ownedBlocks())
+                owned.push_back(block->gid());
+            driver.doCycle();
+            EXPECT_EQ(driver.costModel().sampledGids(), owned)
+                << (fused ? "fused" : "per-face") << " cycle " << c;
+        }
+    }
 }
 
 TEST(LoadBalanceCost, CycleStatsSurfaceLbOutcome)

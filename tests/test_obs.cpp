@@ -145,7 +145,7 @@ TEST(TraceRecorder, SteadyStateHotPathDoesNotAllocate)
     TraceRecorder& recorder = TraceRecorder::instance();
     recorder.start();
     // Warm up: the first record on this thread assigns a tid and
-    // reserves the chunked buffer.
+    // reserves the initial buffer.
     traceInstant("warmup", TraceCat::Driver, 0);
 
     const std::int64_t before =
@@ -315,6 +315,22 @@ TEST(ObsEndToEnd, TracingOffIsBitwiseIdenticalToTracingOn)
     EXPECT_EQ(off.zoneCycles, on.zoneCycles);
 }
 
+/**
+ * Fold a boundary-plan sub-pack task name ("SetBounds:plan:bounds:p3")
+ * into its family key ("SetBounds:plan:bounds:p*"); other names pass
+ * through unchanged.
+ */
+std::string
+subPackFamily(const std::string& name)
+{
+    const std::size_t pos = name.rfind(":p");
+    if (name.find(":plan:") == std::string::npos ||
+        pos == std::string::npos || pos + 2 >= name.size() ||
+        name.find_first_not_of("0123456789", pos + 2) != std::string::npos)
+        return name;
+    return name.substr(0, pos) + ":p*";
+}
+
 /** Per-name counts of deterministic (non-poll-retry) traced events. */
 std::map<std::string, int>
 tracedEventCounts(const std::string& package, int ranks, int threads)
@@ -334,7 +350,7 @@ tracedEventCounts(const std::string& package, int ranks, int threads)
     for (const TraceEvent& event : events) {
         if (event.flags & TraceEvent::kPollRetry)
             continue;
-        ++counts[std::string(event.nameView())];
+        ++counts[subPackFamily(std::string(event.nameView()))];
     }
     EXPECT_FALSE(counts.empty());
     return counts;
@@ -342,6 +358,10 @@ tracedEventCounts(const std::string& package, int ranks, int threads)
 
 TEST(ObsEndToEnd, EventCountsDeterministicAcrossThreadCounts)
 {
+    // The boundary plan cuts each fused phase into more sub-pack tasks
+    // as threads are added, so sub-pack families may only grow; every
+    // other event — including the once-per-phase kernel records — is
+    // counted exactly as at one thread.
     for (const char* package : {"burgers", "advection"}) {
         for (int ranks : {1, 2}) {
             const auto baseline =
@@ -349,10 +369,20 @@ TEST(ObsEndToEnd, EventCountsDeterministicAcrossThreadCounts)
             for (int threads : {2, 4}) {
                 const auto counts =
                     tracedEventCounts(package, ranks, threads);
-                EXPECT_EQ(baseline, counts)
-                    << package << " with " << ranks
-                    << " rank(s): non-retry event counts changed "
-                    << "between 1 and " << threads << " threads";
+                const std::string what =
+                    std::string(package) + " with " +
+                    std::to_string(ranks) + " rank(s) at " +
+                    std::to_string(threads) + " threads";
+                ASSERT_EQ(baseline.size(), counts.size()) << what;
+                for (const auto& [name, count] : baseline) {
+                    const auto it = counts.find(name);
+                    ASSERT_NE(it, counts.end()) << what << ": " << name;
+                    if (name.size() > 3 &&
+                        name.compare(name.size() - 3, 3, ":p*") == 0)
+                        EXPECT_GE(it->second, count) << what << ": " << name;
+                    else
+                        EXPECT_EQ(it->second, count) << what << ": " << name;
+                }
             }
         }
     }
