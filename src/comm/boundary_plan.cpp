@@ -286,14 +286,15 @@ BoundaryPlan::rebuild()
         }
 
         // The arguments the fused kernels have always been recorded
-        // with: per entry, in slot order.
+        // with, summed per message.
         PlanPhaseProfile& prof = profile_[phase];
         prof = PlanPhaseProfile{};
+        std::size_t send_entries = 0;
         for (int id : local_send_[phase]) {
             const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
+            double items = 0;
             for (const PlanEntry& e : m.entries) {
-                prof.sendRanks.push_back(m.src);
-                prof.sendItems.push_back(static_cast<double>(e.count));
+                items += static_cast<double>(e.count);
                 if (bounds) {
                     const BoundsChannel& ch = cache_->bounds()[e.channel];
                     prof.sendInnermost +=
@@ -303,24 +304,33 @@ BoundaryPlan::rebuild()
                         cache_->flux()[e.channel].recvFaces.i.count();
                 }
             }
+            prof.sendRanks.push_back(m.src);
+            prof.sendItems.push_back(items);
+            send_entries += m.entries.size();
         }
+        std::size_t set_entries = 0;
         for (int id : local_recv_[phase]) {
             const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
+            double items = 0;
             for (const PlanEntry& e : m.entries) {
-                prof.setRanks.push_back(m.dst);
                 if (bounds) {
                     const BoundsChannel& ch = cache_->bounds()[e.channel];
-                    prof.setItems.push_back(
-                        static_cast<double>(ch.recv.cells()) * ncomp);
+                    items += static_cast<double>(ch.recv.cells()) * ncomp;
                     prof.setInnermost += ch.recv.i.count();
                 } else {
                     const FluxChannel& ch = cache_->flux()[e.channel];
-                    prof.setItems.push_back(
-                        static_cast<double>(ch.wireFaces()) * ncomp);
+                    items += static_cast<double>(ch.wireFaces()) * ncomp;
                     prof.setInnermost += ch.recvFaces.i.count();
                 }
             }
+            prof.setRanks.push_back(m.dst);
+            prof.setItems.push_back(items);
+            set_entries += m.entries.size();
         }
+        if (send_entries > 0)
+            prof.sendInnermost /= static_cast<double>(send_entries);
+        if (set_entries > 0)
+            prof.setInnermost /= static_cast<double>(set_entries);
     }
     buildSubPacks();
 
@@ -352,31 +362,24 @@ BoundaryPlan::buildSubPacks()
                    : cache_->flux()[channel].receiver->gid();
     };
 
-    // Balance weight per owned block: the bounds payload doubles it
+    // Balance weight per block (by gid): the bounds payload doubles it
     // packs plus those it unpacks (+1 so blocks without neighbors
     // still spread out).
-    std::vector<int> position(mesh_->numBlocks(), -1);
-    for (std::size_t i = 0; i < nblocks; ++i)
-        position[static_cast<std::size_t>(owned[i]->gid())] =
-            static_cast<int>(i);
-    std::vector<double> weight(nblocks, 1.0);
+    std::vector<double> weight(mesh_->numBlocks(), 1.0);
     const int bounds = static_cast<int>(PlanPhase::Bounds);
     const auto& bounds_msgs = messages_[bounds];
-    auto add_weight = [&](int gid, std::size_t count) {
-        const int pos = position.at(static_cast<std::size_t>(gid));
-        require(pos >= 0, "plan entry touches block ", gid,
-                ", which this replica does not own");
-        weight[static_cast<std::size_t>(pos)] +=
-            static_cast<double>(count);
-    };
     for (int id : local_send_[bounds])
         for (const PlanEntry& e :
              bounds_msgs[static_cast<std::size_t>(id)].entries)
-            add_weight(sender_gid(bounds, e.channel), e.count);
+            weight[static_cast<std::size_t>(
+                sender_gid(bounds, e.channel))] +=
+                static_cast<double>(e.count);
     for (int id : local_recv_[bounds])
         for (const PlanEntry& e :
              bounds_msgs[static_cast<std::size_t>(id)].entries)
-            add_weight(receiver_gid(bounds, e.channel), e.count);
+            weight[static_cast<std::size_t>(
+                receiver_gid(bounds, e.channel))] +=
+                static_cast<double>(e.count);
 
     // Contiguous Z-order cut at the weight quantiles; a forced cut
     // keeps every sub-pack non-empty.
@@ -388,25 +391,25 @@ BoundaryPlan::buildSubPacks()
     const std::size_t npacks =
         std::max<std::size_t>(1, std::min(target, nblocks));
     double total = 0;
-    for (double w : weight)
-        total += w;
+    for (const MeshBlock* block : owned)
+        total += weight[static_cast<std::size_t>(block->gid())];
     sub_packs_.assign(npacks, PlanSubPack{});
     sub_pack_of_.assign(mesh_->numBlocks(), -1);
     std::size_t p = 0;
     double acc = 0;
     for (std::size_t i = 0; i < nblocks; ++i) {
+        const auto gid = static_cast<std::size_t>(owned[i]->gid());
         const bool must_cut = nblocks - i <= npacks - 1 - p;
         const bool quantile_cut =
-            acc + 0.5 * weight[i] >
+            acc + 0.5 * weight[gid] >
             total * static_cast<double>(p + 1) /
                 static_cast<double>(npacks);
         if (p + 1 < npacks && !sub_packs_[p].blocks.empty() &&
             (must_cut || quantile_cut))
             ++p;
         sub_packs_[p].blocks.push_back(owned[i]);
-        sub_pack_of_[static_cast<std::size_t>(owned[i]->gid())] =
-            static_cast<int>(p);
-        acc += weight[i];
+        sub_pack_of_[gid] = static_cast<int>(p);
+        acc += weight[gid];
     }
 
     // Work lists. Rows are appended in slot order, so a sub-pack's

@@ -127,9 +127,11 @@ struct PlanSubPack
 };
 
 /**
- * Profiler arguments of one phase's pack and unpack kernels, one
- * element per entry of the local messages in slot order. Precomputed
- * so each phase records its kernels once, at a serial point.
+ * Profiler arguments of one phase's pack and unpack kernels: per local
+ * message in slot order, its rank and its entries' summed items (item
+ * counts are integral, so the per-rank sums are exact in any order),
+ * plus the mean innermost extent over all entries. Precomputed so each
+ * phase records its kernels once, at a serial point.
  */
 struct PlanPhaseProfile
 {

@@ -880,8 +880,7 @@ GhostExchange::beginFusedPhase(PlanPhase phase)
             ctx, "SendBoundBufs", "SendBoundBufs",
             {1.0, 2.0 * sizeof(double)}, prof.sendRanks.data(),
             prof.sendItems.data(), static_cast<int>(prof.sendRanks.size()),
-            prof.sendInnermost /
-                static_cast<double>(prof.sendRanks.size()));
+            prof.sendInnermost);
     for (int id : send) {
         const PlanMessage& m = msgs[static_cast<std::size_t>(id)];
         const bool remote = m.src != m.dst;
@@ -902,7 +901,7 @@ GhostExchange::beginFusedPhase(PlanPhase phase)
         recordPackKernelItems(
             ctx, "SetBounds", "SetBounds", costs, prof.setRanks.data(),
             prof.setItems.data(), static_cast<int>(prof.setRanks.size()),
-            prof.setInnermost / static_cast<double>(prof.setRanks.size()));
+            prof.setInnermost);
     }
     if (bounds)
         for (int id : recv) {
@@ -1060,13 +1059,23 @@ GhostExchange::setFusedSubPack(PlanPhase phase, int p)
 void
 GhostExchange::runFusedPhase(PlanPhase phase)
 {
-    beginFusedPhase(phase);
+    const ExecContext& ctx = mesh_->ctx();
     const int npacks = static_cast<int>(plan_.subPacks().size());
-    for (int p = 0; p < npacks; ++p)
-        sendFusedSubPack(phase, p);
+    // Outside a task graph the sub-packs are spread over the space as
+    // one launch; counting mode executes no rows but still sends.
+    auto each_pack = [&](auto&& fn) {
+        if (!ctx.executing()) {
+            for (int p = 0; p < npacks; ++p)
+                fn(p);
+            return;
+        }
+        parForExecRows(ctx, 0, npacks - 1, 0, 0,
+                       [&](int, int p, int) { fn(p); });
+    };
+    beginFusedPhase(phase);
+    each_pack([&](int p) { sendFusedSubPack(phase, p); });
     receiveFusedPhase(phase);
-    for (int p = 0; p < npacks; ++p)
-        setFusedSubPack(phase, p);
+    each_pack([&](int p) { setFusedSubPack(phase, p); });
 }
 
 } // namespace vibe
