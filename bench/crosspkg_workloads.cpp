@@ -1,9 +1,9 @@
 /**
  * @file crosspkg_workloads.cpp
  * First cross-workload comparison: the same AMR engine — ghost
- * exchange, flux correction, mid-run remesh, memory pool, per-block
- * task graphs and fused MeshBlockPack launches — driven by two
- * physics packages through the PackageRegistry seam.
+ * exchange, flux correction, mid-run remesh, memory pool and the
+ * per-block stage graph — driven by two physics packages through the
+ * PackageRegistry seam.
  *
  * Burgers (the VIBE workload: 3 + num_scalars components, WENO5 + HLL)
  * is arithmetic-heavy per cell; linear advection (1 component, WENO5 +
@@ -51,7 +51,7 @@ struct RunResult
 
 RunResult
 runWorkload(const std::string& package_name, int mesh_nx, int ncycles,
-            int threads, bool pack_interior)
+            int threads)
 {
     using namespace vibe;
     using clock = std::chrono::steady_clock;
@@ -73,11 +73,10 @@ runWorkload(const std::string& package_name, int mesh_nx, int ncycles,
         8;
     mesh_config.amrLevels = 2;
     mesh_config.numThreads = threads;
-    mesh_config.packInterior = pack_interior;
     Mesh mesh(mesh_config, registry, ctx);
     RankWorld world(2);
 
-    // Off-center fast shell (the pack-equivalence workload): refines
+    // Off-center fast shell (the rank-shard equivalence workload): refines
     // AND derefines within a few cycles regardless of the PDE, so the
     // remesh costs are part of every measured cycle.
     SphericalWaveTagger::Params wave;
@@ -134,30 +133,24 @@ main(int argc, char** argv)
            "(numeric AMR runs)");
 
     Table table("Same engine, two PDEs: measured throughput");
-    table.setHeader({"package", "threads", "packed", "wall (ms)",
-                     "zone-cyc/s", "blocks", "remesh", "|mass drift|"});
+    table.setHeader({"package", "threads", "wall (ms)", "zone-cyc/s",
+                     "blocks", "remesh", "|mass drift|"});
     for (const std::string& package_name : {"burgers", "advection"}) {
         for (int threads : {1, 4}) {
-            for (bool packed : {false, true}) {
-                const RunResult r = runWorkload(
-                    package_name, mesh_nx, ncycles, threads, packed);
-                table.addRow(
-                    {package_name, std::to_string(threads),
-                     packed ? "yes" : "no", formatFixed(r.wallMs, 1),
-                     formatSci(r.zoneCyclesPerSec, 2),
-                     std::to_string(r.finalBlocks),
-                     std::to_string(r.remeshEvents),
-                     formatSci(r.massDriftRel, 1)});
-                report.add(
-                    package_name + "_t" + std::to_string(threads) +
-                        (packed ? "_packed" : "_per_block"),
-                    {{"package", package_name},
-                     {"mesh", std::to_string(mesh_nx)},
-                     {"ncycles", std::to_string(ncycles)},
-                     {"threads", std::to_string(threads)},
-                     {"packed", packed ? "true" : "false"}},
-                    r.wallMs / 1e3);
-            }
+            const RunResult r =
+                runWorkload(package_name, mesh_nx, ncycles, threads);
+            table.addRow({package_name, std::to_string(threads),
+                          formatFixed(r.wallMs, 1),
+                          formatSci(r.zoneCyclesPerSec, 2),
+                          std::to_string(r.finalBlocks),
+                          std::to_string(r.remeshEvents),
+                          formatSci(r.massDriftRel, 1)});
+            report.add(package_name + "_t" + std::to_string(threads),
+                       {{"package", package_name},
+                        {"mesh", std::to_string(mesh_nx)},
+                        {"ncycles", std::to_string(ncycles)},
+                        {"threads", std::to_string(threads)}},
+                       r.wallMs / 1e3);
         }
     }
     table.addNote("advection moves ~4x fewer bytes and ~30x fewer "

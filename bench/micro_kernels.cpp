@@ -83,9 +83,10 @@ BM_CalculateFluxesBlock(benchmark::State& state)
     config.amrLevels = 1;
     Mesh mesh(config, registry, ctx);
     BurgersPackage package{BurgersConfig{}};
-    package.initialize(mesh, InitialCondition::Sine);
+    MeshBlock& only = mesh.block(0);
+    package.initializeBlock(ctx, only, InitialCondition::Sine);
     for (auto _ : state)
-        package.calculateFluxes(mesh);
+        package.calculateFluxesBlock(mesh, only);
     state.SetItemsProcessed(state.iterations() * block * block * block);
 }
 BENCHMARK(BM_CalculateFluxesBlock)->Arg(8)->Arg(16)->Arg(32);
@@ -102,9 +103,11 @@ BM_Rk2Stage(benchmark::State& state)
     config.blockNx1 = config.blockNx2 = config.blockNx3 = 16;
     config.amrLevels = 1;
     Mesh mesh(config, registry, ctx);
-    saveState(mesh);
+    for (MeshBlock* block : mesh.ownedBlocks())
+        saveStateBlock(mesh, *block);
     for (auto _ : state)
-        stage1Update(mesh, 1e-3);
+        for (MeshBlock* block : mesh.ownedBlocks())
+            stageUpdateBlock(mesh, *block, 1, 1e-3);
     state.SetItemsProcessed(state.iterations() * 32 * 32 * 32);
 }
 BENCHMARK(BM_Rk2Stage);
@@ -126,7 +129,8 @@ BM_GhostExchange(benchmark::State& state)
     BoundaryBufferCache cache(mesh, false);
     GhostExchange exchange(mesh, world, cache);
     BurgersPackage package{BurgersConfig{}};
-    package.initialize(mesh, InitialCondition::Sine);
+    for (MeshBlock* block : mesh.ownedBlocks())
+        package.initializeBlock(ctx, *block, InitialCondition::Sine);
     for (auto _ : state)
         exchange.exchangeBounds();
     state.SetItemsProcessed(state.iterations() *

@@ -75,7 +75,6 @@ main()
     fom_table.print(std::cout);
 
     std::cout << "\nSee bench/ for the per-figure reproduction "
-                 "harnesses and EXPERIMENTS.md for paper-vs-model "
-                 "comparisons.\n";
+                 "harnesses (README.md, \"Paper figure map\").\n";
     return 0;
 }

@@ -158,8 +158,8 @@ class BoundaryBufferCache
     /**
      * Invoked at the end of every rebuild(). The cache is rebuilt on
      * exactly the events that invalidate per-mesh block tables
-     * (restructure, load-balance moves), so dependents — the driver's
-     * MeshBlockPack view tables — hook here to invalidate in lockstep
+     * (restructure, load-balance moves), so dependents — the
+     * exchange's BoundaryPlan — hook here to invalidate in lockstep
      * instead of tracking remesh events themselves.
      */
     void setRebuildHook(std::function<void()> hook)
@@ -186,7 +186,7 @@ class BoundaryBufferCache
     std::uint64_t rebuild_count_ = 0;
     /**
      * Guards hook (re)registration against the rebuild path invoking
-     * it: the driver installs the pack-invalidation hook after
+     * it: the driver installs the plan-invalidation hook after
      * construction, and under rank sharding each replica's cache lives
      * on its own rank thread — the mutex makes installation safe even
      * if a future caller registers from outside that thread. The hook

@@ -3,9 +3,7 @@
  * BoundaryPlan: a persistent, phase-indexed plan of all boundary work
  * for the current mesh structure.
  *
- * The plan is the communication analogue of the MeshBlockPack: where
- * the pack flattens per-block interior kernels into one fused launch,
- * the plan flattens every per-face BoundsChannel/FluxChannel of the
+ * The plan flattens every per-face BoundsChannel/FluxChannel of the
  * BoundaryBufferCache into a buffer table so that
  *
  *  - all pack/unpack (plus restrict-on-pack / prolong-on-unpack) work
@@ -19,9 +17,9 @@
  *
  * Message format: the payload is a flat array of doubles; entry e of
  * messageFor(phase, src, dst) occupies [offset, offset + count) and
- * carries exactly the doubles the per-face path would have sent on
- * entry e's channel, in the per-face pack order. Entries are sorted by
- * the cache's canonical channel key (not the cache's possibly
+ * carries exactly the doubles of entry e's channel, in the channel's
+ * pack order (GhostExchange::packBoundsChannel and friends). Entries
+ * are sorted by the cache's canonical channel key (not the cache's possibly
  * shuffled storage order), so independently built sender and receiver
  * replicas agree on the directory byte for byte. Rank pairs with no
  * adjacent blocks get no PlanMessage at all — the empty message is
@@ -94,7 +92,7 @@ struct PlanMessage
     ChannelId id;
     /** Total payload doubles (sum of entry counts). */
     std::size_t doubles = 0;
-    /** Modeled wire bytes — equals the sum over the per-face path. */
+    /** Modeled wire bytes — the sum over the message's channels. */
     double bytes = 0;
     /** Wire cells (Bounds) or faces (Flux) carried, for accounting. */
     std::int64_t wireUnits = 0;
@@ -169,7 +167,7 @@ class BoundaryPlan
 
     /**
      * Rebuild if stale. Must be called from the owning rank's driver
-     * thread at a serial point (no fused launch in flight) — the
+     * thread at a serial point (no phase of the plan in flight) — the
      * driver does so while constructing each stage's task graph.
      */
     void ensureBuilt();

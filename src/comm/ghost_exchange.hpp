@@ -16,47 +16,40 @@
  * (§II-C), replacing the coarse face flux with the restricted sum of
  * the fine fluxes so conservation holds across levels.
  *
- * Each phase is available in two granularities:
- *
- * - The monolithic phase functions (exchangeBounds() and friends) run
- *   a whole phase over every block, as the seed did. They are used by
- *   driver initialization and by direct tests.
- * - The per-block task factories (sendBlockBounds, pollBlockBounds,
- *   setBlockBounds, and the flux-correction trio) are the graph nodes
- *   the task-graph driver schedules, so boundary polling interleaves
- *   with interior compute (§II-C). They are safe to run concurrently
- *   for distinct blocks: every send reads only the sender's interior,
- *   every unpack writes only the receiver's ghosts (or its own flux
- *   faces), and all profiler records carry explicit phase/rank
- *   attribution instead of touching shared ambient state.
- *
- * Per-cycle state (wire-cell and message counters, stale
- * mailbox entries from a cycle that threw) is reset at the top of
- * startReceiveBoundBufs(), so an exchange aborted mid-cycle can never
- * leave the next one waiting on phantom messages.
- *
- * A third granularity sits on top of both (<exec> fused_boundaries,
- * default on): the BoundaryPlan path. All traffic per (src rank, dst
- * rank) pair per phase travels as ONE coalesced mailbox message, and
+ * All boundary traffic rides the BoundaryPlan. Every (src rank, dst
+ * rank) pair exchanges ONE coalesced mailbox message per phase, and
  * the pack (or unpack) work of a phase is split into the plan's
  * sub-packs — contiguous Z-order block ranges — which the driver runs
- * as concurrent tasks: every worker packs and unpacks, not just the
- * one that picked up a single fused task. A message is sent by
- * whichever sub-pack finishes writing it last; a poll task moves each
- * arrival into a per-message inbox slot that several unpack
- * sub-packs then read. Payload buffers are recycled through a small
- * pool instead of allocated (and zero-filled) per phase. The
- * per-channel pack/unpack arithmetic is shared verbatim with the
- * per-face path (packBoundsChannel and friends), every channel writes
- * a disjoint payload slice or receiver region, and prolongation's
- * interior fallback reads cells no unpack writes — so the fused path
- * is bitwise identical to the per-face path at any thread or rank
- * count. The plan must be current (BoundaryPlan::ensureBuilt() at a
- * serial point — the driver's graph builders do this) before any
- * fused phase function runs, and beginFusedPhase() opens each phase
+ * as concurrent stage-graph tasks, so every worker packs and unpacks.
+ * A message is sent by whichever sub-pack finishes writing it last; a
+ * poll task moves each arrival into a per-message inbox slot that
+ * several unpack sub-packs then read. Payload buffers are recycled
+ * through a small pool instead of allocated (and zero-filled) per
+ * phase. Every channel writes a disjoint payload slice or receiver
+ * region, and prolongation's interior fallback reads cells no unpack
+ * writes, so results are bitwise identical at any thread or rank
+ * count and any sub-pack interleaving.
+ *
+ * Two granularities run the same sub-pack bodies:
+ *
+ * - The monolithic phase functions (exchangeBounds(),
+ *   exchangeFluxCorrections()) run a whole phase as one launch over
+ *   the sub-packs. Driver initialization and direct tests use them.
+ * - The sub-pack task bodies (beginFusedPhase, sendSubPackEntries,
+ *   pollFusedMessage, setSubPackEntries) are the stage-graph nodes.
+ *
+ * The plan must be current (BoundaryPlan::ensureBuilt() at a serial
+ * point — the driver's graph builder and the monolithic functions do
+ * this) before any phase runs, and beginFusedPhase() opens each phase
  * at a serial point: it hands out the pooled payloads and records the
  * phase's profiler rows once, so profiler tables do not depend on how
- * sub-packs interleave.
+ * sub-packs interleave. All profiler records carry explicit phase and
+ * rank attribution instead of touching shared ambient state.
+ *
+ * Per-cycle state (wire-cell and message counters, stale mailbox
+ * entries from a cycle that threw) is reset at the top of
+ * startReceiveBoundBufs(), so an exchange aborted mid-cycle can never
+ * leave the next one waiting on phantom messages.
  */
 #pragma once
 
@@ -78,40 +71,20 @@ class GhostExchange
     GhostExchange(Mesh& mesh, RankWorld& world,
                   BoundaryBufferCache& cache);
 
-    /** Run one complete ghost exchange (the four phases, in order). */
+    /**
+     * Run one complete ghost exchange (the four phases, in order) on
+     * the calling thread, the sub-packs spread over the space as one
+     * launch per pack/unpack step. A serial point: rebuilds a stale
+     * plan first.
+     */
     void exchangeBounds();
 
-    void startReceiveBoundBufs();
-    void sendBoundBufs();
-    void receiveBoundBufs();
-    void setBounds();
-
-    // --- Per-block task factories (bounds cycle) ---
-
-    /** Pack and isend every channel whose sender is `block`. */
-    void sendBlockBounds(const MeshBlock& block);
     /**
-     * Probe the channels into `block`; true when every expected buffer
-     * is present (polling cost recorded once, on completion).
-     */
-    bool pollBlockBounds(const MeshBlock& block);
-    /** Receive and unpack every channel into `block`. */
-    void setBlockBounds(MeshBlock& block);
-
-    /**
-     * Run one flux-correction exchange. Must be called after fluxes are
-     * computed and before FluxDivergence consumes them.
+     * Run one flux-correction exchange, like exchangeBounds(). Must be
+     * called after fluxes are computed and before FluxDivergence
+     * consumes them.
      */
     void exchangeFluxCorrections();
-
-    // --- Per-block task factories (flux-correction cycle) ---
-
-    /** Restrict-pack and isend the corrections `block` sends. */
-    void sendBlockFluxCorrections(const MeshBlock& block);
-    /** Probe the flux channels into `block`; true when all present. */
-    bool pollBlockFluxCorrections(const MeshBlock& block);
-    /** Receive and apply the corrections destined for `block`. */
-    void setBlockFluxCorrections(MeshBlock& block);
 
     /**
      * Fill ghost zones at non-periodic physical boundaries with
@@ -120,11 +93,6 @@ class GhostExchange
     void applyPhysicalBoundaries();
     /** Physical-boundary fill for one block (task-graph node). */
     void applyPhysicalBoundariesBlock(MeshBlock& block);
-
-    // --- Fused BoundaryPlan path (<exec> fused_boundaries) -----------
-
-    /** True when this run routes boundaries through the plan. */
-    bool fused() const { return mesh_->config().fusedBoundaries; }
 
     /** The plan (lazily rebuilt; see BoundaryPlan's lifecycle). */
     BoundaryPlan& plan() { return plan_; }
@@ -137,31 +105,34 @@ class GhostExchange
      */
     void invalidatePlan();
 
-    /** Fused counterpart of startReceiveBoundBufs(). */
-    void startReceiveBoundBufsFused();
     /**
-     * Open one fused phase at a serial point (no task of the phase
-     * running): recycle the phase's previous inbox into the payload
-     * pool, hand each outbound message a pooled payload, arm the
-     * per-message writer counts, and record the phase's pack/unpack
-     * kernels and per-message bookkeeping in the profiler.
+     * Reset the per-cycle counters and prepare one coalesced receive
+     * per inbound rank pair (the StartReceiveBoundBufs node).
+     */
+    void startReceiveBoundBufs();
+    /**
+     * Open one phase at a serial point (no task of the phase running):
+     * recycle the phase's previous inbox into the payload pool, hand
+     * each outbound message a pooled payload, arm the per-message
+     * writer counts, and record the phase's pack/unpack kernels and
+     * per-message bookkeeping in the profiler.
      */
     void beginFusedPhase(PlanPhase phase);
     /**
      * Pack sub-pack `p`'s outbound entries into their payload slices;
      * send each message this sub-pack was the last writer of.
      */
-    void sendFusedSubPack(PlanPhase phase, int p);
+    void sendSubPackEntries(PlanPhase phase, int p);
     /**
      * Probe the message in recv slot `slot` (task-graph poll node); on
      * arrival move it into the inbox slot and record the polling cost.
      */
     bool pollFusedMessage(PlanPhase phase, int slot);
     /** Unpack (and prolongate) sub-pack `p`'s inbound entries. */
-    void setFusedSubPack(PlanPhase phase, int p);
+    void setSubPackEntries(PlanPhase phase, int p);
 
     /**
-     * Payload buffers the fused path allocated because the pool held
+     * Payload buffers the exchange allocated because the pool held
      * none large enough (cumulative). Zero per cycle once warm on a
      * classic mesh, until the next remesh or migration drops the pool;
      * on a rank team a message with no reverse message (flux flows
@@ -176,9 +147,9 @@ class GhostExchange
 
     /**
      * Boundary messages sent / modeled bytes since the last
-     * startReceiveBoundBufs (bounds + flux, both paths). The driver
-     * folds these into CycleStats so benches can report the per-face
-     * vs fused coalescing win per cycle.
+     * startReceiveBoundBufs (bounds + flux). The driver folds these
+     * into CycleStats so benches can report messages per cycle next to
+     * the buffer cache's uncoalesced channel count.
      */
     std::uint64_t lastBoundaryMessages() const
     {
@@ -190,17 +161,7 @@ class GhostExchange
     }
 
   private:
-    void packAndSend(const BoundsChannel& ch);
-    void unpack(const BoundsChannel& ch, const Message& msg);
-    void packAndSendFlux(const FluxChannel& ch);
-    void unpackFlux(const FluxChannel& ch, const Message& msg);
-
-    /** Payload doubles for one bounds / flux channel. */
-    std::size_t boundsPayloadCount(const BoundsChannel& ch) const;
-    std::size_t fluxPayloadCount(const FluxChannel& ch) const;
-
-    // Shared per-channel payload arithmetic: the per-face and fused
-    // paths both call these, so their payloads agree bit for bit.
+    // Per-channel payload arithmetic: each plan entry is one channel.
     void packBoundsChannel(const BoundsChannel& ch, double* out) const;
     void unpackBoundsChannel(const BoundsChannel& ch,
                              const double* payload,
@@ -228,9 +189,9 @@ class GhostExchange
     void countSend(double bytes);
 
     /**
-     * Discard stale mailbox deliveries from an aborted cycle (both
-     * per-face and coalesced formats). Classic worlds only — see the
-     * body for why the sweep is wrong with concurrent rank drivers.
+     * Discard stale coalesced deliveries from an aborted cycle.
+     * Classic worlds only — see the body for why the sweep is wrong
+     * with concurrent rank drivers.
      */
     void discardStaleDeliveries();
 

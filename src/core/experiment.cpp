@@ -100,6 +100,10 @@ Experiment::run() const
             "mesh size must be a multiple of the block size (§II-F)");
     if (spec.numRanks < 1)
         fatal("numRanks must be at least 1, got ", spec.numRanks);
+    if (!spec.fusedBoundaries)
+        fatal("ExperimentSpec::fusedBoundaries = false is not "
+              "supported: boundary exchange always runs over the fused "
+              "BoundaryPlan");
     if (spec.numRanks > 1 && !spec.numeric)
         fatal("rank-sharded execution (numRanks > 1) requires numeric "
               "mode; counting studies model ranks via the platform");
@@ -255,7 +259,6 @@ Experiment::runAttempt(FaultInjector* injector,
     mesh_config.optimizeAuxMemory = spec.optimizeAuxMemory;
     mesh_config.numThreads = spec.numThreads;
     mesh_config.numRanks = spec.numRanks;
-    mesh_config.fusedBoundaries = spec.fusedBoundaries;
 
     DriverConfig driver_config;
     driver_config.ncycles = spec.ncycles;

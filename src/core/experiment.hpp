@@ -66,10 +66,10 @@ struct ExperimentSpec
      */
     int numRanks = 1;
     /**
-     * Route boundary exchanges through the fused BoundaryPlan path
-     * (the `exec/fused_boundaries` knob, default on). Off selects the
-     * per-face path; results are bitwise identical either way, so the
-     * benches sweep both to isolate the coalescing win.
+     * Must stay true: boundary exchange always runs over the fused
+     * BoundaryPlan. Kept only so existing callers that set it still
+     * compile; Experiment::run rejects false with an error naming this
+     * field.
      */
     bool fusedBoundaries = true;
     /**
@@ -183,16 +183,32 @@ struct ExperimentResult
 
     /**
      * Mean boundary messages per cycle over the run (all ranks,
-     * bounds + flux). The fused path coalesces this from
-     * O(faces) to O(adjacent rank pairs) per phase.
+     * bounds + flux): O(adjacent rank pairs) per phase on the fused
+     * BoundaryPlan.
      */
     double messagesPerCycle() const
+    {
+        return perCycle(&CycleStats::boundaryMessages);
+    }
+
+    /**
+     * Mean messages per cycle at one message per face channel (the
+     * buffer cache's channel count, CycleStats::uncoalescedMessages):
+     * the O(faces) count the plan coalesces away.
+     */
+    double uncoalescedMessagesPerCycle() const
+    {
+        return perCycle(&CycleStats::uncoalescedMessages);
+    }
+
+    /** Mean of one integral CycleStats counter over the run. */
+    double perCycle(std::uint64_t CycleStats::*field) const
     {
         if (history.empty())
             return 0.0;
         std::uint64_t total = 0;
         for (const CycleStats& c : history)
-            total += c.boundaryMessages;
+            total += c.*field;
         return static_cast<double>(total) /
                static_cast<double>(history.size());
     }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <limits>
 #include <thread>
 
 #include "driver/fault_injector.hpp"
@@ -17,6 +18,31 @@
 #include "util/logging.hpp"
 
 namespace vibe {
+
+namespace {
+
+/**
+ * Run fn(block, index) on every owned block as ONE launch over the
+ * space (parForEach): each block's kernels run inline on the worker
+ * that took it and record their own per-block rows. Afterwards the
+ * last block's rank is made current: the serial records that follow
+ * on the ambient rank (the dt collective, tree update, load balance)
+ * keep the attribution a block-ordered sweep gives them.
+ */
+template <typename F>
+void
+forEachOwnedBlock(Mesh& mesh, F&& fn)
+{
+    const std::vector<MeshBlock*>& owned = mesh.ownedBlocks();
+    parForEach(mesh.ctx(), static_cast<int>(owned.size()), [&](int b) {
+        const auto index = static_cast<std::size_t>(b);
+        fn(*owned[index], index);
+    });
+    if (!owned.empty())
+        mesh.ctx().setCurrentRank(owned.back()->rank());
+}
+
+} // namespace
 
 DriverConfig
 DriverConfig::fromParams(const ParameterInput& pin)
@@ -57,14 +83,11 @@ EvolutionDriver::EvolutionDriver(Mesh& mesh,
 {
     dt_ = config_.fixedDt;
     // The buffer cache is rebuilt on exactly the events that stale the
-    // pack's view tables AND the boundary plan's message directory
-    // (restructure, load-balance moves); ride that hook instead of
-    // tracking remesh events separately. Both invalidations are cheap
-    // flag flips — the rebuilds happen lazily at the next serial point.
-    cache_.setRebuildHook([this] {
-        pack_.invalidate();
-        exchange_.invalidatePlan();
-    });
+    // boundary plan's message directory (restructure, load-balance
+    // moves); ride that hook instead of tracking remesh events
+    // separately. The invalidation is a cheap flag flip — the rebuild
+    // happens lazily at the next serial point.
+    cache_.setRebuildHook([this] { exchange_.invalidatePlan(); });
 }
 
 void
@@ -74,7 +97,8 @@ EvolutionDriver::initialize()
     PhaseScope scope(ctx.profiler(), "Initialise");
 
     if (ctx.executing())
-        package_->initialize(*mesh_);
+        for (MeshBlock* block : mesh_->ownedBlocks())
+            package_->initializeBlock(ctx, *block);
 
     // Initial refinement: iterate up to the level budget so the mesh
     // conforms to the tagging criterion before evolution starts. Each
@@ -112,10 +136,9 @@ EvolutionDriver::initialize()
     cache_.rebuild();
     exchange_.exchangeBounds();
     exchange_.applyPhysicalBoundaries();
-    if (mesh_->config().packInterior)
-        package_->fillDerivedPack(*mesh_, ensurePack());
-    else
-        package_->fillDerived(*mesh_);
+    forEachOwnedBlock(*mesh_, [this](MeshBlock& block, std::size_t) {
+        package_->fillDerivedBlock(*mesh_, block);
+    });
     // The timestep is NOT estimated here: doCycle() computes it once
     // at the top of every step. A second pre-loop estimate would
     // double-count the EstTimeMesh sweep in the profiler (and run a
@@ -278,11 +301,7 @@ EvolutionDriver::doCycle()
     {
         TraceSpan span("EstimateTimeStep", TraceCat::Driver,
                        trace_rank, cycle_);
-        dt_ = mesh_->config().packInterior
-                  ? package_->estimateTimestepPack(
-                        *mesh_, ensurePack(), *world_, config_.fixedDt)
-                  : package_->estimateTimestep(*mesh_, *world_,
-                                               config_.fixedDt);
+        dt_ = estimateTimestep();
     }
 
     CycleStats stats;
@@ -291,6 +310,15 @@ EvolutionDriver::doCycle()
     stats.dt = dt_;
     stats.nblocks = mesh_->numBlocks();
     stats.interiorCells = mesh_->totalInteriorCells();
+    // One message per face channel into this rank, per RK stage: what
+    // the step would send without the plan's coalescing.
+    for (const MeshBlock* block : mesh_->ownedBlocks()) {
+        stats.uncoalescedMessages +=
+            2 * cache_.recvIndex(block->gid()).size();
+        if (mesh_->config().amrLevels > 1)
+            stats.uncoalescedMessages +=
+                2 * cache_.fluxRecvIndex(block->gid()).size();
+    }
 
     const std::int64_t wire_before = comm_cells_;
     const std::int64_t faces_before = comm_faces_;
@@ -401,29 +429,6 @@ EvolutionDriver::runGraph(TaskList& tl, const TaskExecOptions& options)
     cycle_idle_ += std::max(
         0.0, wall * concurrency - (comm + compute));
     cycle_critical_ += tl.criticalPathSeconds();
-}
-
-void
-EvolutionDriver::accountFused(double seconds)
-{
-    const int concurrency = mesh_->ctx().space().concurrency();
-    task_wall_seconds_ += seconds;
-    task_compute_seconds_ += seconds;
-    cycle_task_wall_ += seconds;
-    cycle_busy_ += seconds * concurrency;
-    cycle_critical_ += seconds;
-    // A fused launch yields no per-block clocks; spread its wall time
-    // evenly over the blocks it stepped so pack-mode measured costs
-    // stay well-defined (they degrade toward uniform, never to zero).
-    if (config_.lbCost == LbCostMode::Measured) {
-        const auto& owned = mesh_->ownedBlocks();
-        if (!owned.empty()) {
-            const double share =
-                seconds / static_cast<double>(owned.size());
-            for (const MeshBlock* block : owned)
-                cost_model_.addSample(block->gid(), share);
-        }
-    }
 }
 
 void
@@ -546,21 +551,42 @@ EvolutionDriver::maybeWriteCheckpoint(CycleStats& stats)
     checkpoint_capture_seconds_ += seconds;
 }
 
+double
+EvolutionDriver::estimateTimestep()
+{
+    const ExecContext& ctx = mesh_->ctx();
+    block_dts_.resize(mesh_->ownedBlocks().size());
+    forEachOwnedBlock(*mesh_, [&](MeshBlock& block, std::size_t b) {
+        block_dts_[b] = package_->estimateTimestepBlock(*mesh_, block,
+                                                        config_.fixedDt);
+        recordSerialAt(ctx, "EstimateTimestep", block.rank(), "dt_reduce",
+                       1.0);
+    });
+    // Every block dt is already capped at fixedDt, so a rank without
+    // blocks contributes +inf and never wins the min.
+    double dt = std::numeric_limits<double>::infinity();
+    for (double block_dt : block_dts_)
+        dt = std::min(dt, block_dt);
+    // Global min across ranks: a real rendezvous on a rank team (min
+    // is exact under any combination order, so the collective dt is
+    // bitwise the 1-rank dt), accounting-only on the classic path.
+    dt = world_->allReduceValue(mesh_->collectiveRank(), dt, CollOp::Min,
+                                sizeof(double));
+    recordSerialAt(ctx, "EstimateTimestep", ctx.currentRank(),
+                   "collective", 1.0);
+    return dt;
+}
+
 void
 EvolutionDriver::step()
 {
     const bool fc = mesh_->config().amrLevels > 1;
 
-    if (mesh_->config().packInterior) {
-        stepPacked(fc);
-        return;
-    }
-
-    saveState(*mesh_);
+    forEachOwnedBlock(*mesh_, [this](MeshBlock& block, std::size_t) {
+        saveStateBlock(*mesh_, block);
+    });
     for (int stage = 1; stage <= 2; ++stage) {
-        TaskList tl = exchange_.fused()
-                          ? buildStageGraphFused(stage, fc)
-                          : buildStageGraph(stage, fc);
+        TaskList tl = buildStageGraphFused(stage, fc);
         runGraph(tl, stageExecOptions());
 
         comm_cells_ += exchange_.lastWireCells();
@@ -572,105 +598,9 @@ EvolutionDriver::step()
                                      mesh_->shardRank())
                                : cache_.totalWireFaces();
     }
-    package_->fillDerived(*mesh_);
-}
-
-MeshBlockPack&
-EvolutionDriver::ensurePack()
-{
-    pack_.ensureBuilt(*mesh_);
-    return pack_;
-}
-
-/**
- * Fused-pack timestep (paper fig05 small-block regime): ghost exchange
- * and flux correction still run as per-block task graphs — those are
- * genuinely irregular — but every interior phase is ONE hierarchical
- * pack launch over all blocks instead of one launch (or task) per
- * block. The chunked (block x cells) domain keeps all workers loaded
- * even when num_blocks < num_threads or blocks are tiny, and the
- * per-launch pool synchronization is paid once per phase rather than
- * once per block. The tradeoff versus the per-block graph is
- * exchange/compute overlap, which the launch-overhead savings dominate
- * exactly where packing is enabled.
- *
- * Fused compute is accounted into the task wall/compute counters so
- * the fig14-style overlap arithmetic stays well-defined in pack mode.
- */
-void
-EvolutionDriver::stepPacked(bool flux_correction)
-{
-    // vibe-lint: allow(obs-isolation) fused launches run outside any
-    // task graph, so this clock is the only source of the fused
-    // compute seconds the overlap/idle accounting folds in.
-    using clock = std::chrono::steady_clock;
-    MeshBlockPack& pack = ensurePack();
-    const TaskExecOptions options = stageExecOptions();
-
-    saveStatePack(*mesh_, pack);
-    for (int stage = 1; stage <= 2; ++stage) {
-        TaskList bounds = exchange_.fused() ? buildBoundsGraphFused()
-                                            : buildBoundsGraph();
-        runGraph(bounds, options);
-
-        const auto t_flux = clock::now();
-        package_->calculateFluxesPack(*mesh_, pack);
-        double fused_seconds =
-            std::chrono::duration<double>(clock::now() - t_flux)
-                .count();
-
-        if (flux_correction) {
-            TaskList fcorr = exchange_.fused()
-                                 ? buildFluxCorrGraphFused()
-                                 : buildFluxCorrGraph();
-            runGraph(fcorr, options);
-        }
-
-        const auto t_update = clock::now();
-        package_->fluxDivergencePack(*mesh_, pack);
-        stageUpdatePack(*mesh_, pack, stage, dt_);
-        fused_seconds +=
-            std::chrono::duration<double>(clock::now() - t_update)
-                .count();
-        accountFused(fused_seconds);
-
-        comm_cells_ += exchange_.lastWireCells();
-        boundary_messages_ += exchange_.lastBoundaryMessages();
-        boundary_bytes_ += exchange_.lastBoundaryBytes();
-        if (flux_correction)
-            comm_faces_ += mesh_->sharded()
-                               ? cache_.totalWireFacesFor(
-                                     mesh_->shardRank())
-                               : cache_.totalWireFaces();
-    }
-    package_->fillDerivedPack(*mesh_, pack);
-}
-
-TaskList
-EvolutionDriver::buildBoundsGraph()
-{
-    TaskList tl;
-    const TaskId t_start = tl.addTask(
-        "StartReceiveBoundBufs",
-        [this] {
-            exchange_.startReceiveBoundBufs();
-            return TaskStatus::Complete;
-        },
-        {}, TaskCategory::Comm);
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        addBoundsTasks(tl, block, t_start);
-    return tl;
-}
-
-TaskList
-EvolutionDriver::buildFluxCorrGraph()
-{
-    // All fluxes are already computed when this graph runs, so the
-    // send/poll pair needs no dependencies.
-    TaskList tl;
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        addFluxCorrTasks(tl, block, {});
-    return tl;
+    forEachOwnedBlock(*mesh_, [this](MeshBlock& block, std::size_t) {
+        package_->fillDerivedBlock(*mesh_, block);
+    });
 }
 
 EvolutionDriver::FusedBoundsIds
@@ -683,7 +613,7 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
     const TaskId t_start = tl.addTask(
         "StartReceiveBoundBufs",
         [this] {
-            exchange_.startReceiveBoundBufsFused();
+            exchange_.startReceiveBoundBufs();
             return TaskStatus::Complete;
         },
         {}, TaskCategory::Comm);
@@ -692,12 +622,12 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
         ids.send.push_back(tl.addTask(
             "SendBoundBufs:plan:bounds:p" + std::to_string(p),
             [this, p] {
-                exchange_.sendFusedSubPack(PlanPhase::Bounds, p);
+                exchange_.sendSubPackEntries(PlanPhase::Bounds, p);
                 return TaskStatus::Complete;
             },
             {t_start}, TaskCategory::Comm));
-    // One poll per inbound coalesced message — O(rank pairs), where
-    // the per-face graph polls O(blocks). A message this graph sends
+    // One poll per inbound coalesced message — O(rank pairs), not
+    // O(blocks x faces). A message this graph sends
     // itself is polled once its writers finished; a peer's message is
     // polled from the start of the phase.
     const std::vector<TaskId> polls =
@@ -714,9 +644,9 @@ EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
         ids.set.push_back(tl.addTask(
             "SetBounds:plan:bounds:p" + std::to_string(p),
             [this, blocks = &pack.blocks, p] {
-                exchange_.setFusedSubPack(PlanPhase::Bounds, p);
-                // Each block's physical fill follows its own unpacks,
-                // preserving the per-face order (unpack, then fill).
+                exchange_.setSubPackEntries(PlanPhase::Bounds, p);
+                // Each block's physical fill follows its own unpacks
+                // (unpack, then fill).
                 for (MeshBlock* block : *blocks)
                     exchange_.applyPhysicalBoundariesBlock(*block);
                 return TaskStatus::Complete;
@@ -773,7 +703,7 @@ EvolutionDriver::addFusedFluxCorrTasks(
         sends.push_back(tl.addTask(
             "FluxCorrSend:plan:flux:p" + std::to_string(p),
             [this, p] {
-                exchange_.sendFusedSubPack(PlanPhase::Flux, p);
+                exchange_.sendSubPackEntries(PlanPhase::Flux, p);
                 return TaskStatus::Complete;
             },
             std::move(send_deps[static_cast<std::size_t>(p)]),
@@ -793,7 +723,7 @@ EvolutionDriver::addFusedFluxCorrTasks(
         applies.push_back(tl.addTask(
             "FluxCorrApply:plan:flux:p" + std::to_string(p),
             [this, p] {
-                exchange_.setFusedSubPack(PlanPhase::Flux, p);
+                exchange_.setSubPackEntries(PlanPhase::Flux, p);
                 return TaskStatus::Complete;
             },
             std::move(deps), TaskCategory::Comm));
@@ -850,9 +780,8 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
         pack_fluxes[p].push_back(t_flux);
     }
 
-    // A sub-pack's corrections flow once its own blocks' fluxes exist,
-    // exactly as the per-face path orders each block's send after its
-    // flux task.
+    // A sub-pack's corrections flow once its own blocks' fluxes exist:
+    // a block's send must trail its own flux task.
     std::vector<TaskId> applies;
     if (flux_correction)
         applies = addFusedFluxCorrTasks(tl, std::move(pack_fluxes));
@@ -869,8 +798,8 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
             },
             {flux_correction ? applies[p] : flux_tasks[b]},
             TaskCategory::Compute, block->gid());
-        // As in the per-face graph: the update rewrites the interior
-        // the sub-pack's send reads, so it must trail that send task.
+        // The update rewrites the interior the sub-pack's send reads,
+        // so it must trail that send task.
         tl.addTask(
             "WeightedSumData:" + gid,
             [this, block, stage] {
@@ -880,161 +809,6 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
             {t_div, bounds.send[p]}, TaskCategory::Compute, block->gid());
     }
     return tl;
-}
-
-TaskList
-EvolutionDriver::buildBoundsGraphFused()
-{
-    exchange_.plan().ensureBuilt();
-    TaskList tl;
-    tl.setLabel("plan:bounds");
-    addFusedBoundsTasks(tl);
-    return tl;
-}
-
-TaskList
-EvolutionDriver::buildFluxCorrGraphFused()
-{
-    exchange_.plan().ensureBuilt();
-    TaskList tl;
-    tl.setLabel("plan:flux");
-    // Packed mode: every flux is computed before this graph runs.
-    addFusedFluxCorrTasks(tl, std::vector<std::vector<TaskId>>(
-                                  exchange_.plan().subPacks().size()));
-    return tl;
-}
-
-/**
- * One RK stage as a per-block task graph (paper §II-C): every block
- * contributes its own send / poll / unpack / flux / divergence /
- * update chain, so boundary-receive polling tasks interleave with the
- * interior compute of blocks whose ghosts already arrived. Tasks for
- * distinct blocks only touch their own block's data (sends read the
- * sender's interior, unpacks write the receiver's ghosts), which is
- * what makes threaded execution bitwise identical to the serial scan.
- */
-TaskList
-EvolutionDriver::buildStageGraph(int stage, bool flux_correction)
-{
-    TaskList tl;
-    const TaskId t_start = tl.addTask(
-        "StartReceiveBoundBufs",
-        [this] {
-            exchange_.startReceiveBoundBufs();
-            return TaskStatus::Complete;
-        },
-        {}, TaskCategory::Comm);
-
-    // The §VIII-B memory optimization shares reconstruction scratch
-    // across blocks; under a threaded executor the flux tasks must
-    // then run one at a time.
-    const bool serialize_flux =
-        mesh_->config().optimizeAuxMemory &&
-        mesh_->ctx().space().concurrency() > 1;
-    TaskId prev_flux = -1;
-
-    for (MeshBlock* block : mesh_->ownedBlocks()) {
-        const std::string gid = std::to_string(block->gid());
-        const BoundsTaskIds bounds = addBoundsTasks(tl, block, t_start);
-
-        std::vector<TaskId> flux_deps{bounds.set};
-        if (serialize_flux && prev_flux >= 0)
-            flux_deps.push_back(prev_flux);
-        const TaskId t_flux = tl.addTask(
-            "CalculateFluxes:" + gid,
-            [this, block] {
-                package_->calculateFluxesBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            std::move(flux_deps), TaskCategory::Compute, block->gid());
-        prev_flux = t_flux;
-
-        TaskId t_prev = t_flux;
-        if (flux_correction)
-            t_prev = addFluxCorrTasks(tl, block, {t_flux});
-        const TaskId t_div = tl.addTask(
-            "FluxDivergence:" + gid,
-            [this, block] {
-                package_->fluxDivergenceBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            {t_prev}, TaskCategory::Compute, block->gid());
-        // The update rewrites the block's interior, which the block's
-        // own send task reads — the t_send edge keeps a slow pack from
-        // racing an overtaking update chain.
-        tl.addTask(
-            "WeightedSumData:" + gid,
-            [this, block, stage] {
-                stageUpdateBlock(*mesh_, *block, stage, dt_);
-                return TaskStatus::Complete;
-            },
-            {t_div, bounds.send}, TaskCategory::Compute, block->gid());
-    }
-    return tl;
-}
-
-EvolutionDriver::BoundsTaskIds
-EvolutionDriver::addBoundsTasks(TaskList& tl, MeshBlock* block,
-                                TaskId t_start)
-{
-    const std::string gid = std::to_string(block->gid());
-    BoundsTaskIds ids;
-    // Sends read only the sender's interior and unpacks write only
-    // the receiver's ghosts, so SetBounds needs no edge to the
-    // block's own send task — the receive poll alone gates it.
-    ids.send = tl.addTask(
-        "SendBoundBufs:" + gid,
-        [this, block] {
-            exchange_.sendBlockBounds(*block);
-            return TaskStatus::Complete;
-        },
-        {t_start}, TaskCategory::Comm, block->gid());
-    ids.poll = tl.addTask(
-        "ReceiveBoundBufs:" + gid,
-        [this, block] {
-            return exchange_.pollBlockBounds(*block)
-                       ? TaskStatus::Complete
-                       : TaskStatus::Iterate;
-        },
-        {t_start}, TaskCategory::Comm, block->gid());
-    ids.set = tl.addTask(
-        "SetBounds:" + gid,
-        [this, block] {
-            exchange_.setBlockBounds(*block);
-            exchange_.applyPhysicalBoundariesBlock(*block);
-            return TaskStatus::Complete;
-        },
-        {ids.poll}, TaskCategory::Comm, block->gid());
-    return ids;
-}
-
-TaskId
-EvolutionDriver::addFluxCorrTasks(TaskList& tl, MeshBlock* block,
-                                  std::vector<TaskId> deps)
-{
-    const std::string gid = std::to_string(block->gid());
-    const TaskId t_fsend = tl.addTask(
-        "FluxCorrSend:" + gid,
-        [this, block] {
-            exchange_.sendBlockFluxCorrections(*block);
-            return TaskStatus::Complete;
-        },
-        deps, TaskCategory::Comm, block->gid());
-    const TaskId t_fpoll = tl.addTask(
-        "FluxCorrRecv:" + gid,
-        [this, block] {
-            return exchange_.pollBlockFluxCorrections(*block)
-                       ? TaskStatus::Complete
-                       : TaskStatus::Iterate;
-        },
-        std::move(deps), TaskCategory::Comm, block->gid());
-    return tl.addTask(
-        "FluxCorrApply:" + gid,
-        [this, block] {
-            exchange_.setBlockFluxCorrections(*block);
-            return TaskStatus::Complete;
-        },
-        {t_fsend, t_fpoll}, TaskCategory::Comm, block->gid());
 }
 
 RefinementFlagMap

@@ -7,6 +7,19 @@
  * UpdateMeshBlockTree -> RedistributeAndRefineMeshBlocks), and
  * EstimateTimeStep, plus the per-cycle history reduction.
  *
+ * One RK stage is one task graph: boundary traffic rides the fused
+ * BoundaryPlan as sub-pack tasks (send, one poll per inbound coalesced
+ * message, set), and each owned block contributes its own compute
+ * chain (CalculateFluxes -> FluxDivergence -> WeightedSumData) gated
+ * on its sub-pack's tasks, so comm and compute of different sub-packs
+ * overlap. The phases outside the graph — the state save before the
+ * first stage, the derived fill after the second, and the timestep
+ * estimate — each run as ONE launch over the owned blocks
+ * (parForEach), every block's kernel inline on the worker that took
+ * it. That launches a phase once instead of once per block, which is
+ * the small-block cost the paper traces; every block still records
+ * its own profiler row on its own rank.
+ *
  * The driver accumulates the workload counters (zone-cycles,
  * communicated cells, block counts) that the performance model and the
  * figure-of-merit computation consume.
@@ -24,7 +37,6 @@
 #include "driver/load_balance.hpp"
 #include "driver/tagger.hpp"
 #include "driver/task_list.hpp"
-#include "mesh/block_pack.hpp"
 #include "mesh/mesh.hpp"
 #include "pkg/package_descriptor.hpp"
 #include "solver/rk2.hpp"
@@ -114,12 +126,19 @@ struct CycleStats
     /**
      * Boundary messages sent this cycle (bounds + flux corrections,
      * local and remote; block migration excluded) and their modeled
-     * payload bytes. Under the fused boundary plan the message count
-     * drops from O(blocks x faces) to O(rank pairs) per phase while
-     * the bytes stay identical — the benches report both per cycle.
+     * payload bytes. The fused boundary plan sends O(rank pairs)
+     * messages per phase, where one message per face channel would be
+     * O(blocks x faces) for the same bytes — the benches report both
+     * (the uncoalesced count from the buffer cache's channel count).
      */
     std::uint64_t boundaryMessages = 0;
     double boundaryBytes = 0;
+    /**
+     * Messages this cycle's exchanges would take at one message per
+     * face channel: the buffer cache's bounds (plus, with AMR, flux)
+     * channels into this rank's blocks, once per RK stage.
+     */
+    std::uint64_t uncoalescedMessages = 0;
     double mass = 0;                ///< History output (numeric mode).
     /**
      * Wall seconds this cycle spent capturing a checkpoint snapshot
@@ -252,15 +271,6 @@ class EvolutionDriver
     /** Measured-cost samples of the current cycle (lb_cost measured). */
     const BlockCostModel& costModel() const { return cost_model_; }
 
-    /**
-     * The fused-launch pack over the current block list (used when
-     * `MeshConfig::packInterior` is set). Invalidated automatically by
-     * the buffer-cache rebuild hook on every restructure/load-balance
-     * and rebuilt lazily, so between remeshes the view tables are
-     * reused launch after launch.
-     */
-    const MeshBlockPack& interiorPack() const { return pack_; }
-
   private:
     void step();
     /** Partitioner tuning from the driver config (every lb call). */
@@ -271,34 +281,11 @@ class EvolutionDriver
         options.costMode = config_.lbCost;
         return options;
     }
-    /** Per-stage fused path: comm task graphs + pack launches. */
-    void stepPacked(bool flux_correction);
-    MeshBlockPack& ensurePack();
-    /** Ids of one block's ghost-bounds task trio. */
-    struct BoundsTaskIds
-    {
-        TaskId send = -1, poll = -1, set = -1;
-    };
     /**
-     * Add one block's send/poll/set ghost-bounds trio gated on
-     * `t_start`. Shared by the per-block stage graph and the packed
-     * bounds-only graph so the two paths cannot diverge.
+     * EstimateTimeStep: one launch of per-block CFL dts over the owned
+     * blocks, their min, and the rank AllReduce.
      */
-    BoundsTaskIds addBoundsTasks(TaskList& tl, MeshBlock* block,
-                                 TaskId t_start);
-    /**
-     * Add one block's flux-correction send/poll/apply trio; send and
-     * poll take `deps` (the block's flux task in graph mode, nothing
-     * in packed mode). Returns the apply task id.
-     */
-    TaskId addFluxCorrTasks(TaskList& tl, MeshBlock* block,
-                            std::vector<TaskId> deps);
-    TaskList buildStageGraph(int stage, bool flux_correction);
-    /** Ghost-bounds-only task graph (send/poll/set per block). */
-    TaskList buildBoundsGraph();
-    /** Flux-correction-only task graph (send/poll/apply per block). */
-    TaskList buildFluxCorrGraph();
-
+    double estimateTimestep();
     /** Per-sub-pack task ids of the fused ghost-bounds chain. */
     struct FusedBoundsIds
     {
@@ -328,30 +315,19 @@ class EvolutionDriver
      */
     std::vector<TaskId> addFusedFluxCorrTasks(
         TaskList& tl, std::vector<std::vector<TaskId>> send_deps);
-    /** Fused-path counterpart of buildStageGraph. */
+    /** One RK stage: plan sub-pack comm tasks + per-block compute. */
     TaskList buildStageGraphFused(int stage, bool flux_correction);
-    /** Fused-path counterpart of buildBoundsGraph. */
-    TaskList buildBoundsGraphFused();
-    /** Fused-path counterpart of buildFluxCorrGraph. */
-    TaskList buildFluxCorrGraphFused();
     /** Execution options for stage graphs (space + peer-wait policy). */
     TaskExecOptions stageExecOptions() const;
     /**
      * Execute one task graph and fold its timings into the run totals
      * AND the current cycle's attribution accumulators (wall, busy,
-     * idle, critical path) — the single funnel every stage graph,
-     * bounds graph and checkpoint capture goes through, so the
+     * idle, critical path) — the single funnel every stage graph and
+     * checkpoint capture goes through, so the
      * fig14 overlap columns and the obs idle attribution cannot
      * diverge. Also stamps the graph's (rank, cycle) trace identity.
      */
     void runGraph(TaskList& tl, const TaskExecOptions& options);
-    /**
-     * Account a fused pack launch (stepPacked's single-launch interior
-     * phases): launches keep every worker loaded by construction, so
-     * they contribute wall + full-concurrency busy and extend the
-     * critical path, but no idle.
-     */
-    void accountFused(double seconds);
     /** Emit the per-cycle JSONL heartbeat (metrics writer installed). */
     void emitHeartbeat(const CycleStats& stats, double cycle_wall);
     /**
@@ -388,7 +364,8 @@ class EvolutionDriver
     DriverConfig config_;
     BoundaryBufferCache cache_;
     GhostExchange exchange_;
-    MeshBlockPack pack_;
+    /** Per-owned-block dts of the current estimate (reused scratch). */
+    std::vector<double> block_dts_;
 
     std::int64_t cycle_ = 0;
     double time_ = 0;
@@ -422,7 +399,7 @@ class EvolutionDriver
     /**
      * Measured per-block cost accumulator (lb_cost = measured).
      * Samples are harvested from every executed task graph (tasks
-     * carrying a block gid) and fused pack launch.
+     * carrying a block gid).
      */
     BlockCostModel cost_model_;
     std::vector<CycleStats> history_;

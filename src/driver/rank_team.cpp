@@ -189,6 +189,8 @@ RankTeam::aggregatedHistory() const
             history[c].wireCells += other[c].wireCells;
             history[c].wireFaces += other[c].wireFaces;
             history[c].boundaryMessages += other[c].boundaryMessages;
+            history[c].uncoalescedMessages +=
+                other[c].uncoalescedMessages;
             history[c].boundaryBytes += other[c].boundaryBytes;
         }
     }

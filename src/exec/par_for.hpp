@@ -279,7 +279,7 @@ parFor(const ExecContext& ctx, std::string_view name,
 }
 
 /**
- * 3-D named reduction kernel over [kl,ku] x [jl,ju] x [il,iu].
+ * 3-D named reduction kernel with explicit phase and rank attribution.
  *
  * The body receives (k, j, i, double& acc) and must fold the cell's
  * contribution into `acc` with the declared operation. `result` enters
@@ -289,23 +289,24 @@ parFor(const ExecContext& ctx, std::string_view name,
  */
 template <typename F>
 void
-parReduce(const ExecContext& ctx, std::string_view name,
-          const KernelCosts& costs, ReduceOp op, double& result, int kl,
-          int ku, int jl, int ju, int il, int iu, F&& body)
+parReduceAt(const ExecContext& ctx, std::string_view phase, int rank,
+            std::string_view name, const KernelCosts& costs, ReduceOp op,
+            double& result, int kl, int ku, int jl, int ju, int il, int iu,
+            F&& body)
 {
     const double nk = ku >= kl ? static_cast<double>(ku - kl + 1) : 0.0;
     const double nj = ju >= jl ? static_cast<double>(ju - jl + 1) : 0.0;
     const double ni = iu >= il ? static_cast<double>(iu - il + 1) : 0.0;
     const double items = nk * nj * ni;
     if (ctx.profiler()) {
-        ctx.profiler()->record({name, {}, ctx.currentRank(), 1, items,
+        ctx.profiler()->record({name, phase, rank, 1, items,
                                 items * costs.flopsPerItem,
                                 items * costs.bytesPerItem, ni});
     }
     if (!ctx.executing() || ku < kl || ju < jl || iu < il)
         return;
 
-    TraceSpan trace(name, TraceCat::Kernel, ctx.currentRank());
+    TraceSpan trace(name, TraceCat::Kernel, rank, -1, phase);
     ExecutionSpace& space = ctx.space();
     const std::int64_t onk = static_cast<std::int64_t>(ku) - kl + 1;
     const std::int64_t onj = static_cast<std::int64_t>(ju) - jl + 1;
@@ -349,6 +350,17 @@ parReduce(const ExecContext& ctx, std::string_view name,
         &launch);
     for (double partial : partials)
         result = detail::reduceCombine(op, result, partial);
+}
+
+/** parReduceAt attributed to the ambient phase and current rank. */
+template <typename F>
+void
+parReduce(const ExecContext& ctx, std::string_view name,
+          const KernelCosts& costs, ReduceOp op, double& result, int kl,
+          int ku, int jl, int ju, int il, int iu, F&& body)
+{
+    parReduceAt(ctx, {}, ctx.currentRank(), name, costs, op, result, kl,
+                ku, jl, ju, il, iu, static_cast<F&&>(body));
 }
 
 /**
@@ -435,24 +447,16 @@ parForAt(const ExecContext& ctx, std::string_view phase, int rank,
 }
 
 // ---------------------------------------------------------------------
-// Fused MeshBlockPack launches.
+// Row and item launches.
 //
-// One kernel launch spans the whole packed (block, n, k, j) domain —
-// the Parthenon MeshBlockPack strategy (Grete et al. 2022) — instead
-// of one launch per block. The flattened row volume is chunked across
-// the execution space, so load balance is restored even when
-// num_blocks < num_threads or blocks are tiny, and the per-launch
-// pool synchronization cost is paid once per phase rather than once
-// per block.
-//
-// Dispatch is hierarchical, mirroring Kokkos team/vector loops: the
-// outer chunked domain iterates rows, the body writes the contiguous
-// innermost i loop itself and receives the chunk id for per-chunk
-// scratch (the serial path and nested launches always pass chunk ids
-// within [0, concurrency())). The serial path visits (b, n, k, j)
-// rows in exactly the per-block launch order, and elementwise bodies
-// compute each cell independently, so pack launches are bit-identical
-// to per-block launches on every backend.
+// The block flux kernels hoist per-chunk scratch to launch setup and
+// write the contiguous innermost i loop themselves, so they dispatch
+// (k, j) or (n, k, j) rows instead of cells; the body receives the
+// chunk id (always within [0, concurrency()), also on the serial path
+// and in nested launches). parForEach spreads a list of independent
+// items — owned blocks, boundary-plan sub-packs — over the space as
+// one launch; every kernel an item launches runs inline on the worker
+// that took the item, and records its own per-block row.
 // ---------------------------------------------------------------------
 
 /** Chunked rows over one block: body(chunk, k, j) writes the i loop.
@@ -504,10 +508,12 @@ struct LaunchPack
 } // namespace detail
 
 /**
- * Execute-only fused pack loop: flatten (block, n, k, j) over all
- * `nblocks` blocks and chunk it across the space. The body receives
+ * Execute-only row loop: flatten (block, n, k, j) over `nblocks`
+ * blocks and chunk it across the space. The body receives
  * (chunk, b, n, k, j) and writes the contiguous i loop itself; use
- * nl = nu = 0 for kernels without a leading component dimension.
+ * nl = nu = 0 for kernels without a leading component dimension. The
+ * block flux kernels call it with one block to chunk the (n, k, j)
+ * rows of a reconstruction pass.
  */
 template <typename F>
 void
@@ -555,48 +561,32 @@ parForPackExec(const ExecContext& ctx, int nblocks, int nl, int nu,
 }
 
 /**
- * Record one fused pack launch. The launch count is 1 (it is one
- * kernel), but items are attributed per rank by runs of equal rank in
- * block order, so per-rank load tables match the per-block launch
- * path. Allocation-free: runs are emitted as partial records instead
- * of building a rank map.
+ * Run fn(0) .. fn(n - 1) as ONE launch over the space: items are
+ * chunked contiguously across the workers and each item's nested
+ * kernels run inline on its worker. Items must be independent (write
+ * disjoint data) and attribute their profiler records explicitly
+ * (the *At variants), since they run concurrently. Counting mode
+ * executes no bodies, so the items run in order on the caller and
+ * record exactly what an executing launch would.
  */
-inline void
-recordPackKernel(const ExecContext& ctx, std::string_view phase,
-                 std::string_view name, const KernelCosts& costs,
-                 const int* ranks, int nblocks, double items_per_block,
-                 double innermost)
+template <typename F>
+void
+parForEach(const ExecContext& ctx, int n, F&& fn)
 {
-    if (nblocks > 0)
-        traceInstant(name, TraceCat::Kernel, ctx.currentRank(), -1,
-                     nblocks * items_per_block);
-    if (!ctx.profiler() || nblocks <= 0)
+    if (!ctx.executing()) {
+        for (int i = 0; i < n; ++i)
+            fn(i);
         return;
-    std::uint64_t launches = 1;
-    int b = 0;
-    while (b < nblocks) {
-        const int rank = ranks[b];
-        int run = 0;
-        while (b < nblocks && ranks[b] == rank) {
-            ++run;
-            ++b;
-        }
-        const double items = run * items_per_block;
-        ctx.profiler()->record({name, phase, rank, launches, items,
-                                items * costs.flopsPerItem,
-                                items * costs.bytesPerItem,
-                                launches ? innermost : 0.0});
-        launches = 0;
     }
+    parForExecRows(ctx, 0, n - 1, 0, 0, [&](int, int i, int) { fn(i); });
 }
 
 /**
- * recordPackKernel for irregular fused launches (boundary-plan pack
- * and unpack, where table rows are whole channels of varying volume):
- * per-entry item counts instead of one uniform per-block volume. The
- * launch count is 1 (it is one kernel); items are attributed per rank
- * by runs of equal rank in entry order, so per-rank load tables match
- * the per-face task path.
+ * Record one irregular fused launch (boundary-plan pack and unpack,
+ * where table rows are whole channels of varying volume) from
+ * per-entry item counts. The launch count is 1 (it is one kernel);
+ * items are attributed per rank by runs of equal rank in entry order,
+ * so the per-rank load tables see every rank's share.
  */
 inline void
 recordPackKernelItems(const ExecContext& ctx, std::string_view phase,
@@ -629,103 +619,6 @@ recordPackKernelItems(const ExecContext& ctx, std::string_view phase,
                                 launches ? innermost : 0.0});
         launches = 0;
     }
-}
-
-/**
- * Fused pack kernel: records one launch (per-rank item attribution)
- * and dispatches the packed row domain. Body as in parForPackExec;
- * [il, iu] enters the work accounting only — the body owns the loop.
- */
-template <typename F>
-void
-parForPack(const ExecContext& ctx, std::string_view phase,
-           std::string_view name, const KernelCosts& costs,
-           const int* ranks, int nblocks, int nl, int nu, int kl, int ku,
-           int jl, int ju, int il, int iu, F&& body)
-{
-    const double nn = nu >= nl ? static_cast<double>(nu - nl + 1) : 0.0;
-    const double nk = ku >= kl ? static_cast<double>(ku - kl + 1) : 0.0;
-    const double nj = ju >= jl ? static_cast<double>(ju - jl + 1) : 0.0;
-    const double ni = iu >= il ? static_cast<double>(iu - il + 1) : 0.0;
-    recordPackKernel(ctx, phase, name, costs, ranks, nblocks,
-                     nn * nk * nj * ni, ni);
-    TraceSpan trace(name, TraceCat::Kernel, ctx.currentRank(), -1,
-                    phase);
-    parForPackExec(ctx, nblocks, nl, nu, kl, ku, jl, ju,
-                   static_cast<F&&>(body));
-}
-
-/**
- * Fused pack reduction over (block, k, j) rows; the body receives
- * (b, k, j, double& acc) and folds the whole row (its own i loop)
- * into `acc`. Chunk partials are combined in chunk order exactly as
- * parReduce: min/max results are chunking-exact — identical to the
- * per-block reduction sequence bit for bit — and sums are
- * deterministic for a fixed thread count.
- */
-template <typename F>
-void
-parReducePack(const ExecContext& ctx, std::string_view phase,
-              std::string_view name, const KernelCosts& costs,
-              ReduceOp op, double& result, const int* ranks, int nblocks,
-              int kl, int ku, int jl, int ju, int il, int iu, F&& body)
-{
-    const double nk = ku >= kl ? static_cast<double>(ku - kl + 1) : 0.0;
-    const double nj = ju >= jl ? static_cast<double>(ju - jl + 1) : 0.0;
-    const double ni = iu >= il ? static_cast<double>(iu - il + 1) : 0.0;
-    recordPackKernel(ctx, phase, name, costs, ranks, nblocks,
-                     nk * nj * ni, ni);
-    if (!ctx.executing() || nblocks <= 0 || ku < kl || ju < jl ||
-        iu < il)
-        return;
-
-    TraceSpan trace(name, TraceCat::Kernel, ctx.currentRank(), -1,
-                    phase);
-    ExecutionSpace& space = ctx.space();
-    const std::int64_t onk = static_cast<std::int64_t>(ku) - kl + 1;
-    const std::int64_t onj = static_cast<std::int64_t>(ju) - jl + 1;
-    const std::int64_t rows = nblocks * onk * onj;
-    if (space.concurrency() == 1 || rows <= 1) {
-        double partial = detail::reduceIdentity(op);
-        for (int b = 0; b < nblocks; ++b)
-            for (int k = kl; k <= ku; ++k)
-                for (int j = jl; j <= ju; ++j)
-                    body(b, k, j, partial);
-        result = detail::reduceCombine(op, result, partial);
-        return;
-    }
-
-    struct ReducePackLaunch
-    {
-        F& body;
-        double* partials;
-        std::int64_t nk, nj;
-        int kl, jl;
-    };
-    std::vector<double> partials(
-        static_cast<std::size_t>(space.concurrency()),
-        detail::reduceIdentity(op));
-    ReducePackLaunch launch{body, partials.data(), onk, onj, kl, jl};
-    space.forEachChunk(
-        rows,
-        [](void* p, std::int64_t begin, std::int64_t end, int chunk) {
-            auto* launch = static_cast<ReducePackLaunch*>(p);
-            const std::int64_t per_block = launch->nk * launch->nj;
-            double acc = launch->partials[chunk];
-            for (std::int64_t idx = begin; idx < end; ++idx) {
-                const int b = static_cast<int>(idx / per_block);
-                const std::int64_t rem = idx % per_block;
-                const int k =
-                    launch->kl + static_cast<int>(rem / launch->nj);
-                const int j =
-                    launch->jl + static_cast<int>(rem % launch->nj);
-                launch->body(b, k, j, acc);
-            }
-            launch->partials[chunk] = acc;
-        },
-        &launch);
-    for (double partial : partials)
-        result = detail::reduceCombine(op, result, partial);
 }
 
 } // namespace vibe

@@ -8,6 +8,12 @@
  * between old and new blocks (prolongation/restriction) is performed by
  * the driver through the Restructure record returned from
  * applyTreeUpdate, keeping numerical operators out of the mesh layer.
+ *
+ * The block is the unit of interior work: every package operator runs
+ * on one block, and the driver schedules blocks either as stage-graph
+ * tasks or as one launch over ownedBlocks(). There is no packed or
+ * per-face variant of a step to select here — the mesh configuration
+ * carries sizes, levels, threads and ranks only.
  */
 #pragma once
 
@@ -59,16 +65,6 @@ struct MeshConfig
      */
     bool useMemoryPool = true;
     /**
-     * Fuse interior compute into MeshBlockPack launches over all
-     * blocks (`<exec> pack_interior`): one hierarchical kernel per
-     * phase instead of one launch per block, the Parthenon
-     * MeshBlockPack strategy (Grete et al. 2022). Results are bitwise
-     * identical to per-block launches; the tradeoff is per-block
-     * exchange/compute overlap versus per-block launch overhead, so
-     * it wins exactly in the small-block regime of fig05.
-     */
-    bool packInterior = false;
-    /**
      * Simulated MPI ranks executing concurrently (`<exec> num_ranks`):
      * 1 runs the classic single-driver loop; >1 selects rank-sharded
      * execution, where a RankTeam launches one driver per rank over a
@@ -78,15 +74,6 @@ struct MeshConfig
      * counts through the platform configuration instead.
      */
     int numRanks = 1;
-    /**
-     * Route ghost and flux-correction exchanges through the
-     * BoundaryPlan (`<exec> fused_boundaries`, default on): one fused
-     * pack/unpack launch per phase over the plan's buffer table, and
-     * one coalesced mailbox message per (src rank, dst rank) pair per
-     * phase instead of one per face. Bitwise identical to the per-face
-     * path at any thread or rank count.
-     */
-    bool fusedBoundaries = true;
 
     /** Read <mesh>/<meshblock>/<amr> sections of an input deck. */
     static MeshConfig fromParams(const ParameterInput& pin);

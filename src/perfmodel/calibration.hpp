@@ -9,8 +9,8 @@
  * inefficiency that cannot be derived from first principles (Kokkos
  * reduction throughput, Open MPI per-probe cost, the IPC leak of
  * open-mpi/ompi#12849). Every constant below names the paper anchor it
- * was fitted against; EXPERIMENTS.md records the resulting
- * paper-vs-model comparison for each figure.
+ * was fitted against; README.md's "Paper figure map" names the bench
+ * that prints the paper-vs-model comparison for each figure.
  */
 #pragma once
 
@@ -78,7 +78,7 @@ struct GpuKernelTuning
     /** Occupancy at which HBM bandwidth saturates (streaming). */
     double bwSaturationOccupancy = 0.25;
     /** Per-launch overhead (driver + Kokkos dispatch), amortized by
-     *  Parthenon's MeshBlockPack batching (~8 blocks/launch of the
+     *  Parthenon's block-pack batching (~8 blocks/launch of the
      *  raw 5-6 us CUDA launch cost). */
     double launchOverhead = 0.8e-6;
     /** Minimum kernel duration (tail/teardown). */

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 #include "pkg/fv_ops.hpp"
 #include "util/logging.hpp"
 
@@ -35,8 +34,7 @@ centerDist(double x)
 /**
  * Exact upwind flux for one (k, j) row of faces [fis, fie]: the
  * Riemann solution of the linear equation selects the upwind
- * reconstructed state, F = v * phi_upwind. Shared by the per-block
- * and pack launch bodies.
+ * reconstructed state, F = v * phi_upwind.
  */
 inline void
 upwindRow(const RealArray4& rl, const RealArray4& rr, RealArray4& flux,
@@ -192,8 +190,8 @@ AdvectionPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
         const int fjs = s.js(), fje = s.je() + dj;
         const int fks = s.ks(), fke = s.ke() + dk;
 
-        // Reconstruction through the shared row stencil kernel; a
-        // one-block pack launch, exactly like the Burgers path.
+        // Reconstruction through the shared row stencil kernel,
+        // chunked over the block's (n, k, j) rows like Burgers.
         parForPackExec(ctx, 1, 0, ncomp - 1, fks, fke, fjs, fje,
                        [&](int, int, int n, int k, int j) {
                            reconRow(cons, *rl, *rr, config_.recon, n, k,
@@ -210,209 +208,59 @@ AdvectionPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 }
 
 void
-AdvectionPackage::calculateFluxesPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    // Shared recon scratch (§VIII-B) is lent to every block at once; a
-    // cross-block fused launch would race on it, so fall back to the
-    // serial per-block sweep (the task-graph driver serializes the
-    // same way).
-    if (mesh.config().optimizeAuxMemory) {
-        for (int b = 0; b < pack.numBlocks(); ++b)
-            calculateFluxesBlock(mesh, pack.meshBlock(b));
-        return;
-    }
-
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
-    const int nb = pack.numBlocks();
-    const double recon_flops =
-        config_.recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
-    const KernelCosts costs{
-        ndim * ncomp * (2 * recon_flops + kUpwindFlopsPerComp),
-        ndim * ncomp * 4.0 * sizeof(double)};
-
-    recordPackKernel(ctx, "CalculateFluxes", "CalculateFluxes", costs,
-                     pack.ranks(), nb,
-                     static_cast<double>(s.interiorCells()),
-                     static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
-    const double vel[3] = {config_.vx, config_.vy, config_.vz};
-    for (int d = 0; d < ndim; ++d) {
-        const int di = d == 0 ? 1 : 0;
-        const int dj = d == 1 ? 1 : 0;
-        const int dk = d == 2 ? 1 : 0;
-        const int fis = s.is(), fie = s.ie() + di;
-        const int fjs = s.js(), fje = s.je() + dj;
-        const int fks = s.ks(), fke = s.ke() + dk;
-
-        // Reconstruction: one fused launch over (b, n, k, j) rows.
-        parForPackExec(
-            ctx, nb, 0, ncomp - 1, fks, fke, fjs, fje,
-            [&](int, int b, int n, int k, int j) {
-                BlockPackView& v = pack.view(b);
-                reconRow(*v.cons, *v.reconL[d], *v.reconR[d],
-                         config_.recon, n, k, j, fis, fie, di, dj, dk);
-            });
-
-        // Upwind fluxes: one fused launch over (b, k, j) rows.
-        parForPackExec(ctx, nb, 0, 0, fks, fke, fjs, fje,
-                       [&](int, int b, int, int k, int j) {
-                           BlockPackView& v = pack.view(b);
-                           upwindRow(*v.reconL[d], *v.reconR[d],
-                                     *v.flux[d], vel[d], ncomp, k, j,
-                                     fis, fie);
-                       });
-    }
-}
-
-void
 AdvectionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
 {
     fvFluxDivergenceBlock(mesh, block);
 }
 
 void
-AdvectionPackage::fluxDivergencePack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    fvFluxDivergencePack(mesh, pack);
-}
-
-void
-AdvectionPackage::fillDerived(Mesh& mesh) const
+AdvectionPackage::fillDerivedBlock(Mesh& mesh, MeshBlock& block) const
 {
     const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
     const BlockShape s = mesh.config().blockShape();
     // e = 0.5 phi^2: 1 read, 1 write, 2 flops per cell.
     const KernelCosts costs{2.0, 2.0 * sizeof(double)};
 
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        // String-based variable extraction, the §VIII-A serial
-        // overhead every package pays per block.
-        recordSerial(ctx, "string_lookup",
-                     static_cast<double>(mesh.registry().all().size()));
-        RealArray4& cons = block->cons();
-        RealArray4& derived = block->derived();
-        parFor(ctx, "CalculateDerived", costs, s.ks(), s.ke(), s.js(),
-               s.je(), s.is(), s.ie(), [&](int k, int j, int i) {
-                   const double phi = cons(0, k, j, i);
-                   derived(0, k, j, i) = 0.5 * phi * phi;
-               });
-    }
-}
-
-void
-AdvectionPackage::fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{2.0, 2.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    const double lookups =
-        static_cast<double>(mesh.registry().all().size());
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "FillDerived", pack.ranks()[b],
-                       "string_lookup", lookups);
-
-    parForPack(ctx, "FillDerived", "CalculateDerived", costs,
-               pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-               s.is(), s.ie(), [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   const RealArray4& cons = *v.cons;
-                   RealArray4& derived = *v.derived;
-                   for (int i = s.is(); i <= s.ie(); ++i) {
-                       const double phi = cons(0, k, j, i);
-                       derived(0, k, j, i) = 0.5 * phi * phi;
-                   }
-               });
+    // String-based variable extraction, the §VIII-A serial overhead
+    // every package pays per block.
+    recordSerialAt(ctx, "FillDerived", block.rank(), "string_lookup",
+                   static_cast<double>(mesh.registry().all().size()));
+    RealArray4& cons = block.cons();
+    RealArray4& derived = block.derived();
+    parForAt(ctx, "FillDerived", block.rank(), "CalculateDerived", costs,
+             s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
+             [&](int k, int j, int i) {
+                 const double phi = cons(0, k, j, i);
+                 derived(0, k, j, i) = 0.5 * phi * phi;
+             });
 }
 
 double
-AdvectionPackage::estimateTimestep(Mesh& mesh, RankWorld& world,
-                                   double fallback_dt) const
+AdvectionPackage::estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
+                                        double fallback_dt) const
 {
     const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
     const BlockShape s = mesh.config().blockShape();
     const KernelCosts costs{10.0, 3.0 * sizeof(double)};
 
     double dt = fallback_dt / config_.cfl;
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        double block_dt = dt;
-        const BlockGeometry& g = block->geom();
-        parReduce(ctx, "EstTimeMesh", costs, ReduceOp::Min, block_dt,
-                  s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
-                  [&](int, int, int, double& acc) {
-                      constexpr double tiny = 1e-12;
-                      double cell_dt =
-                          g.dx1 / (std::fabs(config_.vx) + tiny);
-                      if (s.ndim >= 2)
-                          cell_dt = std::min(
-                              cell_dt,
-                              g.dx2 / (std::fabs(config_.vy) + tiny));
-                      if (s.ndim >= 3)
-                          cell_dt = std::min(
-                              cell_dt,
-                              g.dx3 / (std::fabs(config_.vz) + tiny));
-                      acc = std::min(acc, cell_dt);
-                  });
-        dt = std::min(dt, block_dt);
-        recordSerial(ctx, "dt_reduce", 1.0);
-    }
-    // Global min across ranks: exact under any combination order, so
-    // the collective dt is bitwise the 1-rank dt.
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
-    return config_.cfl * dt;
-}
-
-double
-AdvectionPackage::estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                       RankWorld& world,
-                                       double fallback_dt) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{10.0, 3.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    double dt = fallback_dt / config_.cfl;
-    parReducePack(
-        ctx, "EstimateTimestep", "EstTimeMesh", costs, ReduceOp::Min,
-        dt, pack.ranks(), nb, s.ks(), s.ke(), s.js(), s.je(), s.is(),
-        s.ie(), [&](int b, int, int, double& acc) {
-            BlockPackView& v = pack.view(b);
-            for (int i = s.is(); i <= s.ie(); ++i) {
-                constexpr double tiny = 1e-12;
-                double cell_dt =
-                    v.dx1 / (std::fabs(config_.vx) + tiny);
-                if (s.ndim >= 2)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx2 / (std::fabs(config_.vy) + tiny));
-                if (s.ndim >= 3)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx3 / (std::fabs(config_.vz) + tiny));
-                acc = std::min(acc, cell_dt);
-            }
-        });
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "EstimateTimestep", pack.ranks()[b],
-                       "dt_reduce", 1.0);
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
+    const BlockGeometry& g = block.geom();
+    parReduceAt(ctx, "EstimateTimestep", block.rank(), "EstTimeMesh",
+                costs, ReduceOp::Min, dt, s.ks(), s.ke(), s.js(), s.je(),
+                s.is(), s.ie(), [&](int, int, int, double& acc) {
+                    constexpr double tiny = 1e-12;
+                    double cell_dt =
+                        g.dx1 / (std::fabs(config_.vx) + tiny);
+                    if (s.ndim >= 2)
+                        cell_dt = std::min(
+                            cell_dt,
+                            g.dx2 / (std::fabs(config_.vy) + tiny));
+                    if (s.ndim >= 3)
+                        cell_dt = std::min(
+                            cell_dt,
+                            g.dx3 / (std::fabs(config_.vz) + tiny));
+                    acc = std::min(acc, cell_dt);
+                });
     return config_.cfl * dt;
 }
 

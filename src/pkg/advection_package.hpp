@@ -13,7 +13,7 @@
  * Because v is constant the solution is the initial profile translated
  * rigidly, phi(x, t) = phi0(x - v t) with periodic wrap, so tests can
  * compare a full AMR run (ghost exchange, flux correction, mid-run
- * refine/derefine, packing, pooling) against `analyticValue` directly.
+ * refine/derefine, pooling) against `analyticValue` directly.
  * Selected from the deck with `<job> package = advection`.
  */
 #pragma once
@@ -100,41 +100,24 @@ class AdvectionPackage : public PackageDescriptor
 
     /**
      * Reconstruction + exact upwind fluxes for one block (kernel
-     * "CalculateFluxes", task-graph node).
+     * "CalculateFluxes", stage-graph task).
      */
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
-    /**
-     * Fused-pack reconstruction + upwind fluxes; falls back to the
-     * serial per-block sweep under shared recon scratch, like every
-     * package must.
-     */
-    void calculateFluxesPack(Mesh& mesh,
-                             MeshBlockPack& pack) const override;
-
     void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
 
-    void fluxDivergencePack(Mesh& mesh,
-                            MeshBlockPack& pack) const override;
-
-    /** e = 0.5 phi^2 (kernel "CalculateDerived"). */
-    void fillDerived(Mesh& mesh) const override;
-
-    void fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const override;
+    /** e = 0.5 phi^2 on one block (kernel "CalculateDerived"). */
+    void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;
 
     /**
-     * CFL timestep from the constant characteristic speeds (kernel
-     * "EstTimeMesh"): the reduction sweep runs like every package's so
-     * counting-mode work and fused-launch accounting stay comparable,
-     * even though the speeds are uniform.
+     * One block's CFL timestep from the constant characteristic speeds
+     * (kernel "EstTimeMesh"): the reduction sweep runs like every
+     * package's so counting-mode work stays comparable, even though
+     * the speeds are uniform.
      */
-    double estimateTimestep(Mesh& mesh, RankWorld& world,
-                            double fallback_dt) const override;
-
-    double estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                RankWorld& world,
-                                double fallback_dt) const override;
+    double estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
+                                 double fallback_dt) const override;
 
     /** Total phi mass (kernel "MassHistory") — conserved to round-off
      *  by the flux-corrected scheme. */

@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 #include "pkg/fv_ops.hpp"
 #include "solver/riemann.hpp"
 #include "util/logging.hpp"
@@ -19,7 +18,6 @@ namespace {
 /**
  * HLL-solve one (k, j) row of faces [fis, fie] into the flux array.
  * ul/ur/f are the caller's ncomp-sized per-chunk scratch slices.
- * Shared by the per-block and pack launch bodies.
  */
 inline void
 hllRow(const RealArray4& rl, const RealArray4& rr, RealArray4& flux,
@@ -84,13 +82,6 @@ initialConditionFromName(const std::string& name)
     if (name == "ripple")
         return InitialCondition::Ripple;
     fatal("unknown initial condition '", name, "'");
-}
-
-void
-BurgersPackage::initialize(Mesh& mesh, InitialCondition ic) const
-{
-    for (MeshBlock* block : mesh.ownedBlocks())
-        initializeBlock(mesh.ctx(), *block, ic);
 }
 
 void
@@ -213,10 +204,8 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
         const int fks = s.ks(), fke = s.ke() + dk;
 
         // Both passes are accounted by the per-block recordKernelAt
-        // above; the launches only dispatch them on the space. A
-        // one-block pack launch flattens the identical (n, k, j) row
-        // domain the old 4-D launch chunked, and both passes run the
-        // same shared row kernels as the fused pack path.
+        // above; the launches only dispatch them on the space. The
+        // reconstruction chunks the block's (n, k, j) rows.
         parForPackExec(ctx, 1, 0, ncomp - 1, fks, fke, fjs, fje,
                        [&](int, int, int n, int k, int j) {
                            reconRow(cons, *rl, *rr, config_.recon, n, k,
@@ -236,238 +225,64 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 }
 
 void
-BurgersPackage::calculateFluxesPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    // Shared recon scratch (§VIII-B) is lent to every block at once; a
-    // cross-block fused launch would race on it, so keep the serial
-    // per-block sweep there (the task-graph driver serializes the same
-    // way).
-    if (mesh.config().optimizeAuxMemory) {
-        for (int b = 0; b < pack.numBlocks(); ++b)
-            calculateFluxesBlock(mesh, pack.meshBlock(b));
-        return;
-    }
-
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
-    const int nb = pack.numBlocks();
-    const double recon_flops =
-        config_.recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
-    const KernelCosts costs{
-        ndim * ncomp * (2 * recon_flops + kHllFlopsPerComp),
-        ndim * ncomp * 4.0 * sizeof(double)};
-
-    recordPackKernel(ctx, "CalculateFluxes", "CalculateFluxes", costs,
-                     pack.ranks(), nb,
-                     static_cast<double>(s.interiorCells()),
-                     static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
-    // Grow-only per-thread scratch, pointer-snapshotted for capture —
-    // same pattern (and same rationale) as calculateFluxesBlock.
-    static thread_local std::vector<double> hll_scratch;
-    const std::size_t scratch_need =
-        static_cast<std::size_t>(ctx.space().concurrency()) * 3 * ncomp;
-    if (hll_scratch.size() < scratch_need)
-        hll_scratch.resize(scratch_need);
-    double* const scratch_base = hll_scratch.data();
-
-    for (int d = 0; d < ndim; ++d) {
-        const int di = d == 0 ? 1 : 0;
-        const int dj = d == 1 ? 1 : 0;
-        const int dk = d == 2 ? 1 : 0;
-        const int fis = s.is(), fie = s.ie() + di;
-        const int fjs = s.js(), fje = s.je() + dj;
-        const int fks = s.ks(), fke = s.ke() + dk;
-
-        // Reconstruction: one fused launch over (b, n, k, j) rows,
-        // running the same shared row kernel as the per-block path.
-        parForPackExec(
-            ctx, nb, 0, ncomp - 1, fks, fke, fjs, fje,
-            [&](int, int b, int n, int k, int j) {
-                BlockPackView& v = pack.view(b);
-                reconRow(*v.cons, *v.reconL[d], *v.reconR[d],
-                         config_.recon, n, k, j, fis, fie, di, dj, dk);
-            });
-
-        // HLL: one fused launch over (b, k, j) rows, per-chunk scratch.
-        parForPackExec(
-            ctx, nb, 0, 0, fks, fke, fjs, fje,
-            [&](int chunk, int b, int, int k, int j) {
-                BlockPackView& v = pack.view(b);
-                double* ul = scratch_base +
-                             static_cast<std::size_t>(chunk) * 3 * ncomp;
-                double* ur = ul + ncomp;
-                hllRow(*v.reconL[d], *v.reconR[d], *v.flux[d], d,
-                       ncomp, k, j, fis, fie, ul, ur, ur + ncomp);
-            });
-    }
-}
-
-void
 BurgersPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
 {
     fvFluxDivergenceBlock(mesh, block);
 }
 
 void
-BurgersPackage::fluxDivergencePack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    fvFluxDivergencePack(mesh, pack);
-}
-
-void
-BurgersPackage::fillDerived(Mesh& mesh) const
+BurgersPackage::fillDerivedBlock(Mesh& mesh, MeshBlock& block) const
 {
     const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
     const BlockShape s = mesh.config().blockShape();
     // d = 0.5 q0 (u.u): 5 reads, 1 write, ~6 flops per cell.
     const KernelCosts costs{6.0, 6.0 * sizeof(double)};
 
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        // String-based variable extraction (GetVariablesByFlag) is the
-        // serial overhead the paper highlights (§VIII-A).
-        recordSerial(ctx, "string_lookup",
-                     static_cast<double>(mesh.registry().all().size()));
-        RealArray4& cons = block->cons();
-        RealArray4& derived = block->derived();
-        parFor(ctx, "CalculateDerived", costs, s.ks(), s.ke(), s.js(),
-               s.je(), s.is(), s.ie(), [&](int k, int j, int i) {
-                   const double u1 = cons(0, k, j, i);
-                   const double u2 = cons(1, k, j, i);
-                   const double u3 = cons(2, k, j, i);
-                   const double q0 = cons(3, k, j, i);
-                   derived(0, k, j, i) =
-                       0.5 * q0 * (u1 * u1 + u2 * u2 + u3 * u3);
-               });
-    }
-}
-
-void
-BurgersPackage::fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{6.0, 6.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    // The string-keyed variable extraction happens once per block
-    // regardless of launch fusion (§VIII-A serial overhead).
-    const double lookups =
-        static_cast<double>(mesh.registry().all().size());
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "FillDerived", pack.ranks()[b],
-                       "string_lookup", lookups);
-
-    parForPack(ctx, "FillDerived", "CalculateDerived", costs,
-               pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-               s.is(), s.ie(), [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   const RealArray4& cons = *v.cons;
-                   RealArray4& derived = *v.derived;
-                   for (int i = s.is(); i <= s.ie(); ++i) {
-                       const double u1 = cons(0, k, j, i);
-                       const double u2 = cons(1, k, j, i);
-                       const double u3 = cons(2, k, j, i);
-                       const double q0 = cons(3, k, j, i);
-                       derived(0, k, j, i) =
-                           0.5 * q0 * (u1 * u1 + u2 * u2 + u3 * u3);
-                   }
-               });
+    // String-based variable extraction (GetVariablesByFlag) is the
+    // serial overhead the paper highlights (§VIII-A).
+    recordSerialAt(ctx, "FillDerived", block.rank(), "string_lookup",
+                   static_cast<double>(mesh.registry().all().size()));
+    RealArray4& cons = block.cons();
+    RealArray4& derived = block.derived();
+    parForAt(ctx, "FillDerived", block.rank(), "CalculateDerived", costs,
+             s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
+             [&](int k, int j, int i) {
+                 const double u1 = cons(0, k, j, i);
+                 const double u2 = cons(1, k, j, i);
+                 const double u3 = cons(2, k, j, i);
+                 const double q0 = cons(3, k, j, i);
+                 derived(0, k, j, i) =
+                     0.5 * q0 * (u1 * u1 + u2 * u2 + u3 * u3);
+             });
 }
 
 double
-BurgersPackage::estimateTimestep(Mesh& mesh, RankWorld& world,
-                                 double fallback_dt) const
+BurgersPackage::estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
+                                      double fallback_dt) const
 {
     const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
     const BlockShape s = mesh.config().blockShape();
     const KernelCosts costs{10.0, 3.0 * sizeof(double)};
 
     double dt = fallback_dt / config_.cfl;
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        double block_dt = dt;
-        RealArray4& cons = block->cons();
-        const BlockGeometry& g = block->geom();
-        parReduce(ctx, "EstTimeMesh", costs, ReduceOp::Min, block_dt,
-                  s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
-                  [&](int k, int j, int i, double& acc) {
-                      constexpr double tiny = 1e-12;
-                      double cell_dt =
-                          g.dx1 / (std::fabs(cons(0, k, j, i)) + tiny);
-                      if (s.ndim >= 2)
-                          cell_dt = std::min(
-                              cell_dt,
-                              g.dx2 / (std::fabs(cons(1, k, j, i)) + tiny));
-                      if (s.ndim >= 3)
-                          cell_dt = std::min(
-                              cell_dt,
-                              g.dx3 / (std::fabs(cons(2, k, j, i)) + tiny));
-                      acc = std::min(acc, cell_dt);
-                  });
-        dt = std::min(dt, block_dt);
-        recordSerial(ctx, "dt_reduce", 1.0);
-    }
-    // Global min across ranks: a real rendezvous on a rank team (min
-    // is exact under any combination order, so the collective dt is
-    // bitwise the 1-rank dt), accounting-only on the classic path.
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
-    return config_.cfl * dt;
-}
-
-double
-BurgersPackage::estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                     RankWorld& world,
-                                     double fallback_dt) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{10.0, 3.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    // Single chunk-ordered min over the packed cell domain: exact
-    // under any chunking, so the dt matches the per-block reduction
-    // sequence bit for bit.
-    double dt = fallback_dt / config_.cfl;
-    parReducePack(
-        ctx, "EstimateTimestep", "EstTimeMesh", costs, ReduceOp::Min,
-        dt, pack.ranks(), nb, s.ks(), s.ke(), s.js(), s.je(), s.is(),
-        s.ie(), [&](int b, int k, int j, double& acc) {
-            BlockPackView& v = pack.view(b);
-            const RealArray4& cons = *v.cons;
-            for (int i = s.is(); i <= s.ie(); ++i) {
-                constexpr double tiny = 1e-12;
-                double cell_dt =
-                    v.dx1 / (std::fabs(cons(0, k, j, i)) + tiny);
-                if (s.ndim >= 2)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx2 / (std::fabs(cons(1, k, j, i)) + tiny));
-                if (s.ndim >= 3)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx3 / (std::fabs(cons(2, k, j, i)) + tiny));
-                acc = std::min(acc, cell_dt);
-            }
-        });
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "EstimateTimestep", pack.ranks()[b],
-                       "dt_reduce", 1.0);
-    // Global min across ranks (exact; see estimateTimestep).
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
+    const RealArray4& cons = block.cons();
+    const BlockGeometry& g = block.geom();
+    parReduceAt(ctx, "EstimateTimestep", block.rank(), "EstTimeMesh",
+                costs, ReduceOp::Min, dt, s.ks(), s.ke(), s.js(), s.je(),
+                s.is(), s.ie(), [&](int k, int j, int i, double& acc) {
+                    constexpr double tiny = 1e-12;
+                    double cell_dt =
+                        g.dx1 / (std::fabs(cons(0, k, j, i)) + tiny);
+                    if (s.ndim >= 2)
+                        cell_dt = std::min(
+                            cell_dt,
+                            g.dx2 / (std::fabs(cons(1, k, j, i)) + tiny));
+                    if (s.ndim >= 3)
+                        cell_dt = std::min(
+                            cell_dt,
+                            g.dx3 / (std::fabs(cons(2, k, j, i)) + tiny));
+                    acc = std::min(acc, cell_dt);
+                });
     return config_.cfl * dt;
 }
 

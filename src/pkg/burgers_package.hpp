@@ -79,26 +79,19 @@ class BurgersPackage : public PackageDescriptor
         return makeBurgersRegistry(config_.numScalars);
     }
 
-    /** Set the configured IC on every block (numeric mode only). */
-    void initialize(Mesh& mesh) const override
-    {
-        initialize(mesh, config_.ic);
-    }
-
     void initializeBlock(const ExecContext& ctx,
                          MeshBlock& block) const override
     {
         initializeBlock(ctx, block, config_.ic);
     }
 
-    /** Explicit-IC overloads (tests and harnesses sweep ICs). */
-    void initialize(Mesh& mesh, InitialCondition ic) const;
+    /** Explicit-IC overload (tests and harnesses sweep ICs). */
     void initializeBlock(const ExecContext& ctx, MeshBlock& block,
                          InitialCondition ic) const;
 
     /**
      * WENO5/PLM reconstruction + HLL fluxes for one block (kernel
-     * "CalculateFluxes", task-graph node). Reads only the block's own
+     * "CalculateFluxes", stage-graph task). Reads only the block's own
      * data — unless the mesh shares reconstruction scratch
      * (optimizeAuxMemory), in which case the driver serializes these
      * tasks.
@@ -106,45 +99,18 @@ class BurgersPackage : public PackageDescriptor
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
-    /**
-     * Fused-pack reconstruction + fluxes: one hierarchical launch over
-     * the packed (block, n, k, j) face domain per direction instead of
-     * one launch per block. Bitwise identical to the per-block path on
-     * every backend. With the §VIII-B shared recon scratch the fused
-     * launch would race across blocks, so it falls back to the serial
-     * per-block loop (matching the graph driver's serialization).
-     */
-    void calculateFluxesPack(Mesh& mesh,
-                             MeshBlockPack& pack) const override;
-
     /** Flux divergence for one block (kernel "FluxDivergence"). */
     void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
 
-    /** Fused-pack flux divergence over all blocks (one launch). */
-    void fluxDivergencePack(Mesh& mesh,
-                            MeshBlockPack& pack) const override;
-
-    /** d = 0.5 q0 u.u (kernel "CalculateDerived"). */
-    void fillDerived(Mesh& mesh) const override;
-
-    /** Fused-pack derived fill over all blocks (one launch). */
-    void fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const override;
+    /** d = 0.5 q0 u.u on one block (kernel "CalculateDerived"). */
+    void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;
 
     /**
-     * CFL timestep: local min reduction (kernel "EstTimeMesh") followed
-     * by a rank AllReduce. In counting mode returns `fallback_dt`.
+     * One block's CFL timestep: a min reduction over its cells
+     * (kernel "EstTimeMesh"), capped at `fallback_dt`.
      */
-    double estimateTimestep(Mesh& mesh, RankWorld& world,
-                            double fallback_dt) const override;
-
-    /**
-     * Fused-pack CFL timestep: one chunk-ordered min reduction over
-     * the packed cell domain (exact under any chunking, so the dt is
-     * bit-identical to the per-block reduction sequence).
-     */
-    double estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                RankWorld& world,
-                                double fallback_dt) const override;
+    double estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
+                                 double fallback_dt) const override;
 
     /**
      * History reduction: total q0 mass (kernel "MassHistory") plus an

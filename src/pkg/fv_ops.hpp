@@ -3,16 +3,14 @@
  * PDE-agnostic finite-volume operators shared by physics packages.
  *
  * The flux-divergence update dudt = -div(flux) depends only on the
- * face fluxes a package already computed — not on the PDE — so both
- * Burgers and advection delegate here. One definition means the
- * per-block task path and the fused pack path can never diverge
- * between packages, and the bitwise-equivalence guarantees proved for
- * one package transfer to the others.
+ * face fluxes a package already computed — not on the PDE — so every
+ * package delegates here. One definition means the operator can
+ * never diverge between packages, and the bitwise-equivalence
+ * guarantees proved for one package transfer to the others.
  */
 #pragma once
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 #include "mesh/mesh.hpp"
 
 namespace vibe {
@@ -49,44 +47,6 @@ fvFluxDivergenceBlock(Mesh& mesh, MeshBlock& block)
                      dudt(n, k, j, i) = -div;
                  }
              });
-}
-
-/** Fused-pack dudt = -div(flux) over all blocks (one launch). */
-inline void
-fvFluxDivergencePack(Mesh& mesh, MeshBlockPack& pack)
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
-    const KernelCosts costs{ncomp * ndim * 3.0,
-                            ncomp * (2.0 * ndim + 1.0) * sizeof(double)};
-
-    parForPack(
-        ctx, "FluxDivergence", "FluxDivergence", costs, pack.ranks(),
-        pack.numBlocks(), 0, 0, s.ks(), s.ke(), s.js(), s.je(), s.is(),
-        s.ie(), [&](int, int b, int, int k, int j) {
-            BlockPackView& v = pack.view(b);
-            const double inv_dx[3] = {v.invDx1, v.invDx2, v.invDx3};
-            const RealArray4& fx = *v.flux[0];
-            const RealArray4& fy = *v.flux[1];
-            const RealArray4& fz = *v.flux[2];
-            RealArray4& dudt = *v.dudt;
-            for (int i = s.is(); i <= s.ie(); ++i) {
-                for (int n = 0; n < ncomp; ++n) {
-                    double div =
-                        (fx(n, k, j, i + 1) - fx(n, k, j, i)) *
-                        inv_dx[0];
-                    if (ndim >= 2)
-                        div += (fy(n, k, j + 1, i) - fy(n, k, j, i)) *
-                               inv_dx[1];
-                    if (ndim >= 3)
-                        div += (fz(n, k + 1, j, i) - fz(n, k, j, i)) *
-                               inv_dx[2];
-                    dudt(n, k, j, i) = -div;
-                }
-            }
-        });
 }
 
 } // namespace vibe

@@ -21,29 +21,4 @@ foldBlockPartials(Mesh& mesh, RankWorld& world,
     return total;
 }
 
-// Whole-mesh sweeps default to the per-block loop in gid order — the
-// exact sequence the pre-package driver ran, so packages only override
-// these when they fuse differently.
-
-void
-PackageDescriptor::initialize(Mesh& mesh) const
-{
-    for (MeshBlock* block : mesh.ownedBlocks())
-        initializeBlock(mesh.ctx(), *block);
-}
-
-void
-PackageDescriptor::calculateFluxes(Mesh& mesh) const
-{
-    for (MeshBlock* block : mesh.ownedBlocks())
-        calculateFluxesBlock(mesh, *block);
-}
-
-void
-PackageDescriptor::fluxDivergence(Mesh& mesh) const
-{
-    for (MeshBlock* block : mesh.ownedBlocks())
-        fluxDivergenceBlock(mesh, *block);
-}
-
 } // namespace vibe

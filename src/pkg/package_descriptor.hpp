@@ -10,18 +10,23 @@
  * tagging and initial conditions; the driver, mesh, ghost exchange,
  * flux correction, load balancer and pack machinery never mention the
  * PDE. This header is our equivalent. EvolutionDriver, TaskList,
- * GradientTagger, MeshBlockPack and Experiment consume only this
- * interface (plus PackageRegistry for deck selection); concrete
- * physics lives in pkg/burgers_package.* and pkg/advection_package.*.
+ * GradientTagger and Experiment consume only this interface (plus
+ * PackageRegistry for deck selection); concrete physics lives in
+ * pkg/burgers_package.*, pkg/advection_package.* and
+ * pkg/reaction_package.*.
  *
- * Contract notes, enforced by the equivalence tests:
- * - Block-granularity callbacks (`*Block`) may run concurrently for
- *   distinct blocks and must touch only that block's data, so the
- *   task-graph executor can interleave them with ghost exchange.
- * - `*Pack` variants must be bitwise identical to the per-block loop
- *   on every execution space (fused launches reorder work across
- *   blocks; they must not reorder arithmetic within a cell).
- * - In counting mode (`!ctx.executing()`) callbacks record kernel
+ * Every operator works on one block; the driver decides how blocks
+ * are scheduled (stage-graph tasks for fluxes, divergence and update;
+ * one launch over the owned blocks for derived fields and the
+ * timestep). Contract notes, enforced by the equivalence tests:
+ * - Block operators may run concurrently for distinct blocks and must
+ *   touch only that block's data, so the task-graph executor can
+ *   interleave them with ghost exchange.
+ * - They attribute profiler records explicitly (the `*At` recording
+ *   variants with the block's rank), never through the context's
+ *   ambient phase or current rank, which concurrent blocks would race
+ *   on.
+ * - In counting mode (`!ctx.executing()`) operators record kernel
  *   costs but skip bodies; results must not be read.
  */
 #pragma once
@@ -30,8 +35,6 @@
 #include "mesh/mesh.hpp"
 
 namespace vibe {
-
-class MeshBlockPack;
 
 /** One block's contribution to a history reduction (wire format). */
 struct BlockPartial
@@ -76,18 +79,12 @@ class PackageDescriptor
      */
     virtual VariableRegistry buildRegistry() const = 0;
 
-    /** Set initial conditions on every block (numeric mode only). */
-    virtual void initialize(Mesh& mesh) const;
-
     /** Set initial conditions on one block (interior AND ghosts). */
     virtual void initializeBlock(const ExecContext& ctx,
                                  MeshBlock& block) const = 0;
 
-    /** Reconstruction + Riemann fluxes on every block. */
-    virtual void calculateFluxes(Mesh& mesh) const;
-
     /**
-     * Reconstruction + fluxes for one block (task-graph node). Reads
+     * Reconstruction + fluxes for one block (stage-graph task). Reads
      * only the block's own data — unless the mesh shares
      * reconstruction scratch (optimizeAuxMemory), in which case the
      * driver serializes these tasks.
@@ -95,47 +92,22 @@ class PackageDescriptor
     virtual void calculateFluxesBlock(Mesh& mesh,
                                       MeshBlock& block) const = 0;
 
-    /**
-     * Fused-pack reconstruction + fluxes: one hierarchical launch over
-     * the packed face domain per direction. Must fall back to the
-     * serial per-block sweep under shared recon scratch (a cross-block
-     * fused launch would race on it).
-     */
-    virtual void calculateFluxesPack(Mesh& mesh,
-                                     MeshBlockPack& pack) const = 0;
-
-    /** dudt = -div(flux) on every block. */
-    virtual void fluxDivergence(Mesh& mesh) const;
-
-    /** Flux divergence for one block (task-graph node). */
+    /** dudt = -div(flux) for one block (stage-graph task). */
     virtual void fluxDivergenceBlock(Mesh& mesh,
                                      MeshBlock& block) const = 0;
 
-    /** Fused-pack flux divergence over all blocks (one launch). */
-    virtual void fluxDivergencePack(Mesh& mesh,
-                                    MeshBlockPack& pack) const = 0;
-
-    /** Recompute Derived fields from conserved state. */
-    virtual void fillDerived(Mesh& mesh) const = 0;
-
-    /** Fused-pack derived fill over all blocks (one launch). */
-    virtual void fillDerivedPack(Mesh& mesh,
-                                 MeshBlockPack& pack) const = 0;
+    /** Recompute one block's Derived fields from its conserved state. */
+    virtual void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const = 0;
 
     /**
-     * CFL timestep: local min reduction followed by a rank AllReduce.
-     * In counting mode returns `fallback_dt`.
+     * One block's CFL timestep, capped at `fallback_dt` (the cap is
+     * also the counting-mode result, where no cell is read). The
+     * driver takes the min over blocks and the rank AllReduce; min is
+     * exact, so the step dt does not depend on how blocks are spread
+     * over threads or ranks.
      */
-    virtual double estimateTimestep(Mesh& mesh, RankWorld& world,
-                                    double fallback_dt) const = 0;
-
-    /**
-     * Fused-pack CFL timestep: one chunk-ordered min reduction over
-     * the packed cell domain, bit-identical to the per-block sequence.
-     */
-    virtual double estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                        RankWorld& world,
-                                        double fallback_dt) const = 0;
+    virtual double estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
+                                         double fallback_dt) const = 0;
 
     /**
      * Per-cycle history reduction (the conserved "mass" the driver

@@ -3,7 +3,6 @@
 #include <cmath>
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 #include "pkg/fv_ops.hpp"
 #include "util/logging.hpp"
 
@@ -97,7 +96,6 @@ equilibriumValue(const ReactionConfig& config, double a, int* iters_out)
  * (a - c_eq(a)) moves reservoir into product; antisymmetric, so each
  * cell conserves a + b exactly. Pure function of local state — no
  * cross-cell accumulation — so any loop chunking is bitwise identical.
- * Shared by the per-block and pack launch bodies.
  */
 inline void
 sourceRow(const ReactionConfig& config, const RealArray4& cons,
@@ -255,63 +253,6 @@ ReactionPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 }
 
 void
-ReactionPackage::calculateFluxesPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    // Shared recon scratch (§VIII-B) is lent to every block at once; a
-    // cross-block fused launch would race on it, so fall back to the
-    // serial per-block sweep.
-    if (mesh.config().optimizeAuxMemory) {
-        for (int b = 0; b < pack.numBlocks(); ++b)
-            calculateFluxesBlock(mesh, pack.meshBlock(b));
-        return;
-    }
-
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
-    const int nb = pack.numBlocks();
-    const double recon_flops =
-        config_.recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
-    const KernelCosts costs{
-        ndim * ncomp * (2 * recon_flops + kUpwindFlopsPerComp),
-        ndim * ncomp * 4.0 * sizeof(double)};
-
-    recordPackKernel(ctx, "CalculateFluxes", "CalculateFluxes", costs,
-                     pack.ranks(), nb,
-                     static_cast<double>(s.interiorCells()),
-                     static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
-    const double vel[3] = {config_.vx, config_.vy, config_.vz};
-    for (int d = 0; d < ndim; ++d) {
-        const int di = d == 0 ? 1 : 0;
-        const int dj = d == 1 ? 1 : 0;
-        const int dk = d == 2 ? 1 : 0;
-        const int fis = s.is(), fie = s.ie() + di;
-        const int fjs = s.js(), fje = s.je() + dj;
-        const int fks = s.ks(), fke = s.ke() + dk;
-
-        parForPackExec(
-            ctx, nb, 0, ncomp - 1, fks, fke, fjs, fje,
-            [&](int, int b, int n, int k, int j) {
-                BlockPackView& v = pack.view(b);
-                reconRow(*v.cons, *v.reconL[d], *v.reconR[d],
-                         config_.recon, n, k, j, fis, fie, di, dj, dk);
-            });
-
-        parForPackExec(ctx, nb, 0, 0, fks, fke, fjs, fje,
-                       [&](int, int b, int, int k, int j) {
-                           BlockPackView& v = pack.view(b);
-                           upwindRow(*v.reconL[d], *v.reconR[d],
-                                     *v.flux[d], vel[d], ncomp, k, j,
-                                     fis, fie);
-                       });
-    }
-}
-
-void
 ReactionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
 {
     fvFluxDivergenceBlock(mesh, block);
@@ -335,159 +276,52 @@ ReactionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
 }
 
 void
-ReactionPackage::fluxDivergencePack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    fvFluxDivergencePack(mesh, pack);
-
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int nb = pack.numBlocks();
-    recordPackKernel(ctx, "FluxDivergence", "ReactionSource",
-                     kSourceCosts, pack.ranks(), nb,
-                     static_cast<double>(s.interiorCells()),
-                     static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
-    parForPackExec(ctx, nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-                   [&](int, int b, int, int k, int j) {
-                       BlockPackView& v = pack.view(b);
-                       sourceRow(config_, *v.cons, *v.dudt, k, j,
-                                 s.is(), s.ie());
-                   });
-}
-
-void
-ReactionPackage::fillDerived(Mesh& mesh) const
+ReactionPackage::fillDerivedBlock(Mesh& mesh, MeshBlock& block) const
 {
     const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
     const BlockShape s = mesh.config().blockShape();
     // chem_rate = a * b: 2 reads, 1 write, 1 flop per cell.
     const KernelCosts costs{1.0, 3.0 * sizeof(double)};
 
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        recordSerial(ctx, "string_lookup",
-                     static_cast<double>(mesh.registry().all().size()));
-        RealArray4& cons = block->cons();
-        RealArray4& derived = block->derived();
-        parFor(ctx, "CalculateDerived", costs, s.ks(), s.ke(), s.js(),
-               s.je(), s.is(), s.ie(), [&](int k, int j, int i) {
-                   derived(0, k, j, i) =
-                       cons(0, k, j, i) * cons(1, k, j, i);
-               });
-    }
-}
-
-void
-ReactionPackage::fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "FillDerived");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{1.0, 3.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    const double lookups =
-        static_cast<double>(mesh.registry().all().size());
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "FillDerived", pack.ranks()[b],
-                       "string_lookup", lookups);
-
-    parForPack(ctx, "FillDerived", "CalculateDerived", costs,
-               pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-               s.is(), s.ie(), [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   const RealArray4& cons = *v.cons;
-                   RealArray4& derived = *v.derived;
-                   for (int i = s.is(); i <= s.ie(); ++i)
-                       derived(0, k, j, i) =
-                           cons(0, k, j, i) * cons(1, k, j, i);
-               });
+    recordSerialAt(ctx, "FillDerived", block.rank(), "string_lookup",
+                   static_cast<double>(mesh.registry().all().size()));
+    RealArray4& cons = block.cons();
+    RealArray4& derived = block.derived();
+    parForAt(ctx, "FillDerived", block.rank(), "CalculateDerived", costs,
+             s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
+             [&](int k, int j, int i) {
+                 derived(0, k, j, i) = cons(0, k, j, i) * cons(1, k, j, i);
+             });
 }
 
 double
-ReactionPackage::estimateTimestep(Mesh& mesh, RankWorld& world,
-                                  double fallback_dt) const
+ReactionPackage::estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
+                                       double fallback_dt) const
 {
     const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
     const BlockShape s = mesh.config().blockShape();
     const KernelCosts costs{10.0, 3.0 * sizeof(double)};
 
     double dt = fallback_dt / config_.cfl;
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        double block_dt = dt;
-        const BlockGeometry& g = block->geom();
-        parReduce(ctx, "EstTimeMesh", costs, ReduceOp::Min, block_dt,
-                  s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
-                  [&](int, int, int, double& acc) {
-                      constexpr double tiny = 1e-12;
-                      double cell_dt =
-                          g.dx1 / (std::fabs(config_.vx) + tiny);
-                      if (s.ndim >= 2)
-                          cell_dt = std::min(
-                              cell_dt,
-                              g.dx2 / (std::fabs(config_.vy) + tiny));
-                      if (s.ndim >= 3)
-                          cell_dt = std::min(
-                              cell_dt,
-                              g.dx3 / (std::fabs(config_.vz) + tiny));
-                      acc = std::min(acc, cell_dt);
-                  });
-        dt = std::min(dt, block_dt);
-        recordSerial(ctx, "dt_reduce", 1.0);
-    }
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
+    const BlockGeometry& g = block.geom();
+    parReduceAt(ctx, "EstimateTimestep", block.rank(), "EstTimeMesh",
+                costs, ReduceOp::Min, dt, s.ks(), s.ke(), s.js(), s.je(),
+                s.is(), s.ie(), [&](int, int, int, double& acc) {
+                    constexpr double tiny = 1e-12;
+                    double cell_dt =
+                        g.dx1 / (std::fabs(config_.vx) + tiny);
+                    if (s.ndim >= 2)
+                        cell_dt = std::min(
+                            cell_dt,
+                            g.dx2 / (std::fabs(config_.vy) + tiny));
+                    if (s.ndim >= 3)
+                        cell_dt = std::min(
+                            cell_dt,
+                            g.dx3 / (std::fabs(config_.vz) + tiny));
+                    acc = std::min(acc, cell_dt);
+                });
     // Explicit source stability: the relaxation removes at most
-    // rate * a per unit time, so keep dt * rate <= 1/2. A constant cap
-    // on every rank — no extra collective needed.
-    return std::min(config_.cfl * dt,
-                    0.5 / std::max(config_.rate, 1e-12));
-}
-
-double
-ReactionPackage::estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                      RankWorld& world,
-                                      double fallback_dt) const
-{
-    const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "EstimateTimestep");
-    const BlockShape s = mesh.config().blockShape();
-    const KernelCosts costs{10.0, 3.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    double dt = fallback_dt / config_.cfl;
-    parReducePack(
-        ctx, "EstimateTimestep", "EstTimeMesh", costs, ReduceOp::Min,
-        dt, pack.ranks(), nb, s.ks(), s.ke(), s.js(), s.je(), s.is(),
-        s.ie(), [&](int b, int, int, double& acc) {
-            BlockPackView& v = pack.view(b);
-            for (int i = s.is(); i <= s.ie(); ++i) {
-                constexpr double tiny = 1e-12;
-                double cell_dt =
-                    v.dx1 / (std::fabs(config_.vx) + tiny);
-                if (s.ndim >= 2)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx2 / (std::fabs(config_.vy) + tiny));
-                if (s.ndim >= 3)
-                    cell_dt = std::min(
-                        cell_dt,
-                        v.dx3 / (std::fabs(config_.vz) + tiny));
-                acc = std::min(acc, cell_dt);
-            }
-        });
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "EstimateTimestep", pack.ranks()[b],
-                       "dt_reduce", 1.0);
-    dt = world.allReduceValue(mesh.collectiveRank(), dt, CollOp::Min,
-                              sizeof(double));
-    recordSerial(ctx, "collective", 1.0);
+    // rate * a per unit time, so keep dt * rate <= 1/2.
     return std::min(config_.cfl * dt,
                     0.5 / std::max(config_.rate, 1e-12));
 }

@@ -111,9 +111,6 @@ class ReactionPackage : public PackageDescriptor
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
-    void calculateFluxesPack(Mesh& mesh,
-                             MeshBlockPack& pack) const override;
-
     /**
      * dudt = -div(flux) plus the stiff source (kernels
      * "FluxDivergence" + "ReactionSource"): the per-cell equilibrium
@@ -123,24 +120,17 @@ class ReactionPackage : public PackageDescriptor
      */
     void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
 
-    void fluxDivergencePack(Mesh& mesh,
-                            MeshBlockPack& pack) const override;
-
-    /** chem_rate = a * b (kernel "CalculateDerived"). */
-    void fillDerived(Mesh& mesh) const override;
-
-    void fillDerivedPack(Mesh& mesh, MeshBlockPack& pack) const override;
+    /** chem_rate = a * b on one block (kernel "CalculateDerived"). */
+    void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;
 
     /**
-     * Advective CFL timestep, additionally capped at 0.5/rate so the
-     * explicit source relaxation stays stable (kernel "EstTimeMesh").
+     * One block's advective CFL timestep, additionally capped at
+     * 0.5/rate so the explicit source relaxation stays stable (kernel
+     * "EstTimeMesh"). The cap is the same on every block and rank, so
+     * applying it per block leaves the step dt unchanged.
      */
-    double estimateTimestep(Mesh& mesh, RankWorld& world,
-                            double fallback_dt) const override;
-
-    double estimateTimestepPack(Mesh& mesh, MeshBlockPack& pack,
-                                RankWorld& world,
-                                double fallback_dt) const override;
+    double estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
+                                 double fallback_dt) const override;
 
     /** Total (a + b) mass — conserved to round-off: the transport is
      *  flux-corrected and the source is antisymmetric per cell. */

@@ -46,8 +46,7 @@ inline constexpr double kPlmFlops = 8.0;
  * Reconstruct one (n, k, j) row of left/right face states at faces
  * [fis, fie] in the direction with unit offsets (di, dj, dk). The
  * single definition of the stencil math shared by every package's
- * per-block and pack launch bodies — the paths cannot diverge
- * numerically.
+ * flux kernel — the packages cannot diverge numerically.
  */
 inline void
 reconRow(const RealArray4& cons, RealArray4& rl, RealArray4& rr,

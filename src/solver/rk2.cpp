@@ -1,13 +1,12 @@
 #include "solver/rk2.hpp"
 
 #include "exec/par_for.hpp"
-#include "mesh/block_pack.hpp"
 
 namespace vibe {
 
 namespace {
 
-/** Per-block implementation: u <- wa*u0 + wb*u + wc*dt*dudt. */
+/** u <- wa*u0 + wb*u + wc*dt*dudt on one block. */
 void
 weightedSumBlock(Mesh& mesh, MeshBlock& block, double wa, double wb,
                  double wc, double dt)
@@ -33,78 +32,24 @@ weightedSumBlock(Mesh& mesh, MeshBlock& block, double wa, double wb,
              });
 }
 
-/** Whole-mesh form: one weighted sum per block. */
-void
-weightedSum(Mesh& mesh, double wa, double wb, double wc, double dt)
-{
-    for (MeshBlock* block : mesh.ownedBlocks())
-        weightedSumBlock(mesh, *block, wa, wb, wc, dt);
-}
-
-/** Fused-pack form: one launch over the packed cell domain. */
-void
-weightedSumPack(Mesh& mesh, MeshBlockPack& pack, double wa, double wb,
-                double wc, double dt)
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const KernelCosts costs{ncomp * 5.0, ncomp * 4.0 * sizeof(double)};
-    const int nb = pack.numBlocks();
-
-    const double lookups =
-        static_cast<double>(mesh.registry().all().size());
-    for (int b = 0; b < nb; ++b)
-        recordSerialAt(ctx, "WeightedSumData", pack.ranks()[b],
-                       "string_lookup", lookups);
-    parForPack(ctx, "WeightedSumData", "WeightedSumData", costs,
-               pack.ranks(), nb, 0, 0, s.ks(), s.ke(), s.js(), s.je(),
-               s.is(), s.ie(), [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   RealArray4& cons = *v.cons;
-                   const RealArray4& cons0 = *v.cons0;
-                   const RealArray4& dudt = *v.dudt;
-                   for (int i = s.is(); i <= s.ie(); ++i)
-                       for (int n = 0; n < ncomp; ++n)
-                           cons(n, k, j, i) = wa * cons0(n, k, j, i) +
-                                              wb * cons(n, k, j, i) +
-                                              wc * dt * dudt(n, k, j, i);
-               });
-}
-
 } // namespace
 
 void
-saveState(Mesh& mesh)
+saveStateBlock(Mesh& mesh, MeshBlock& block)
 {
     const ExecContext& ctx = mesh.ctx();
-    PhaseScope scope(ctx.profiler(), "WeightedSumData");
     const BlockShape s = mesh.config().blockShape();
     const int ncomp = mesh.registry().ncompConserved();
     const KernelCosts costs{0.0, ncomp * 2.0 * sizeof(double)};
 
-    for (MeshBlock* block : mesh.ownedBlocks()) {
-        ctx.setCurrentRank(block->rank());
-        RealArray4& cons = block->cons();
-        RealArray4& cons0 = block->cons0();
-        parFor(ctx, "WeightedSumData", costs, s.ks(), s.ke(), s.js(),
-               s.je(), s.is(), s.ie(), [&](int k, int j, int i) {
-                   for (int n = 0; n < ncomp; ++n)
-                       cons0(n, k, j, i) = cons(n, k, j, i);
-               });
-    }
-}
-
-void
-stage1Update(Mesh& mesh, double dt)
-{
-    weightedSum(mesh, 1.0, 0.0, 1.0, dt);
-}
-
-void
-stage2Update(Mesh& mesh, double dt)
-{
-    weightedSum(mesh, 0.5, 0.5, 0.5, dt);
+    RealArray4& cons = block.cons();
+    RealArray4& cons0 = block.cons0();
+    parForAt(ctx, "WeightedSumData", block.rank(), "WeightedSumData",
+             costs, s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
+             [&](int k, int j, int i) {
+                 for (int n = 0; n < ncomp; ++n)
+                     cons0(n, k, j, i) = cons(n, k, j, i);
+             });
 }
 
 void
@@ -114,36 +59,6 @@ stageUpdateBlock(Mesh& mesh, MeshBlock& block, int stage, double dt)
         weightedSumBlock(mesh, block, 1.0, 0.0, 1.0, dt);
     else
         weightedSumBlock(mesh, block, 0.5, 0.5, 0.5, dt);
-}
-
-void
-saveStatePack(Mesh& mesh, MeshBlockPack& pack)
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const KernelCosts costs{0.0, ncomp * 2.0 * sizeof(double)};
-
-    parForPack(ctx, "WeightedSumData", "WeightedSumData", costs,
-               pack.ranks(), pack.numBlocks(), 0, 0, s.ks(), s.ke(),
-               s.js(), s.je(), s.is(), s.ie(),
-               [&](int, int b, int, int k, int j) {
-                   BlockPackView& v = pack.view(b);
-                   const RealArray4& cons = *v.cons;
-                   RealArray4& cons0 = *v.cons0;
-                   for (int i = s.is(); i <= s.ie(); ++i)
-                       for (int n = 0; n < ncomp; ++n)
-                           cons0(n, k, j, i) = cons(n, k, j, i);
-               });
-}
-
-void
-stageUpdatePack(Mesh& mesh, MeshBlockPack& pack, int stage, double dt)
-{
-    if (stage == 1)
-        weightedSumPack(mesh, pack, 1.0, 0.0, 1.0, dt);
-    else
-        weightedSumPack(mesh, pack, 0.5, 0.5, 0.5, dt);
 }
 
 } // namespace vibe

@@ -1,6 +1,6 @@
 /**
  * @file rk2.hpp
- * Second-order Runge-Kutta (Heun) stages over a Mesh.
+ * Second-order Runge-Kutta (Heun) stages over one MeshBlock.
  *
  * Parthenon's integrator expresses both the start-of-step copy and the
  * stage updates as weighted sums of registers; all three appear on the
@@ -9,6 +9,9 @@
  *
  *   stage 1:  u  <- u0 + dt * L(u0)
  *   stage 2:  u  <- 1/2 u0 + 1/2 u + 1/2 dt * L(u)
+ *
+ * Both operators touch only the block's own registers and record with
+ * explicit phase and rank, so distinct blocks may run concurrently.
  */
 #pragma once
 
@@ -16,30 +19,11 @@
 
 namespace vibe {
 
-/** Copy the current state into the step-start register (u0 <- u). */
-void saveState(Mesh& mesh);
+/** Copy the block's state into its step-start register (u0 <- u). */
+void saveStateBlock(Mesh& mesh, MeshBlock& block);
 
-/** First RK2 stage: u <- u0 + dt * dudt. */
-void stage1Update(Mesh& mesh, double dt);
-
-/** Second RK2 stage: u <- 0.5 u0 + 0.5 u + 0.5 dt * dudt. */
-void stage2Update(Mesh& mesh, double dt);
-
-/**
- * RK2 stage update (1 or 2) for one block — the task-graph node form.
- * Touches only the block's own registers, so distinct blocks may run
- * concurrently.
- */
+/** RK2 stage update (1 or 2) for one block. */
 void stageUpdateBlock(Mesh& mesh, MeshBlock& block, int stage,
                       double dt);
-
-class MeshBlockPack;
-
-/** Fused-pack u0 <- u copy over all blocks (one launch). */
-void saveStatePack(Mesh& mesh, MeshBlockPack& pack);
-
-/** Fused-pack RK2 stage update over all blocks (one launch). */
-void stageUpdatePack(Mesh& mesh, MeshBlockPack& pack, int stage,
-                     double dt);
 
 } // namespace vibe

@@ -9,10 +9,6 @@
  * block migrations at the per-cycle load balance — so every run
  * exercises cache rebuilds, plan invalidation, and true storage
  * movement, not just steady-state exchange.
- *
- * The boundary path defaults to the CI matrix's VIBE_FUSED_BOUNDARIES
- * (fused when unset); tests that sweep per-face vs fused pass the
- * knob explicitly.
  */
 #pragma once
 
@@ -37,8 +33,7 @@ namespace vibe {
 namespace shard_test {
 
 inline MeshConfig
-shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
-                bool fused = envFusedBoundaries(true))
+shardMeshConfig(int num_ranks, int num_threads)
 {
     MeshConfig config;
     config.nx1 = config.nx2 = config.nx3 = 16;
@@ -46,8 +41,6 @@ shardMeshConfig(int num_ranks, int num_threads, bool pack_interior,
     config.amrLevels = 2;
     config.numThreads = num_threads;
     config.numRanks = num_ranks;
-    config.packInterior = pack_interior;
-    config.fusedBoundaries = fused;
     return config;
 }
 
@@ -123,8 +116,7 @@ captureBlock(const MeshBlock& block, ShardRun* out)
 /** Classic single-driver run (the 1-rank baseline). */
 inline ShardRun
 runClassic(const std::string& package_name, int num_threads,
-           int lb_every = 1, bool pack_interior = false,
-           bool fused = envFusedBoundaries(true))
+           int lb_every = 1)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
@@ -132,8 +124,7 @@ runClassic(const std::string& package_name, int num_threads,
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(num_threads));
-    Mesh mesh(shardMeshConfig(1, num_threads, pack_interior, fused),
-              registry, ctx);
+    Mesh mesh(shardMeshConfig(1, num_threads), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -152,13 +143,12 @@ runClassic(const std::string& package_name, int num_threads,
 /** Rank-team run; state gathered from each block's owner replica. */
 inline ShardRun
 runTeam(const std::string& package_name, int num_ranks, int num_threads,
-        int lb_every = 1, bool pack_interior = false,
-        bool fused = envFusedBoundaries(true))
+        int lb_every = 1)
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
     RankTeam team(
-        shardMeshConfig(num_ranks, num_threads, pack_interior, fused),
+        shardMeshConfig(num_ranks, num_threads),
         registry, *package, shardDriverConfig(lb_every), [](int) {
             return std::make_unique<SphericalWaveTagger>(
                 shardWaveParams());

@@ -1,6 +1,6 @@
 /**
  * @file test_boundary_plan.cpp
- * BoundaryPlan lifecycle and fused-path equivalence.
+ * BoundaryPlan lifecycle, sub-packs, payload pool and equivalence.
  *
  * - Lifecycle: the cache rebuild hook invalidates the plan exactly
  *   once per rebuild (refine/derefine/migration all route through the
@@ -16,11 +16,12 @@
  *   every local entry exactly once.
  * - Payload pool: warm cycles without a remesh allocate no payloads,
  *   and on a rank team the pools stay bounded across cycles.
- * - Equivalence: the fused path is bitwise identical to the per-face
- *   path for all three physics packages across 1/2/4 threads and
- *   1/2/4 ranks, through mid-run remeshes and real storage migrations,
- *   with and without packed interiors; its profiler tables do not
- *   depend on the thread (hence sub-pack) count.
+ * - Equivalence: for all three physics packages, 2- and 4-rank teams
+ *   are bitwise identical to the classic run at 1/2/4 threads, through
+ *   mid-run remeshes and real storage migrations, and the profiler
+ *   tables do not depend on the thread (hence sub-pack) count. The
+ *   analytic ghost and flux-correction checks in test_comm are the
+ *   independent reference for the plan's arithmetic.
  */
 #include <gtest/gtest.h>
 
@@ -76,7 +77,7 @@ struct PlanFixture
 
 TEST(BoundaryPlanLifecycle, HookInvalidatesOncePerRebuild)
 {
-    PlanFixture fx(shardMeshConfig(1, 1, false), 1);
+    PlanFixture fx(shardMeshConfig(1, 1), 1);
     fx.cache.setRebuildHook([&] { fx.plan.invalidate(); });
 
     fx.plan.ensureBuilt();
@@ -113,7 +114,7 @@ TEST(BoundaryPlanLifecycle, DriverKeepsPlanInLockstepThroughRemesh)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false, /*fused=*/true), registry,
+    Mesh mesh(shardMeshConfig(1, 1), registry,
               ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
@@ -133,7 +134,7 @@ TEST(BoundaryPlanLifecycle, DriverKeepsPlanInLockstepThroughRemesh)
 
 TEST(BoundaryPlanLifecycle, StalePlanIsStructurallyUnusable)
 {
-    PlanFixture fx(shardMeshConfig(1, 1, false), 1);
+    PlanFixture fx(shardMeshConfig(1, 1), 1);
     // No hook chained: the cache moves on, the plan cannot notice
     // until an accessor checks the generation stamp.
     fx.plan.ensureBuilt();
@@ -211,7 +212,7 @@ TEST(BoundaryPlanDirectory, NonAdjacentRankPairsAreElided)
 
 TEST(BoundaryPlanSubPacks, SerialSpaceHasOneSubPack)
 {
-    PlanFixture fx(shardMeshConfig(1, 1, false), 1);
+    PlanFixture fx(shardMeshConfig(1, 1), 1);
     fx.plan.ensureBuilt();
     ASSERT_EQ(fx.plan.subPacks().size(), 1u);
     EXPECT_EQ(fx.plan.subPacks()[0].blocks, fx.mesh.ownedBlocks());
@@ -227,7 +228,7 @@ TEST(BoundaryPlanSubPacks, RangesAndWorkListsCoverEveryEntryOnce)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(4));
-    Mesh mesh(shardMeshConfig(1, 4, false, /*fused=*/true), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, 4), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -323,7 +324,7 @@ TEST(FusedPayloadPool, WarmCyclesWithoutRemeshAllocateNothing)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(4));
-    Mesh mesh(shardMeshConfig(1, 4, false, /*fused=*/true), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, 4), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     DriverConfig config = shardDriverConfig();
@@ -370,7 +371,7 @@ TEST(FusedPayloadPool, TeamPoolsDoNotGrowAcrossCycles)
         config.refineEvery = 0;
         config.lbEvery = 0;
         auto team = std::make_unique<RankTeam>(
-            shardMeshConfig(2, 2, false, /*fused=*/true), registry,
+            shardMeshConfig(2, 2), registry,
             *package, config, [](int) {
                 return std::make_unique<SphericalWaveTagger>(
                     shardWaveParams());
@@ -395,7 +396,7 @@ TEST(FusedPayloadPool, TeamPoolsDoNotGrowAcrossCycles)
     }
 }
 
-// --- Fused vs per-face bitwise equivalence ----------------------------
+// --- Thread- and rank-count equivalence ------------------------------
 
 /** Profiler tables must agree exactly (launches, items, flops, bytes,
  *  per-rank items), whatever the thread and sub-pack count. */
@@ -437,62 +438,37 @@ class FusedBoundaryEquivalence
 {
 };
 
-TEST_P(FusedBoundaryEquivalence, FusedMatchesPerFaceBitwise)
+TEST_P(FusedBoundaryEquivalence, ThreadAndRankCountsAddNoDifference)
 {
     const std::string package = GetParam();
-    // The per-face baseline is per thread count (mass partials are
+    // The classic baseline is per thread count (mass partials are
     // chunk-ordered sums, deterministic for a fixed thread count);
-    // the fused path — classic and rank-sharded — must add no
-    // difference on top of it.
-    ShardRun fused_serial;
+    // rank teams must add no difference on top of it, and the profiler
+    // tables must not depend on the thread count at all.
+    ShardRun serial;
     for (int threads : {1, 2, 4}) {
-        const ShardRun per_face =
-            runClassic(package, threads, 1, false, /*fused=*/false);
-        EXPECT_GT(per_face.remeshEvents, 0)
+        const ShardRun classic = runClassic(package, threads);
+        EXPECT_GT(classic.remeshEvents, 0)
             << "workload must remesh mid-run";
-
-        const ShardRun fused =
-            runClassic(package, threads, 1, false, /*fused=*/true);
-        expectBitwiseEqual(per_face, fused,
-                           package + " fused classic @" +
-                               std::to_string(threads) + " threads");
         if (threads == 1)
-            fused_serial = fused;
+            serial = classic;
         else
-            expectSameProfile(fused_serial.profiler, fused.profiler,
-                              package + " fused profile @1 vs " +
+            expectSameProfile(serial.profiler, classic.profiler,
+                              package + " profile @1 vs " +
                                   std::to_string(threads) + " threads");
 
         for (int ranks : {2, 4}) {
-            const ShardRun team = runTeam(package, ranks, threads, 1,
-                                          false, /*fused=*/true);
+            const ShardRun team = runTeam(package, ranks, threads);
             // The runs must exercise the real machinery: remesh-driven
             // plan rebuilds and true storage migration.
             EXPECT_GT(team.remeshEvents, 0);
             EXPECT_GT(team.movedBlocks, 0);
-            expectBitwiseEqual(per_face, team,
-                               package + " fused @" +
-                                   std::to_string(ranks) + " ranks x " +
-                                   std::to_string(threads) +
-                                   " threads vs per-face classic");
+            expectBitwiseEqual(classic, team,
+                               package + " @" + std::to_string(ranks) +
+                                   " ranks x " + std::to_string(threads) +
+                                   " threads vs classic");
         }
     }
-}
-
-TEST_P(FusedBoundaryEquivalence, PackedInteriorFusedMatchesPerFace)
-{
-    // pack_interior: stepPacked runs the same sub-pack comm tasks as
-    // bounds-only and flux-only graphs around the pack launches (4
-    // threads, so there are several sub-packs).
-    const std::string package = GetParam();
-    const ShardRun per_face =
-        runClassic(package, 4, 1, true, /*fused=*/false);
-    expectBitwiseEqual(per_face,
-                       runClassic(package, 4, 1, true, /*fused=*/true),
-                       package + " packed fused classic @4 threads");
-    expectBitwiseEqual(per_face,
-                       runTeam(package, 2, 4, 1, true, /*fused=*/true),
-                       package + " packed fused @2 ranks x 4 threads");
 }
 
 INSTANTIATE_TEST_SUITE_P(Packages, FusedBoundaryEquivalence,

@@ -79,7 +79,7 @@ writeTeamCheckpoint(const std::string& package_name, int num_ranks,
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
     CheckpointWriter writer(path, async);
-    RankTeam team(shardMeshConfig(num_ranks, 1, false), registry,
+    RankTeam team(shardMeshConfig(num_ranks, 1), registry,
                   *package, config, [](int) {
                       return std::make_unique<SphericalWaveTagger>(
                           shardWaveParams());
@@ -98,7 +98,7 @@ restoreTeamAndRun(const std::string& package_name,
 {
     auto package = makePackage(package_name);
     VariableRegistry registry = package->buildRegistry();
-    RankTeam team(shardMeshConfig(num_ranks, num_threads, false),
+    RankTeam team(shardMeshConfig(num_ranks, num_threads),
                   registry, *package, config, [](int) {
                       return std::make_unique<SphericalWaveTagger>(
                           shardWaveParams());
@@ -185,7 +185,7 @@ TEST(Checkpoint, RestoreStraddlesRemeshBeforeLoadBalance)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, 1), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -343,7 +343,7 @@ TEST(FaultRecovery, InjectedFaultNoHangReportsOriginalMessage)
     auto package = makePackage("burgers");
     VariableRegistry registry = package->buildRegistry();
     FaultInjector injector(/*fail_rank=*/1, /*fail_cycle=*/2);
-    RankTeam team(shardMeshConfig(2, 1, false), registry, *package,
+    RankTeam team(shardMeshConfig(2, 1), registry, *package,
                   shardDriverConfig(), [](int) {
                       return std::make_unique<SphericalWaveTagger>(
                           shardWaveParams());

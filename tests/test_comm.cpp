@@ -2,7 +2,10 @@
  * @file test_comm.cpp
  * Tests for the simulated MPI world, the boundary-buffer region
  * calculus, ghost-cell exchange correctness (same-level and across
- * refinement levels), and flux-correction conservation.
+ * refinement levels), and flux-correction conservation. The ghost and
+ * flux checks compare against values computed here from the field
+ * (exact copies, restricted averages, linear prolongation), so they are
+ * the independent reference for the BoundaryPlan exchange.
  */
 #include <gtest/gtest.h>
 
@@ -463,8 +466,11 @@ TEST(GhostExchange, AbandonedCycleDoesNotLeavePhantomMessages)
     CommFixture f(16, 8, 1, ExecMode::Execute);
     fillInterior(*f.mesh);
 
+    f.exchange->plan().ensureBuilt();
     f.exchange->startReceiveBoundBufs();
-    f.exchange->sendBoundBufs();
+    f.exchange->beginFusedPhase(PlanPhase::Bounds);
+    for (std::size_t p = 0; p < f.exchange->plan().subPacks().size(); ++p)
+        f.exchange->sendSubPackEntries(PlanPhase::Bounds, static_cast<int>(p));
     ASSERT_GT(f.world->pendingCount(), 0u); // the abandoned deliveries
 
     // Perturb the field so stale buffers are distinguishable from
@@ -510,13 +516,17 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
         BurgersConfig bc;
         bc.numScalars = 8; // matches the fixture registry
         BurgersPackage package(bc);
-        package.calculateFluxes(*f.mesh);
+        for (const auto& block : f.mesh->blocks())
+            package.calculateFluxesBlock(*f.mesh, *block);
 
         // Regression: abandon a flux-correction send mid-cycle; the
         // next cycle's reset must also drop stale *flux* messages, not
         // just bounds buffers.
-        for (const auto& block : f.mesh->blocks())
-            f.exchange->sendBlockFluxCorrections(*block);
+        f.exchange->beginFusedPhase(PlanPhase::Flux);
+        for (std::size_t p = 0; p < f.exchange->plan().subPacks().size();
+             ++p)
+            f.exchange->sendSubPackEntries(PlanPhase::Flux,
+                                         static_cast<int>(p));
         ASSERT_GT(f.world->pendingCount(), 0u);
         f.exchange->startReceiveBoundBufs();
         ASSERT_EQ(f.world->pendingCount(), 0u);
@@ -573,42 +583,6 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
                                 << K << ")";
                         }
         }
-    }
-}
-
-TEST(GhostExchange, PerBlockFactoriesMatchMonolithicCycle)
-{
-    // The task-graph factories (sendBlockBounds / pollBlockBounds /
-    // setBlockBounds) must reproduce the monolithic 4-phase cycle
-    // bit for bit when driven in the same order.
-    CommFixture mono(16, 8, 1, ExecMode::Execute, 1, false, 1);
-    CommFixture split(16, 8, 1, ExecMode::Execute, 1, false, 1);
-    fillInterior(*mono.mesh);
-    fillInterior(*split.mesh);
-
-    mono.exchange->exchangeBounds();
-
-    split.exchange->startReceiveBoundBufs();
-    for (const auto& block : split.mesh->blocks())
-        split.exchange->sendBlockBounds(*block);
-    for (const auto& block : split.mesh->blocks())
-        EXPECT_TRUE(split.exchange->pollBlockBounds(*block));
-    for (const auto& block : split.mesh->blocks())
-        split.exchange->setBlockBounds(*block);
-
-    EXPECT_EQ(split.exchange->lastWireCells(),
-              mono.exchange->lastWireCells());
-    EXPECT_EQ(split.world->pendingCount(), 0u);
-    const auto& mono_blocks = mono.mesh->blocks();
-    const auto& split_blocks = split.mesh->blocks();
-    ASSERT_EQ(mono_blocks.size(), split_blocks.size());
-    for (std::size_t b = 0; b < mono_blocks.size(); ++b) {
-        const RealArray4& x = mono_blocks[b]->cons();
-        const RealArray4& y = split_blocks[b]->cons();
-        ASSERT_EQ(x.size(), y.size());
-        for (std::size_t v = 0; v < x.size(); ++v)
-            ASSERT_EQ(x.data()[v], y.data()[v])
-                << mono_blocks[b]->loc().str();
     }
 }
 

@@ -6,7 +6,10 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "core/experiment.hpp"
+#include "util/logging.hpp"
 
 namespace vibe {
 namespace {
@@ -55,6 +58,23 @@ TEST(Experiment, RejectsIndivisibleBlockSize)
     auto spec = smallSpec();
     spec.blockSize = 7;
     EXPECT_THROW(Experiment(spec).run(), PanicError);
+}
+
+TEST(Experiment, RejectsPerFaceBoundariesNamingTheField)
+{
+    // Boundary exchange always rides the fused plan; asking for the
+    // removed per-face path must fail and say which field to fix.
+    auto spec = smallSpec();
+    spec.fusedBoundaries = false;
+    try {
+        Experiment(spec).run();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("ExperimentSpec::fusedBoundaries"),
+                  std::string::npos)
+            << what;
+    }
 }
 
 TEST(Experiment, FixedDtTracksFinestLevel)

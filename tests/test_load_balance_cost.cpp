@@ -45,7 +45,7 @@ struct CostFixture
     MemoryTracker tracker;
     ExecContext ctx{ExecMode::Count, &profiler, &tracker,
                     makeExecutionSpace(1)};
-    Mesh mesh{shardMeshConfig(1, 1, false), registry, ctx};
+    Mesh mesh{shardMeshConfig(1, 1), registry, ctx};
 };
 
 TEST(LbCostMode, NamesAndEnvKnob)
@@ -198,7 +198,7 @@ TEST(LoadBalanceCost, RefineSplitsAndDerefineSumsCost)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, 1), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     DriverConfig config = shardDriverConfig();
@@ -235,7 +235,7 @@ runClassicCost(const std::string& package_name, int num_threads,
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(num_threads));
-    Mesh mesh(shardMeshConfig(1, num_threads, false), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, num_threads), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     DriverConfig config = shardDriverConfig();
@@ -262,7 +262,7 @@ runTeamCost(const std::string& package_name, int num_ranks,
     DriverConfig config = shardDriverConfig();
     config.lbCost = mode;
     config.lbImbalanceTrigger = trigger;
-    RankTeam team(shardMeshConfig(num_ranks, num_threads, false),
+    RankTeam team(shardMeshConfig(num_ranks, num_threads),
                   registry, *package, config, [](int) {
                       return std::make_unique<SphericalWaveTagger>(
                           shardWaveParams());
@@ -329,33 +329,31 @@ TEST(LoadBalanceCost, OnlyTasksCarryingAGidAreAttributed)
 TEST(LoadBalanceCost, MeasuredSamplesEveryOwnedBlockEachCycle)
 {
     // The reaction deck (uniform mesh, measured costs) at 4 threads:
-    // per-block tasks charge their block on both boundary paths, the
-    // plan's sub-pack and rank-pair tasks charge nobody, so each cycle
-    // samples exactly the owned blocks.
-    for (bool fused : {false, true}) {
-        auto package = makePackage("reaction");
-        VariableRegistry registry = package->buildRegistry();
-        KernelProfiler profiler;
-        MemoryTracker tracker;
-        ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
-                        makeExecutionSpace(4));
-        MeshConfig mesh_config = shardMeshConfig(1, 4, false, fused);
-        mesh_config.amrLevels = 1;
-        Mesh mesh(mesh_config, registry, ctx);
-        RankWorld world(1);
-        SphericalWaveTagger tagger(shardWaveParams());
-        DriverConfig config = shardDriverConfig();
-        config.lbCost = LbCostMode::Measured;
-        EvolutionDriver driver(mesh, *package, world, tagger, config);
-        driver.initialize();
-        for (int c = 0; c < 3; ++c) {
-            std::vector<int> owned;
-            for (const MeshBlock* block : mesh.ownedBlocks())
-                owned.push_back(block->gid());
-            driver.doCycle();
-            EXPECT_EQ(driver.costModel().sampledGids(), owned)
-                << (fused ? "fused" : "per-face") << " cycle " << c;
-        }
+    // per-block tasks charge their block, the plan's sub-pack and
+    // rank-pair tasks charge nobody, so each cycle samples exactly the
+    // owned blocks.
+    auto package = makePackage("reaction");
+    VariableRegistry registry = package->buildRegistry();
+    KernelProfiler profiler;
+    MemoryTracker tracker;
+    ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
+                    makeExecutionSpace(4));
+    MeshConfig mesh_config = shardMeshConfig(1, 4);
+    mesh_config.amrLevels = 1;
+    Mesh mesh(mesh_config, registry, ctx);
+    RankWorld world(1);
+    SphericalWaveTagger tagger(shardWaveParams());
+    DriverConfig config = shardDriverConfig();
+    config.lbCost = LbCostMode::Measured;
+    EvolutionDriver driver(mesh, *package, world, tagger, config);
+    driver.initialize();
+    for (int c = 0; c < 3; ++c) {
+        std::vector<int> owned;
+        for (const MeshBlock* block : mesh.ownedBlocks())
+            owned.push_back(block->gid());
+        driver.doCycle();
+        EXPECT_EQ(driver.costModel().sampledGids(), owned)
+            << "cycle " << c;
     }
 }
 
@@ -367,7 +365,7 @@ TEST(LoadBalanceCost, CycleStatsSurfaceLbOutcome)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    Mesh mesh(shardMeshConfig(1, 1, false), registry, ctx);
+    Mesh mesh(shardMeshConfig(1, 1), registry, ctx);
     RankWorld world(1);
     SphericalWaveTagger tagger(shardWaveParams());
     EvolutionDriver driver(mesh, *package, world, tagger,
@@ -398,7 +396,7 @@ TEST(LoadBalanceCost, CheckpointCarriesMeasuredCosts)
     config.lbCost = LbCostMode::Measured;
     {
         CheckpointWriter writer(path, /*async=*/false);
-        RankTeam team(shardMeshConfig(2, 1, false), registry, *package,
+        RankTeam team(shardMeshConfig(2, 1), registry, *package,
                       config, [](int) {
                           return std::make_unique<SphericalWaveTagger>(
                               shardWaveParams());
@@ -424,7 +422,7 @@ TEST(LoadBalanceCost, CheckpointCarriesMeasuredCosts)
     // Restore without evolving (ncycles == snapshot cycle): every
     // replica's blocks resume with the checkpointed estimates, so a
     // re-sharded run starts warm instead of from uniform.
-    RankTeam restored(shardMeshConfig(2, 1, false), registry, *package,
+    RankTeam restored(shardMeshConfig(2, 1), registry, *package,
                       config, [](int) {
                           return std::make_unique<SphericalWaveTagger>(
                               shardWaveParams());
@@ -453,7 +451,7 @@ TEST(LoadBalanceCost, MeasuredHysteresisStopsThrashing)
     auto package = PackageRegistry::instance().create("reaction", pin);
     VariableRegistry registry = package->buildRegistry();
 
-    MeshConfig mesh_config = shardMeshConfig(2, 1, false);
+    MeshConfig mesh_config = shardMeshConfig(2, 1);
     mesh_config.nx1 = mesh_config.nx2 = mesh_config.nx3 = 32;
     mesh_config.amrLevels = 1;
 
@@ -551,7 +549,7 @@ TEST(Reaction, ConservesTotalSpeciesMass)
     MemoryTracker tracker;
     ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
                     makeExecutionSpace(1));
-    MeshConfig mesh_config = shardMeshConfig(1, 1, false);
+    MeshConfig mesh_config = shardMeshConfig(1, 1);
     mesh_config.amrLevels = 1;
     Mesh mesh(mesh_config, registry, ctx);
     RankWorld world(1);

@@ -13,6 +13,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -331,6 +332,59 @@ subPackFamily(const std::string& name)
     return name.substr(0, pos) + ":p*";
 }
 
+/**
+ * The three phases the driver runs outside the stage graph must launch
+ * each block's kernel once per owned block, on the block's rank: per
+ * cycle one EstTimeMesh and three WeightedSumData (state save + two
+ * stages) per block, and one CalculateDerived per block plus the
+ * initial fill. Checked in the profiler (each launch covers exactly
+ * one block's cells, and every rank's share is whole blocks) and in
+ * the trace (one kernel span per launch).
+ */
+void
+expectOncePerOwnedBlock(const ExperimentResult& result,
+                        const std::map<std::string, int>& counts,
+                        const std::string& what)
+{
+    ASSERT_FALSE(result.history.empty()) << what;
+    std::uint64_t block_cycles = 0;
+    for (const CycleStats& stats : result.history)
+        block_cycles += stats.nblocks;
+    const std::uint64_t initial_blocks = result.history.front().nblocks;
+    const double block_nx = result.spec.blockSize;
+    const double cells = block_nx * block_nx * block_nx;
+    const struct
+    {
+        const char* phase;
+        const char* kernel;
+        std::uint64_t launches;
+    } expected[] = {
+        {"EstimateTimestep", "EstTimeMesh", block_cycles},
+        {"FillDerived", "CalculateDerived", block_cycles + initial_blocks},
+        {"WeightedSumData", "WeightedSumData", 3 * block_cycles},
+    };
+    for (const auto& e : expected) {
+        const std::string where = what + ": " + e.kernel;
+        const KernelStats& stats =
+            result.profiler.kernels().at({e.phase, e.kernel});
+        EXPECT_EQ(stats.launches, e.launches) << where;
+        EXPECT_EQ(stats.items, static_cast<double>(e.launches) * cells)
+            << where;
+        // Every rank's share is a whole number of blocks: no launch
+        // spreads one block over ranks or fuses blocks of two ranks.
+        double rank_items = 0;
+        for (const auto& [rank, items] : stats.itemsByRank) {
+            EXPECT_GT(items, 0.0) << where << " rank " << rank;
+            EXPECT_EQ(std::fmod(items, cells), 0.0)
+                << where << " rank " << rank;
+            rank_items += items;
+        }
+        EXPECT_EQ(rank_items, stats.items) << where;
+        EXPECT_EQ(counts.at(e.kernel), static_cast<int>(e.launches))
+            << where << " trace spans";
+    }
+}
+
 /** Per-name counts of deterministic (non-poll-retry) traced events. */
 std::map<std::string, int>
 tracedEventCounts(const std::string& package, int ranks, int threads)
@@ -342,7 +396,7 @@ tracedEventCounts(const std::string& package, int ranks, int threads)
 
     TraceRecorder& recorder = TraceRecorder::instance();
     recorder.start();
-    Experiment(spec).run();
+    const ExperimentResult result = Experiment(spec).run();
     const std::vector<TraceEvent> events = recorder.drain();
     EXPECT_EQ(recorder.dropped(), 0u);
 
@@ -353,6 +407,12 @@ tracedEventCounts(const std::string& package, int ranks, int threads)
         ++counts[subPackFamily(std::string(event.nameView()))];
     }
     EXPECT_FALSE(counts.empty());
+    if (threads == 1 || threads == 4)
+        expectOncePerOwnedBlock(result, counts,
+                                package + " with " +
+                                    std::to_string(ranks) +
+                                    " rank(s) at " +
+                                    std::to_string(threads) + " threads");
     return counts;
 }
 
@@ -361,7 +421,9 @@ TEST(ObsEndToEnd, EventCountsDeterministicAcrossThreadCounts)
     // The boundary plan cuts each fused phase into more sub-pack tasks
     // as threads are added, so sub-pack families may only grow; every
     // other event — including the once-per-phase kernel records — is
-    // counted exactly as at one thread.
+    // counted exactly as at one thread. At 1 and 4 threads the
+    // outside-graph phases also launch once per owned block per rank
+    // (expectOncePerOwnedBlock).
     for (const char* package : {"burgers", "advection"}) {
         for (int ranks : {1, 2}) {
             const auto baseline =

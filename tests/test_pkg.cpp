@@ -4,8 +4,8 @@
  * per-package variable ownership, and the advection package's
  * correctness guarantees — analytic-solution accuracy on a uniform
  * mesh, mass conservation to round-off across mid-run
- * refine/derefine, and the same bitwise serial-vs-threaded and
- * packed-vs-per-block equivalence the Burgers package proves.
+ * refine/derefine, and the same bitwise serial-vs-threaded
+ * equivalence the Burgers package proves.
  */
 #include <gtest/gtest.h>
 
@@ -159,8 +159,7 @@ struct AdvSim
     AdvectionPackage package;
 
     AdvSim(int mesh_nx, int block_nx, int levels,
-           const AdvectionConfig& config, int num_threads,
-           bool pack_interior = false)
+           const AdvectionConfig& config, int num_threads)
         : package(config)
     {
         ctx = std::make_unique<ExecContext>(
@@ -172,7 +171,6 @@ struct AdvSim
             mesh_config.blockNx3 = block_nx;
         mesh_config.amrLevels = levels;
         mesh_config.numThreads = num_threads;
-        mesh_config.packInterior = pack_interior;
         mesh = std::make_unique<Mesh>(mesh_config, registry, *ctx);
         world = std::make_unique<RankWorld>(2);
     }
@@ -278,15 +276,15 @@ struct AdvRun
 };
 
 AdvRun
-runAdvection(int num_threads, bool pack_interior)
+runAdvection(int num_threads)
 {
     AdvRun out;
     AdvectionConfig config;
-    AdvSim sim(16, 8, 2, config, num_threads, pack_interior);
+    AdvSim sim(16, 8, 2, config, num_threads);
 
     // Off-center fast shell: refines AND derefines within a few
-    // cycles, so packed runs cover the invalidate/rebuild path
-    // mid-run (same workload shape as the Burgers pack tests).
+    // cycles, so threaded runs cover the plan invalidate/rebuild path
+    // mid-run.
     SphericalWaveTagger::Params wave;
     wave.cx = wave.cy = wave.cz = 0.28;
     wave.rMin = 0.08;
@@ -342,25 +340,12 @@ expectBitwiseEqual(const AdvRun& a, const AdvRun& b,
 
 TEST(Advection, ThreadedRunsMatchSerialBitwise)
 {
-    const AdvRun serial = runAdvection(1, false);
+    const AdvRun serial = runAdvection(1);
     EXPECT_GT(serial.remeshEvents, 0);
     for (int threads : {2, 4})
-        expectBitwiseEqual(serial, runAdvection(threads, false),
+        expectBitwiseEqual(serial, runAdvection(threads),
                            "advection @" + std::to_string(threads) +
                                " threads vs serial");
-}
-
-TEST(Advection, PackedRunsMatchPerBlockBitwise)
-{
-    const AdvRun per_block = runAdvection(1, false);
-    for (int threads : {1, 4}) {
-        const AdvRun packed = runAdvection(threads, true);
-        EXPECT_GT(packed.remeshEvents, 0);
-        expectBitwiseEqual(per_block, packed,
-                           "advection packed @" +
-                               std::to_string(threads) +
-                               " threads vs per-block serial");
-    }
 }
 
 } // namespace

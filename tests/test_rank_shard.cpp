@@ -128,17 +128,6 @@ TEST_P(RankShardEquivalence, TeamRunsMatchClassicBitwise)
 INSTANTIATE_TEST_SUITE_P(Packages, RankShardEquivalence,
                          ::testing::Values("burgers", "advection"));
 
-TEST(RankShard, PackedInteriorMatchesClassic)
-{
-    const ShardRun classic = runClassic("advection", 1);
-    const ShardRun packed =
-        runTeam("advection", 2, 1, /*lb_every=*/1,
-                /*pack_interior=*/true);
-    EXPECT_GT(packed.movedBlocks, 0);
-    expectBitwiseEqual(classic, packed,
-                       "advection packed @2 ranks vs classic");
-}
-
 TEST(RankShard, MigrationIsNumericallyInvisible)
 {
     // lbEvery = 0 never load balances: rank 0 keeps every block, no

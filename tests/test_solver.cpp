@@ -204,7 +204,8 @@ TEST(Burgers, FillDerivedComputesKineticEnergy)
                     block->cons()(3, k, j, i) = 0.5; // q0
                 }
     }
-    f.package.fillDerived(*f.mesh);
+    for (const auto& block : f.mesh->blocks())
+        f.package.fillDerivedBlock(*f.mesh, *block);
     const BlockShape s = f.mesh->config().blockShape();
     // d = 0.5 * 0.5 * (4 + 1 + 4) = 2.25
     EXPECT_NEAR(f.mesh->block(0).derived()(0, s.ks(), s.js(), s.is()),
@@ -222,10 +223,15 @@ TEST(Burgers, EstimateTimestepCflScaling)
                 for (int i = s.is(); i <= s.ie(); ++i)
                     block->cons()(0, k, j, i) = 2.0; // |u| = 2
     }
-    const double dt = f.package.estimateTimestep(*f.mesh, *f.world, 1.0);
-    // dx = 1/16, cfl = 0.4 -> dt = 0.4 * (1/16) / 2 = 0.0125.
-    EXPECT_NEAR(dt, 0.0125, 1e-12);
-    EXPECT_EQ(f.world->traffic().allReduces, 1u);
+    // dx = 1/16, cfl = 0.4 -> dt = 0.4 * (1/16) / 2 = 0.0125 on every
+    // block; a 1.0 cap leaves it alone, a 1e-3 cap wins.
+    for (const auto& block : f.mesh->blocks()) {
+        EXPECT_NEAR(f.package.estimateTimestepBlock(*f.mesh, *block, 1.0),
+                    0.0125, 1e-12);
+        EXPECT_NEAR(
+            f.package.estimateTimestepBlock(*f.mesh, *block, 1e-3), 1e-3,
+            1e-15);
+    }
 }
 
 TEST(Burgers, MassHistorySumsScalar)
@@ -256,8 +262,10 @@ TEST(Burgers, UniformFlowHasZeroDivergence)
                     for (int i = 0; i < s.ni(); ++i)
                         block->cons()(n, k, j, i) = 0.3 + 0.1 * n;
     }
-    f.package.calculateFluxes(*f.mesh);
-    f.package.fluxDivergence(*f.mesh);
+    for (const auto& block : f.mesh->blocks()) {
+        f.package.calculateFluxesBlock(*f.mesh, *block);
+        f.package.fluxDivergenceBlock(*f.mesh, *block);
+    }
     const BlockShape s = f.mesh->config().blockShape();
     for (const auto& block : f.mesh->blocks())
         for (int n = 0; n < f.registry.ncompConserved(); ++n)
@@ -309,13 +317,14 @@ TEST(Rk2, StageAlgebra)
     MeshBlock& block = f.mesh->block(0);
     const BlockShape s = block.shape();
     block.cons().fill(2.0);
-    saveState(*f.mesh); // cons0 = 2
+    saveStateBlock(*f.mesh, block); // cons0 = 2
     block.cons().fill(5.0);
     block.dudt().fill(1.0);
-    stage1Update(*f.mesh, 0.1); // u = u0 + dt*dudt = 2.1
+    stageUpdateBlock(*f.mesh, block, 1, 0.1); // u = u0 + dt*dudt = 2.1
     EXPECT_NEAR(block.cons()(0, s.ks(), s.js(), s.is()), 2.1, 1e-14);
     block.dudt().fill(2.0);
-    stage2Update(*f.mesh, 0.1); // u = 0.5*2 + 0.5*2.1 + 0.05*2 = 2.15
+    // u = 0.5*2 + 0.5*2.1 + 0.05*2 = 2.15
+    stageUpdateBlock(*f.mesh, block, 2, 0.1);
     EXPECT_NEAR(block.cons()(0, s.ks(), s.js(), s.is()), 2.15, 1e-14);
 }
 

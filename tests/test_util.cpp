@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <sstream>
+#include <string>
 
 #include "util/array4.hpp"
 #include "util/logging.hpp"
@@ -408,6 +409,36 @@ TEST(ParameterInput, UnknownKnobInRecognizedBlockIsFatal)
     // Unrecognized block names pass through untouched.
     auto pin = ParameterInput::fromString("<myapp>\ncustom = 1\n");
     EXPECT_EQ(pin.getInt("myapp", "custom", 0), 1);
+}
+
+/** The fatal message a deck with one `<exec>` line produces. */
+std::string
+execKnobError(const std::string& line)
+{
+    try {
+        ParameterInput::fromString("<exec>\n" + line + "\n");
+    } catch (const FatalError& err) {
+        return err.what();
+    }
+    return {};
+}
+
+TEST(ParameterInput, RemovedPackInteriorKnobIsRejected)
+{
+    // There is one interior path, so the old selector must fail
+    // loudly rather than be silently ignored.
+    const std::string what = execKnobError("pack_interior = false");
+    EXPECT_NE(what.find("unknown parameter 'pack_interior'"),
+              std::string::npos)
+        << what;
+}
+
+TEST(ParameterInput, RemovedFusedBoundariesKnobIsRejected)
+{
+    const std::string what = execKnobError("fused_boundaries = true");
+    EXPECT_NE(what.find("unknown parameter 'fused_boundaries'"),
+              std::string::npos)
+        << what;
 }
 
 } // namespace
