@@ -1,9 +1,8 @@
 #include "driver/block_cost_model.hpp"
 
-#include <cstdlib>
-
 #include "comm/rank_world.hpp"
 #include "mesh/mesh.hpp"
+#include "util/env.hpp"
 #include "util/logging.hpp"
 
 namespace vibe {
@@ -28,10 +27,8 @@ lbCostModeName(LbCostMode mode)
 LbCostMode
 envLbCostMode(LbCostMode fallback)
 {
-    const char* value = std::getenv("VIBE_LB_COST");
-    if (!value || !*value)
-        return fallback;
-    return lbCostModeFromName(value);
+    const std::string value = envString("VIBE_LB_COST");
+    return value.empty() ? fallback : lbCostModeFromName(value);
 }
 
 void

@@ -4,47 +4,29 @@
  */
 #include "driver/fault_injector.hpp"
 
-#include <cstdlib>
-
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/parameter_input.hpp"
 
 namespace vibe {
 
-namespace {
-
-std::int64_t
-envInt64(const char* name, std::int64_t fallback)
-{
-    const char* value = std::getenv(name);
-    if (!value || !*value)
-        return fallback;
-    return std::atoll(value);
-}
-
-} // namespace
-
 FaultInjector
 FaultInjector::fromEnv()
 {
-    return FaultInjector(
-        static_cast<int>(envInt64("VIBE_FAIL_RANK", -1)),
-        envInt64("VIBE_FAIL_CYCLE", -1));
+    return FaultInjector(envInt("VIBE_FAIL_RANK", -1),
+                         envInt64("VIBE_FAIL_CYCLE", -1));
 }
 
 FaultInjector
 FaultInjector::fromParams(const ParameterInput& pin)
 {
-    // fail_cycle keeps full 64-bit width so the deck and the
-    // VIBE_FAIL_CYCLE env knob accept the same range.
-    FaultInjector injector(pin.getInt("exec", "fail_rank", -1),
-                           pin.getInt64("exec", "fail_cycle", -1));
-    // Env overrides the deck, matching the other <exec> knobs.
-    injector.fail_rank_ = static_cast<int>(
-        envInt64("VIBE_FAIL_RANK", injector.fail_rank_));
-    injector.fail_cycle_ =
-        envInt64("VIBE_FAIL_CYCLE", injector.fail_cycle_);
-    return injector;
+    // Deck beats env beats default: each env knob only supplies the
+    // default of its absent deck key. fail_cycle keeps full 64-bit
+    // width so the deck and VIBE_FAIL_CYCLE accept the same range.
+    const FaultInjector env = fromEnv();
+    return FaultInjector(
+        pin.getInt("exec", "fail_rank", env.fail_rank_),
+        pin.getInt64("exec", "fail_cycle", env.fail_cycle_));
 }
 
 void

@@ -9,7 +9,8 @@
  * abort path, since every survivor is blocked in a rendezvous when the
  * failure lands. Configured from the `<exec>` block (`fail_rank`,
  * `fail_cycle`) or the `VIBE_FAIL_RANK` / `VIBE_FAIL_CYCLE`
- * environment variables (env wins, matching the other exec knobs).
+ * environment variables (deck beats env beats default, the rule of
+ * every env-backed knob; see util/env.hpp).
  *
  * The injector fires once per instance: after a supervised restart the
  * same Experiment-owned injector stays quiet, so a recovery test can
@@ -55,7 +56,10 @@ class FaultInjector
     /** From `VIBE_FAIL_RANK` / `VIBE_FAIL_CYCLE` (unset = disarmed). */
     static FaultInjector fromEnv();
 
-    /** From `<exec> fail_rank` / `fail_cycle`; env overrides. */
+    /**
+     * From `<exec> fail_rank` / `fail_cycle`; a key absent from the
+     * deck falls back to its env variable, then to disarmed.
+     */
     static FaultInjector fromParams(const ParameterInput& pin);
 
     /** True when a (rank, cycle) failure point is configured. */

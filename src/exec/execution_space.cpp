@@ -1,11 +1,11 @@
 #include "exec/execution_space.hpp"
 
-#include <cstdlib>
 #include <exception>
 #include <thread>
 #include <utility>
 #include <vector>
 
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/thread_safety.hpp"
 
@@ -203,21 +203,13 @@ sharedSerialSpace()
 int
 envNumThreads(int fallback)
 {
-    const char* value = std::getenv("VIBE_NUM_THREADS");
-    if (!value || !*value)
-        return fallback;
-    const int threads = std::atoi(value);
-    return threads >= 1 ? threads : fallback;
+    return envInt("VIBE_NUM_THREADS", fallback, 1);
 }
 
 int
 envNumRanks(int fallback)
 {
-    const char* value = std::getenv("VIBE_NUM_RANKS");
-    if (!value || !*value)
-        return fallback;
-    const int ranks = std::atoi(value);
-    return ranks >= 1 ? ranks : fallback;
+    return envInt("VIBE_NUM_RANKS", fallback, 1);
 }
 
 } // namespace vibe

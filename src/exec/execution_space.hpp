@@ -112,15 +112,17 @@ const std::shared_ptr<ExecutionSpace>& sharedSerialSpace();
 
 /**
  * Thread count requested via the VIBE_NUM_THREADS environment variable,
- * or `fallback` when unset/invalid. Lets the test fixtures and the CI
- * matrix exercise the threaded executor paths without per-test knobs.
+ * or `fallback` when unset; fatal unless a whole integer >= 1. Lets
+ * the test fixtures and the CI matrix exercise the threaded executor
+ * paths without per-test knobs.
  */
 int envNumThreads(int fallback = 1);
 
 /**
  * Rank count requested via the VIBE_NUM_RANKS environment variable, or
- * `fallback` when unset/invalid. The CI matrix uses it to route the
- * rank-equivalence fixtures through a specific team size.
+ * `fallback` when unset; fatal unless a whole integer >= 1. The CI
+ * matrix uses it to route the rank-equivalence fixtures through a
+ * specific team size.
  */
 int envNumRanks(int fallback = 1);
 

@@ -4,22 +4,10 @@
  */
 #include "obs/obs_config.hpp"
 
-#include <cstdlib>
-
+#include "util/env.hpp"
 #include "util/parameter_input.hpp"
 
 namespace vibe {
-
-namespace {
-
-std::string
-envString(const char* name)
-{
-    const char* value = std::getenv(name);
-    return value ? std::string(value) : std::string();
-}
-
-} // namespace
 
 ObsConfig
 ObsConfig::fromParams(const ParameterInput& pin)

@@ -27,7 +27,8 @@ struct ObsConfig
     /**
      * Read `<obs> trace` / `<obs> metrics`; a knob absent from the
      * deck falls back to the `VIBE_TRACE` / `VIBE_METRICS` environment
-     * variables (deck wins, mirroring the `<exec>` env knobs).
+     * variables (deck beats env beats default, the rule of every
+     * env-backed knob; see util/env.hpp).
      */
     static ObsConfig fromParams(const ParameterInput& pin);
 

@@ -90,7 +90,10 @@ inline void
 copyField(char (&dst)[N], std::string_view src)
 {
     const std::size_t n = src.size() < N - 1 ? src.size() : N - 1;
-    std::memcpy(dst, src.data(), n);
+    // An empty view may carry a null data(); memcpy from null is UB
+    // even for zero bytes.
+    if (n > 0)
+        std::memcpy(dst, src.data(), n);
     dst[n] = '\0';
 }
 

@@ -22,8 +22,7 @@
 
 #include "comm/rank_world.hpp"
 #include "pkg/package_descriptor.hpp"
-#include "solver/reconstruct.hpp"
-#include "util/parameter_input.hpp"
+#include "pkg/transport.hpp"
 
 namespace vibe {
 
@@ -36,28 +35,16 @@ enum class AdvectionProfile
 
 AdvectionProfile advectionProfileFromName(const std::string& name);
 
-/** Physics/numerics parameters for the advection package. */
-struct AdvectionConfig
+/**
+ * Physics/numerics parameters for the advection package: the shared
+ * transport knobs (WENO5 by default) plus the initial profile.
+ */
+struct AdvectionConfig : TransportConfig
 {
-    /** Constant advection velocity (characteristic speed per dim). */
-    double vx = 1.0, vy = 0.5, vz = 0.25;
-    double cfl = 0.4; ///< CFL safety factor.
-    ReconMethod recon = ReconMethod::Weno5;
-    /**
-     * Refine when the characteristic-speed-weighted index-space
-     * gradient |v|_max * max|grad phi| exceeds this; derefine below
-     * `derefineTol`. Weighting by the transport speed makes the
-     * criterion track how fast the profile sweeps through a block.
-     */
-    double refineTol = 0.08;
-    double derefineTol = 0.02;
     AdvectionProfile ic = AdvectionProfile::GaussianBlob;
 
     /** Read the `<advection>` deck block. */
     static AdvectionConfig fromParams(const ParameterInput& pin);
-
-    /** Largest per-dimension speed among the active dimensions. */
-    double maxSpeed(int ndim) const;
 };
 
 /**
@@ -98,37 +85,34 @@ class AdvectionPackage : public PackageDescriptor
     void initializeBlock(const ExecContext& ctx,
                          MeshBlock& block) const override;
 
-    /**
-     * Reconstruction + exact upwind fluxes for one block (kernel
-     * "CalculateFluxes", stage-graph task).
-     */
-    void calculateFluxesBlock(Mesh& mesh,
-                              MeshBlock& block) const override;
+    /** Reconstruction + exact upwind fluxes (shared transport). */
+    void
+    calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const override
+    {
+        transportFluxesBlock(mesh, block, config_);
+    }
 
-    void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
-
-    /** e = 0.5 phi^2 on one block (kernel "CalculateDerived"). */
+    /** e = 0.5 phi^2. */
     void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;
 
-    /**
-     * One block's CFL timestep from the constant characteristic speeds
-     * (kernel "EstTimeMesh"): the reduction sweep runs like every
-     * package's so counting-mode work stays comparable, even though
-     * the speeds are uniform.
-     */
-    double estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
-                                 double fallback_dt) const override;
+    /** CFL dt from the constant speeds (shared transport). */
+    double
+    estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
+                          double fallback_dt) const override
+    {
+        return transportTimestepBlock(mesh, block, config_, fallback_dt);
+    }
 
-    /** Total phi mass (kernel "MassHistory") — conserved to round-off
-     *  by the flux-corrected scheme. */
+    /** Total phi mass — conserved to round-off by the flux-corrected
+     *  scheme. */
     double massHistory(Mesh& mesh, RankWorld& world) const override;
 
-    /**
-     * Characteristic-speed-weighted gradient criterion (kernel
-     * "FirstDerivative"): |v|_max * max index-space jump of phi.
-     */
-    RefinementFlag tagBlock(const MeshBlock& block,
-                            const ExecContext& ctx) const override;
+    /** maxSpeed * max index-space gradient of phi (shared transport). */
+    RefinementFlag
+    tagBlock(const MeshBlock& block, const ExecContext& ctx) const override
+    {
+        return transportTagBlock(block, ctx, config_);
+    }
 
   private:
     AdvectionConfig config_;

@@ -89,40 +89,21 @@ class BurgersPackage : public PackageDescriptor
     void initializeBlock(const ExecContext& ctx, MeshBlock& block,
                          InitialCondition ic) const;
 
-    /**
-     * WENO5/PLM reconstruction + HLL fluxes for one block (kernel
-     * "CalculateFluxes", stage-graph task). Reads only the block's own
-     * data — unless the mesh shares reconstruction scratch
-     * (optimizeAuxMemory), in which case the driver serializes these
-     * tasks.
-     */
+    /** WENO5/PLM reconstruction + HLL fluxes. */
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
-    /** Flux divergence for one block (kernel "FluxDivergence"). */
-    void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
-
-    /** d = 0.5 q0 u.u on one block (kernel "CalculateDerived"). */
+    /** d = 0.5 q0 u.u. */
     void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;
 
-    /**
-     * One block's CFL timestep: a min reduction over its cells
-     * (kernel "EstTimeMesh"), capped at `fallback_dt`.
-     */
+    /** CFL dt with the speed |u_d| in direction d. */
     double estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
                                  double fallback_dt) const override;
 
-    /**
-     * History reduction: total q0 mass (kernel "MassHistory") plus an
-     * AllReduce; the per-cycle history output VIBE performs.
-     */
+    /** Total q0 mass (the per-cycle history output VIBE performs). */
     double massHistory(Mesh& mesh, RankWorld& world) const override;
 
-    /**
-     * Gradient-based refinement criterion for one block (kernel
-     * "FirstDerivative"): the maximum index-space velocity jump.
-     * Numeric mode only.
-     */
+    /** Maximum index-space gradient of the velocity u. */
     RefinementFlag tagBlock(const MeshBlock& block,
                             const ExecContext& ctx) const override;
 

@@ -8,17 +8,26 @@
  * variables (names, component counts, metadata flags) and registers
  * callbacks for fluxes, derived fields, timestep estimation, refinement
  * tagging and initial conditions; the driver, mesh, ghost exchange,
- * flux correction, load balancer and pack machinery never mention the
- * PDE. This header is our equivalent. EvolutionDriver, TaskList,
- * GradientTagger and Experiment consume only this interface (plus
- * PackageRegistry for deck selection); concrete physics lives in
- * pkg/burgers_package.*, pkg/advection_package.* and
- * pkg/reaction_package.*.
+ * flux correction and load balancer never mention the PDE. This header
+ * is our equivalent. EvolutionDriver, TaskList, GradientTagger and
+ * Experiment consume only this interface (plus PackageRegistry for
+ * deck selection); concrete physics lives in pkg/burgers_package.*,
+ * pkg/advection_package.* and pkg/reaction_package.*.
+ *
+ * A package implements each operator by handing its per-cell physics
+ * (initial condition, Riemann row, cell speed, derived formula, mass
+ * summand, gradient components) to the matching skeleton in
+ * pkg/fv_ops.hpp. The skeletons own the launches, the profiler records,
+ * the face ranges and the gid-ordered history fold, so packages never
+ * touch them; advection and reaction also share the constant-velocity
+ * transport in pkg/transport.hpp.
  *
  * Every operator works on one block; the driver decides how blocks
  * are scheduled (stage-graph tasks for fluxes, divergence and update;
  * one launch over the owned blocks for derived fields and the
- * timestep). Contract notes, enforced by the equivalence tests:
+ * timestep). Contract notes, enforced by the equivalence tests (the
+ * fv_ops.hpp skeletons satisfy them; a package adding its own kernel,
+ * like reaction's source term, must too):
  * - Block operators may run concurrently for distinct blocks and must
  *   touch only that block's data, so the task-graph executor can
  *   interleave them with ghost exchange.
@@ -33,28 +42,9 @@
 
 #include "comm/rank_world.hpp"
 #include "mesh/mesh.hpp"
+#include "pkg/fv_ops.hpp"
 
 namespace vibe {
-
-/** One block's contribution to a history reduction (wire format). */
-struct BlockPartial
-{
-    int gid = 0;
-    double value = 0;
-};
-
-/**
- * Deterministic cross-rank sum for history reductions: per-block
- * partials are all-gathered (a real rendezvous on a rank team, a
- * pass-through on the classic path, both accounted as the AllReduce
- * the real code issues) and folded in global gid order. Because each
- * block's partial is computed identically wherever the block lives,
- * the fold is bitwise independent of the rank decomposition — the
- * property the rank-equivalence tests pin down. Packages share this
- * helper so no package can diverge.
- */
-double foldBlockPartials(Mesh& mesh, RankWorld& world,
-                         std::vector<BlockPartial> partials);
 
 /**
  * Abstract physics package: variable registrations plus the driver
@@ -92,9 +82,16 @@ class PackageDescriptor
     virtual void calculateFluxesBlock(Mesh& mesh,
                                       MeshBlock& block) const = 0;
 
-    /** dudt = -div(flux) for one block (stage-graph task). */
-    virtual void fluxDivergenceBlock(Mesh& mesh,
-                                     MeshBlock& block) const = 0;
+    /**
+     * dudt = -div(flux) for one block (stage-graph task). A package
+     * with a source term overrides this and adds it after the shared
+     * divergence.
+     */
+    virtual void
+    fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
+    {
+        fvFluxDivergenceBlock(mesh, block);
+    }
 
     /** Recompute one block's Derived fields from its conserved state. */
     virtual void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const = 0;

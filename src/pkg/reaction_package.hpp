@@ -30,26 +30,21 @@
 
 #include "comm/rank_world.hpp"
 #include "pkg/package_descriptor.hpp"
-#include "solver/reconstruct.hpp"
-#include "util/parameter_input.hpp"
+#include "pkg/transport.hpp"
 
 namespace vibe {
 
-/** Physics/numerics parameters for the reaction package. */
-struct ReactionConfig
+/**
+ * Physics/numerics parameters for the reaction package: the shared
+ * transport knobs plus the stiff source. Reconstruction defaults to
+ * PLM (not WENO5): the package exists to make the stiff source a
+ * first-order share of per-block work, so the transport stencil is
+ * kept cheap.
+ */
+struct ReactionConfig : TransportConfig
 {
-    /** Constant advection velocity (characteristic speed per dim). */
-    double vx = 1.0, vy = 0.5, vz = 0.25;
-    double cfl = 0.4; ///< CFL safety factor (advective).
-    /**
-     * PLM by default (not WENO5): the package exists to make the
-     * stiff source a first-order share of per-block work, so the
-     * transport stencil is kept cheap.
-     */
-    ReconMethod recon = ReconMethod::Plm;
-    /** Speed-weighted gradient tags, as in the advection package. */
-    double refineTol = 0.08;
-    double derefineTol = 0.02;
+    ReactionConfig() { recon = ReconMethod::Plm; }
+
     /** Reservoir->product relaxation rate (also caps dt at 0.5/rate). */
     double rate = 1.0;
     /**
@@ -66,9 +61,6 @@ struct ReactionConfig
 
     /** Read the `<reaction>` deck block. */
     static ReactionConfig fromParams(const ParameterInput& pin);
-
-    /** Largest per-dimension speed among the active dimensions. */
-    double maxSpeed(int ndim) const;
 };
 
 /**
@@ -107,9 +99,12 @@ class ReactionPackage : public PackageDescriptor
     void initializeBlock(const ExecContext& ctx,
                          MeshBlock& block) const override;
 
-    /** Reconstruction + exact upwind fluxes (kernel "CalculateFluxes"). */
-    void calculateFluxesBlock(Mesh& mesh,
-                              MeshBlock& block) const override;
+    /** Reconstruction + exact upwind fluxes (shared transport). */
+    void
+    calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const override
+    {
+        transportFluxesBlock(mesh, block, config_);
+    }
 
     /**
      * dudt = -div(flux) plus the stiff source (kernels
@@ -120,14 +115,13 @@ class ReactionPackage : public PackageDescriptor
      */
     void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
 
-    /** chem_rate = a * b on one block (kernel "CalculateDerived"). */
+    /** chem_rate = a * b. */
     void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;
 
     /**
-     * One block's advective CFL timestep, additionally capped at
-     * 0.5/rate so the explicit source relaxation stays stable (kernel
-     * "EstTimeMesh"). The cap is the same on every block and rank, so
-     * applying it per block leaves the step dt unchanged.
+     * Advective CFL dt (shared transport), capped at 0.5/rate so the
+     * explicit source relaxation stays stable. The cap is the same on
+     * every block, so applying it per block leaves the step dt as is.
      */
     double estimateTimestepBlock(Mesh& mesh, MeshBlock& block,
                                  double fallback_dt) const override;
@@ -137,12 +131,15 @@ class ReactionPackage : public PackageDescriptor
     double massHistory(Mesh& mesh, RankWorld& world) const override;
 
     /**
-     * Speed-weighted gradient of the reservoir species a (kernel
-     * "FirstDerivative"): refinement tracks the advected feature, so
-     * refined blocks are also the iteration-heavy ones.
+     * Speed-weighted gradient of the reservoir species a (shared
+     * transport): refinement tracks the advected feature, so refined
+     * blocks are also the iteration-heavy ones.
      */
-    RefinementFlag tagBlock(const MeshBlock& block,
-                            const ExecContext& ctx) const override;
+    RefinementFlag
+    tagBlock(const MeshBlock& block, const ExecContext& ctx) const override
+    {
+        return transportTagBlock(block, ctx, config_);
+    }
 
   private:
     ReactionConfig config_;

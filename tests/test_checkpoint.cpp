@@ -5,6 +5,7 @@
  * taxonomy, decomposition-invariant bytes, injected rank death with
  * supervised recovery, and the abort path's original-message guarantee.
  */
+#include "scoped_env.hpp"
 #include "shard_harness.hpp"
 
 #include <cstdio>
@@ -492,6 +493,42 @@ TEST(FaultRecovery, InjectorKnobsAndOneShotFiring)
     wide.set("exec", "fail_cycle", "4294967296");
     EXPECT_EQ(FaultInjector::fromParams(wide).failCycle(),
               INT64_C(4294967296));
+
+    // Deck beats env beats default, per knob: the env variables only
+    // fill keys the deck leaves out.
+    {
+        ScopedEnv env_rank("VIBE_FAIL_RANK", "2");
+        ScopedEnv env_cycle("VIBE_FAIL_CYCLE", "7");
+        const FaultInjector deck_wins = FaultInjector::fromParams(pin);
+        EXPECT_EQ(deck_wins.failRank(), 1);
+        EXPECT_EQ(deck_wins.failCycle(), 3);
+        ParameterInput rank_only;
+        rank_only.set("exec", "fail_rank", "0");
+        const FaultInjector mixed = FaultInjector::fromParams(rank_only);
+        EXPECT_EQ(mixed.failRank(), 0);
+        EXPECT_EQ(mixed.failCycle(), 7);
+        const FaultInjector env_only =
+            FaultInjector::fromParams(ParameterInput());
+        EXPECT_EQ(env_only.failRank(), 2);
+        EXPECT_EQ(env_only.failCycle(), 7);
+
+        // A malformed env integer fails naming the variable instead of
+        // arming a fault at cycle 0.
+        env_cycle.set("abc");
+        try {
+            FaultInjector::fromEnv();
+            FAIL() << "expected VIBE_FAIL_CYCLE=abc to be fatal";
+        } catch (const FatalError& e) {
+            EXPECT_NE(std::string(e.what()).find("VIBE_FAIL_CYCLE"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
+    {
+        ScopedEnv env_rank("VIBE_FAIL_RANK", nullptr);
+        ScopedEnv env_cycle("VIBE_FAIL_CYCLE", nullptr);
+        EXPECT_FALSE(FaultInjector::fromParams(ParameterInput()).armed());
+    }
 
     FaultInjector disarmed;
     EXPECT_FALSE(disarmed.armed());

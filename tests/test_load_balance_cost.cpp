@@ -6,6 +6,7 @@
  * measured-vs-uniform bitwise state equality, and the stiff reaction
  * package that makes per-block cost imbalance real.
  */
+#include "scoped_env.hpp"
 #include "shard_harness.hpp"
 
 #include <cmath>
@@ -59,16 +60,12 @@ TEST(LbCostMode, NamesAndEnvKnob)
               "measured");
 
     // Preserve the CI matrix's VIBE_LB_COST across this test.
-    const char* saved = std::getenv("VIBE_LB_COST");
-    const std::string saved_value = saved ? saved : "";
-    setenv("VIBE_LB_COST", "measured", 1);
+    ScopedEnv env("VIBE_LB_COST", "measured");
     EXPECT_EQ(envLbCostMode(LbCostMode::Uniform), LbCostMode::Measured);
-    setenv("VIBE_LB_COST", "", 1);
+    env.set("");
     EXPECT_EQ(envLbCostMode(LbCostMode::Uniform), LbCostMode::Uniform);
-    unsetenv("VIBE_LB_COST");
+    env.set(nullptr);
     EXPECT_EQ(envLbCostMode(LbCostMode::Measured), LbCostMode::Measured);
-    if (saved)
-        setenv("VIBE_LB_COST", saved_value.c_str(), 1);
 }
 
 TEST(BlockCostModel, AccumulatesPositiveSamplesPerCycle)
@@ -513,6 +510,100 @@ TEST(Reaction, EquilibriumIterationContrastIsTheWorkload)
     EXPECT_LE(cold_iters, 5);
     EXPECT_GT(hot_iters, 10 * cold_iters);
     EXPECT_LT(hot_iters, config.maxIters);
+}
+
+/** Uniform 16^3 / 8^3 numeric reaction mesh for operator tests. */
+struct ReactionFixture
+{
+    ReactionPackage package;
+    VariableRegistry registry = package.buildRegistry();
+    KernelProfiler profiler;
+    MemoryTracker tracker;
+    ExecContext ctx{ExecMode::Execute, &profiler, &tracker,
+                    makeExecutionSpace(1)};
+    Mesh mesh{uniformConfig(), registry, ctx};
+    RankWorld world{1};
+
+    explicit ReactionFixture(const ReactionConfig& config = {})
+        : package(config)
+    {
+    }
+
+    static MeshConfig
+    uniformConfig()
+    {
+        MeshConfig config;
+        config.nx1 = config.nx2 = config.nx3 = 16;
+        config.blockNx1 = config.blockNx2 = config.blockNx3 = 8;
+        config.amrLevels = 1;
+        return config;
+    }
+
+    /** Every cell of every block (ghosts included) to (a, b). */
+    void
+    fill(double a, double b)
+    {
+        for (const auto& block : mesh.blocks()) {
+            const BlockShape s = block->shape();
+            for (int k = 0; k < s.nk(); ++k)
+                for (int j = 0; j < s.nj(); ++j)
+                    for (int i = 0; i < s.ni(); ++i) {
+                        block->cons()(0, k, j, i) = a;
+                        block->cons()(1, k, j, i) = b;
+                    }
+        }
+    }
+};
+
+TEST(Reaction, TimestepCappedAtHalfOverRate)
+{
+    // Advective CFL dt: 0.4 * (1/16) / max|v| = 0.025 with v = (1,
+    // 0.5, 0.25). A slow reaction leaves it alone; a fast one caps
+    // the step at 0.5 / rate.
+    ReactionConfig slow;
+    slow.rate = 1.0;
+    ReactionFixture f_slow(slow);
+    f_slow.fill(1.0, 0.0);
+    ReactionConfig fast;
+    fast.rate = 50.0;
+    ReactionFixture f_fast(fast);
+    f_fast.fill(1.0, 0.0);
+    for (const auto& block : f_slow.mesh.blocks())
+        EXPECT_NEAR(f_slow.package.estimateTimestepBlock(f_slow.mesh,
+                                                         *block, 1.0),
+                    0.025, 1e-12);
+    for (const auto& block : f_fast.mesh.blocks()) {
+        EXPECT_DOUBLE_EQ(f_fast.package.estimateTimestepBlock(
+                             f_fast.mesh, *block, 1.0),
+                         0.01);
+        // The fixed-dt cap still wins when it is the smallest.
+        EXPECT_NEAR(f_fast.package.estimateTimestepBlock(f_fast.mesh,
+                                                         *block, 1e-3),
+                    1e-3, 1e-15);
+    }
+}
+
+TEST(Reaction, MassHistorySumsBothSpecies)
+{
+    // The source only moves mass from a to b, so the conserved
+    // history is a + b over the unit domain.
+    ReactionFixture f;
+    f.fill(0.75, 0.5);
+    EXPECT_NEAR(f.package.massHistory(f.mesh, f.world), 1.25, 1e-12);
+    f.fill(0.0, 2.0);
+    EXPECT_NEAR(f.package.massHistory(f.mesh, f.world), 2.0, 1e-12);
+}
+
+TEST(Reaction, FillDerivedComputesRateDensity)
+{
+    ReactionFixture f;
+    f.fill(0.5, 3.0);
+    const BlockShape s = f.mesh.config().blockShape();
+    for (const auto& block : f.mesh.blocks()) {
+        f.package.fillDerivedBlock(f.mesh, *block);
+        // chem_rate = a * b
+        EXPECT_DOUBLE_EQ(block->derived()(0, s.ks(), s.js(), s.is()), 1.5);
+    }
 }
 
 TEST(Reaction, DeckSelectsAndValidatesKnobs)

@@ -34,17 +34,48 @@
 
 // Global allocation counter for the hot-path test: the recorder's
 // contract is zero allocation per recorded event in steady state.
+// Every replaceable form is replaced — scalar and array, throwing and
+// nothrow — so each allocation is counted and each pointer is freed
+// by the matching form (the library's own nothrow/array allocations,
+// e.g. std::stable_sort's temporary buffer, would otherwise pair the
+// runtime's allocator with this file's free).
 namespace {
 std::atomic<std::int64_t> g_allocations{0};
+
+void*
+countedAlloc(std::size_t size) noexcept
+{
+    g_allocations.fetch_add(1, std::memory_order_relaxed);
+    return std::malloc(size == 0 ? 1 : size);
 }
+} // namespace
 
 void*
 operator new(std::size_t size)
 {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-    if (void* p = std::malloc(size))
+    if (void* p = countedAlloc(size))
         return p;
     throw std::bad_alloc();
+}
+
+void*
+operator new[](std::size_t size)
+{
+    if (void* p = countedAlloc(size))
+        return p;
+    throw std::bad_alloc();
+}
+
+void*
+operator new(std::size_t size, const std::nothrow_t&) noexcept
+{
+    return countedAlloc(size);
+}
+
+void*
+operator new[](std::size_t size, const std::nothrow_t&) noexcept
+{
+    return countedAlloc(size);
 }
 
 void
@@ -54,7 +85,31 @@ operator delete(void* p) noexcept
 }
 
 void
+operator delete[](void* p) noexcept
+{
+    std::free(p);
+}
+
+void
 operator delete(void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, std::size_t) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete(void* p, const std::nothrow_t&) noexcept
+{
+    std::free(p);
+}
+
+void
+operator delete[](void* p, const std::nothrow_t&) noexcept
 {
     std::free(p);
 }

@@ -1,7 +1,8 @@
 /**
  * @file test_pkg.cpp
  * The physics-package subsystem: PackageRegistry selection and errors,
- * per-package variable ownership, and the advection package's
+ * per-package variable ownership, the advection package's physics
+ * callables (derived energy, speed-weighted tag threshold), and its
  * correctness guarantees — analytic-solution accuracy on a uniform
  * mesh, mass conservation to round-off across mid-run
  * refine/derefine, and the same bitwise serial-vs-threaded
@@ -175,6 +176,56 @@ struct AdvSim
         world = std::make_unique<RankWorld>(2);
     }
 };
+
+// --- Advection physics callables -------------------------------------
+
+/** Set every cell of `block` (ghosts included) to f(k, j, i). */
+template <typename F>
+void
+fillPhi(MeshBlock& block, F&& f)
+{
+    const BlockShape s = block.shape();
+    for (int k = 0; k < s.nk(); ++k)
+        for (int j = 0; j < s.nj(); ++j)
+            for (int i = 0; i < s.ni(); ++i)
+                block.cons()(0, k, j, i) = f(k, j, i);
+}
+
+TEST(Advection, FillDerivedComputesEnergy)
+{
+    AdvSim sim(16, 8, 1, AdvectionConfig{}, 1);
+    for (const auto& block : sim.mesh->blocks()) {
+        fillPhi(*block, [](int, int, int) { return 3.0; });
+        sim.package.fillDerivedBlock(*sim.mesh, *block);
+    }
+    const BlockShape s = sim.mesh->config().blockShape();
+    // e = 0.5 * phi^2 = 4.5
+    for (const auto& block : sim.mesh->blocks())
+        EXPECT_DOUBLE_EQ(block->derived()(0, s.ks(), s.js(), s.is()), 4.5);
+}
+
+TEST(Advection, TagThresholdIsSpeedWeighted)
+{
+    // A ramp phi = 0.05 * i has index-space gradient 0.05 everywhere:
+    // between derefine_tol (0.02) and refine_tol (0.08) at unit speed.
+    // The indicator is maxSpeed * gradient, so the same block refines
+    // when the flow is twice as fast and derefines when it is slow.
+    const auto flag = [](double vx, double vy, double vz) {
+        AdvectionConfig config;
+        config.vx = vx;
+        config.vy = vy;
+        config.vz = vz;
+        AdvSim sim(16, 8, 1, config, 1);
+        MeshBlock& block = sim.mesh->block(0);
+        fillPhi(block, [](int, int, int i) { return 0.05 * i; });
+        return sim.package.tagBlock(block, *sim.ctx);
+    };
+    EXPECT_EQ(flag(1.0, 0.5, 0.25), RefinementFlag::None);
+    EXPECT_EQ(flag(2.0, 0.5, 0.25), RefinementFlag::Refine);
+    // The fastest active direction sets the weight, whatever its sign.
+    EXPECT_EQ(flag(0.1, -2.0, 0.25), RefinementFlag::Refine);
+    EXPECT_EQ(flag(0.2, 0.1, 0.1), RefinementFlag::Derefine);
+}
 
 /**
  * Mean absolute error of the final state against the exact translated

@@ -1,7 +1,7 @@
 /**
  * @file test_util.cpp
  * Unit tests for the util module: logging, arrays, RNG, statistics,
- * tables and the input-deck parser.
+ * tables, the input-deck parser and the strict env-knob reader.
  */
 #include <gtest/gtest.h>
 
@@ -9,7 +9,10 @@
 #include <sstream>
 #include <string>
 
+#include "exec/execution_space.hpp"
+#include "scoped_env.hpp"
 #include "util/array4.hpp"
+#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/parameter_input.hpp"
 #include "util/random.hpp"
@@ -439,6 +442,88 @@ TEST(ParameterInput, RemovedFusedBoundariesKnobIsRejected)
     EXPECT_NE(what.find("unknown parameter 'fused_boundaries'"),
               std::string::npos)
         << what;
+}
+
+// --- env knobs ---
+
+/** The FatalError message of `fn`, or "" when it does not throw. */
+template <typename F>
+std::string
+fatalMessage(F&& fn)
+{
+    try {
+        fn();
+    } catch (const FatalError& e) {
+        return e.what();
+    }
+    return "";
+}
+
+TEST(Env, UnsetAndEmptyFallBack)
+{
+    ScopedEnv env("VIBE_TEST_KNOB", nullptr);
+    EXPECT_EQ(envString("VIBE_TEST_KNOB"), "");
+    EXPECT_EQ(envInt64("VIBE_TEST_KNOB", -1), -1);
+    EXPECT_EQ(envInt("VIBE_TEST_KNOB", 3, 1), 3);
+    env.set("");
+    EXPECT_EQ(envInt64("VIBE_TEST_KNOB", 9), 9);
+    EXPECT_EQ(envInt("VIBE_TEST_KNOB", 2, 1), 2);
+}
+
+TEST(Env, ParsesWholeIntegersAtFullWidth)
+{
+    ScopedEnv env("VIBE_TEST_KNOB", "4");
+    EXPECT_EQ(envString("VIBE_TEST_KNOB"), "4");
+    EXPECT_EQ(envInt("VIBE_TEST_KNOB", 1, 1), 4);
+    env.set("-1");
+    EXPECT_EQ(envInt("VIBE_TEST_KNOB", 0), -1);
+    env.set("4294967296");
+    EXPECT_EQ(envInt64("VIBE_TEST_KNOB", -1), INT64_C(4294967296));
+}
+
+TEST(Env, MalformedIntegersAreFatalNamingTheVariable)
+{
+    ScopedEnv env("VIBE_TEST_KNOB", nullptr);
+    for (const char* bad : {"4x", "abc", "1.5", "99999999999999999999"}) {
+        env.set(bad);
+        const std::string what =
+            fatalMessage([] { envInt64("VIBE_TEST_KNOB", 1); });
+        EXPECT_NE(what.find("VIBE_TEST_KNOB"), std::string::npos)
+            << bad << ": " << what;
+        EXPECT_NE(what.find(bad), std::string::npos) << what;
+    }
+}
+
+TEST(Env, IntRejectsTruncationAndValuesBelowMinimum)
+{
+    // VIBE_FAIL_RANK used to be truncated to int: 2^32 read as 0.
+    ScopedEnv env("VIBE_TEST_KNOB", "4294967296");
+    EXPECT_NE(fatalMessage([] { envInt("VIBE_TEST_KNOB", -1); })
+                  .find("VIBE_TEST_KNOB"),
+              std::string::npos);
+    env.set("0");
+    EXPECT_NE(fatalMessage([] { envInt("VIBE_TEST_KNOB", 1, 1); })
+                  .find("out of range"),
+              std::string::npos);
+}
+
+TEST(Env, ThreadAndRankKnobsAreStrict)
+{
+    // VIBE_NUM_THREADS=4x used to run 4 threads and =abc / =0 silently
+    // fell back to 1.
+    ScopedEnv threads("VIBE_NUM_THREADS", "4x");
+    EXPECT_NE(fatalMessage([] { envNumThreads(); }).find("VIBE_NUM_THREADS"),
+              std::string::npos);
+    threads.set("0");
+    EXPECT_NE(fatalMessage([] { envNumThreads(); }).find("VIBE_NUM_THREADS"),
+              std::string::npos);
+    threads.set("3");
+    EXPECT_EQ(envNumThreads(), 3);
+    ScopedEnv ranks("VIBE_NUM_RANKS", "abc");
+    EXPECT_NE(fatalMessage([] { envNumRanks(2); }).find("VIBE_NUM_RANKS"),
+              std::string::npos);
+    ranks.set(nullptr);
+    EXPECT_EQ(envNumRanks(2), 2);
 }
 
 } // namespace
