@@ -7,13 +7,21 @@
  * application. For the advection package the run is cross-checked
  * against the exact translated profile.
  *
+ * One driver runs here, so a deck (or VIBE_* twin) that sets a knob
+ * only the Experiment harness honours — `<exec> num_ranks` > 1,
+ * `<driver> checkpoint_every`, `<exec> fail_rank|fail_cycle`,
+ * `<obs> trace|metrics` — is refused, naming the key, rather than run
+ * as if the knob were unset.
+ *
  * Build & run:  ./build/examples/advect [deck]
  *               (default deck: examples/advection.in, with a built-in
  *               fallback when run from another directory)
  */
 #include <cmath>
+#include <cstdint>
 #include <fstream>
 #include <iostream>
+#include <string>
 
 #include "comm/rank_world.hpp"
 #include "driver/evolution_driver.hpp"
@@ -48,6 +56,32 @@ refine_tol = 0.1
 derefine_tol = 0.03
 )";
 
+/**
+ * The first knob resolved to a non-off value that only Experiment
+ * honours, as "block/key = value"; "" when there is none.
+ */
+std::string
+experimentOnlyKnob(const vibe::ParameterInput& pin,
+                   const vibe::MeshConfig& mesh,
+                   const vibe::DriverConfig& driver)
+{
+    if (mesh.numRanks > 1)
+        return "exec/num_ranks = " + std::to_string(mesh.numRanks);
+    if (driver.checkpointEvery > 0)
+        return "driver/checkpoint_every = " +
+               std::to_string(driver.checkpointEvery);
+    if (const int rank = pin.getInt("exec", "fail_rank", -1); rank >= 0)
+        return "exec/fail_rank = " + std::to_string(rank);
+    if (const std::int64_t cycle = pin.getInt64("exec", "fail_cycle", -1);
+        cycle >= 0)
+        return "exec/fail_cycle = " + std::to_string(cycle);
+    for (const char* key : {"trace", "metrics"})
+        if (const std::string path = pin.getString("obs", key, "");
+            !path.empty())
+            return std::string("obs/") + key + " = " + path;
+    return "";
+}
+
 } // namespace
 
 int
@@ -72,6 +106,15 @@ main(int argc, char** argv)
     VariableRegistry registry = package->buildRegistry();
     MeshConfig mesh_config = MeshConfig::fromParams(pin);
     DriverConfig driver_config = DriverConfig::fromParams(pin);
+    if (const std::string knob =
+            experimentOnlyKnob(pin, mesh_config, driver_config);
+        !knob.empty()) {
+        std::cerr << "advect: " << knob
+                  << " is set, but only the Experiment harness honours "
+                     "it; this single-driver runner refuses the deck "
+                     "rather than ignore the knob\n";
+        return 1;
+    }
 
     KernelProfiler profiler;
     MemoryTracker tracker;

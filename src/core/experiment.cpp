@@ -18,16 +18,23 @@
 #include "obs/trace.hpp"
 #include "pkg/package_registry.hpp"
 #include "util/logging.hpp"
+#include "util/parameter_input.hpp"
 
 namespace vibe {
 
 Experiment::Experiment(const ExperimentSpec& spec) : spec_(spec)
 {
-    const ObsConfig env = ObsConfig::fromEnv();
+    const ParameterInput no_deck;
     if (spec_.tracePath.empty())
-        spec_.tracePath = env.tracePath;
+        spec_.tracePath = no_deck.getString("obs", "trace", "");
     if (spec_.metricsPath.empty())
-        spec_.metricsPath = env.metricsPath;
+        spec_.metricsPath = no_deck.getString("obs", "metrics", "");
+    if (spec_.lbCost.empty())
+        spec_.lbCost = no_deck.getString("amr", "lb_cost", "uniform");
+    if (spec_.failRank < 0)
+        spec_.failRank = no_deck.getInt("exec", "fail_rank", -1);
+    if (spec_.failCycle < 0)
+        spec_.failCycle = no_deck.getInt64("exec", "fail_cycle", -1);
 }
 
 double
@@ -119,8 +126,6 @@ Experiment::run() const
     // One injector spans every attempt: it fires once, so the retried
     // run sails past the (rank, cycle) that killed the first attempt.
     FaultInjector injector(spec.failRank, spec.failCycle);
-    if (!injector.armed())
-        injector = FaultInjector::fromEnv();
 
     int restarts = 0;
     double recovery_seconds = 0;
@@ -267,9 +272,7 @@ Experiment::runAttempt(FaultInjector* injector,
     driver_config.checkpointEvery = spec.checkpointEvery;
     driver_config.checkpointPath = spec.checkpointPath;
     driver_config.checkpointAsync = spec.checkpointAsync;
-    driver_config.lbCost = spec.lbCost.empty()
-                               ? envLbCostMode(LbCostMode::Uniform)
-                               : lbCostModeFromName(spec.lbCost);
+    driver_config.lbCost = lbCostModeFromName(spec.lbCost);
     driver_config.lbImbalanceTrigger = spec.lbImbalanceTrigger;
 
     if (spec.numRanks > 1) {

@@ -74,7 +74,7 @@ struct ExperimentSpec
     bool fusedBoundaries = true;
     /**
      * Per-block cost source for load balancing (the `amr/lb_cost`
-     * knob): "" defers to VIBE_LB_COST (default "uniform"); "measured"
+     * knob): "" defers to VIBE_LB_COST, then "uniform"; "measured"
      * feeds EMA-smoothed per-block wall clocks into the partitioner.
      */
     std::string lbCost;
@@ -108,13 +108,13 @@ struct ExperimentSpec
     double restartBackoffSeconds = 0.0;
     /**
      * Deterministic fault injection: rank `failRank` throws at cycle
-     * `failCycle` (-1 = disarmed). When disarmed here, the
-     * `VIBE_FAIL_RANK` / `VIBE_FAIL_CYCLE` environment knobs apply.
+     * `failCycle` (-1 = disarmed). Each field left negative falls
+     * back to its own env twin, `VIBE_FAIL_RANK` / `VIBE_FAIL_CYCLE`.
      */
     int failRank = -1;
     std::int64_t failCycle = -1;
 
-    // Observability (the `<obs>` deck block; see obs/obs_config.hpp).
+    // Observability (the `<obs>` deck block).
     /**
      * Chrome trace-event JSON destination ("" = tracing off). Empty
      * falls back to the VIBE_TRACE environment knob at construction.
@@ -249,9 +249,11 @@ class Experiment
 {
   public:
     /**
-     * Captures the spec; empty trace/metrics paths pick up the
-     * VIBE_TRACE / VIBE_METRICS environment knobs here, so every
-     * harness entry point honors them uniformly.
+     * Captures the spec. Each of tracePath, metricsPath, lbCost,
+     * failRank and failCycle left unset resolves here through
+     * ParameterInput on an empty deck (its VIBE_* twin, else the
+     * default), one key at a time, so every harness entry point
+     * honors the env knobs uniformly.
      */
     explicit Experiment(const ExperimentSpec& spec);
 

@@ -2,7 +2,6 @@
 
 #include "comm/rank_world.hpp"
 #include "mesh/mesh.hpp"
-#include "util/env.hpp"
 #include "util/logging.hpp"
 
 namespace vibe {
@@ -22,13 +21,6 @@ const char*
 lbCostModeName(LbCostMode mode)
 {
     return mode == LbCostMode::Measured ? "measured" : "uniform";
-}
-
-LbCostMode
-envLbCostMode(LbCostMode fallback)
-{
-    const std::string value = envString("VIBE_LB_COST");
-    return value.empty() ? fallback : lbCostModeFromName(value);
 }
 
 void

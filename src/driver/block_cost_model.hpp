@@ -40,9 +40,6 @@ LbCostMode lbCostModeFromName(const std::string& name);
 /** Knob-value name of a mode ("uniform" / "measured"). */
 const char* lbCostModeName(LbCostMode mode);
 
-/** VIBE_LB_COST environment knob, or `fallback` when unset/empty. */
-LbCostMode envLbCostMode(LbCostMode fallback);
-
 /**
  * Accumulates one cycle's per-block measured seconds and applies them
  * to block costs. One instance per driver (per rank); apply is a

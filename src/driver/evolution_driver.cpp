@@ -48,27 +48,26 @@ DriverConfig
 DriverConfig::fromParams(const ParameterInput& pin)
 {
     DriverConfig config;
-    config.ncycles = pin.getInt("driver", "ncycles", 10);
-    config.tlim = pin.getReal("driver", "tlim", 1e30);
-    config.fixedDt = pin.getReal("driver", "fixed_dt", 2e-3);
-    config.derefineGap = pin.getInt("amr", "derefine_gap", 10);
-    config.refineEvery = pin.getInt("amr", "refine_every", 1);
-    config.lbEvery = pin.getInt("amr", "lb_every", 1);
-    // Deck knob wins; otherwise the VIBE_LB_COST environment fallback;
-    // otherwise the historical uniform weighting.
-    config.lbCost = lbCostModeFromName(pin.getString(
-        "amr", "lb_cost",
-        lbCostModeName(envLbCostMode(LbCostMode::Uniform))));
-    config.lbImbalanceTrigger =
-        pin.getReal("amr", "lb_imbalance_trigger", 0.0);
-    config.randomizeBufferKeys =
-        pin.getBool("comm", "randomize_buffer_keys", true);
+    config.ncycles = pin.getInt64("driver", "ncycles", config.ncycles);
+    config.tlim = pin.getReal("driver", "tlim", config.tlim);
+    config.fixedDt = pin.getReal("driver", "fixed_dt", config.fixedDt);
+    config.derefineGap =
+        pin.getInt("amr", "derefine_gap", config.derefineGap);
+    config.refineEvery =
+        pin.getInt("amr", "refine_every", config.refineEvery);
+    config.lbEvery = pin.getInt("amr", "lb_every", config.lbEvery);
+    config.lbCost = lbCostModeFromName(
+        pin.getString("amr", "lb_cost", lbCostModeName(config.lbCost)));
+    config.lbImbalanceTrigger = pin.getReal(
+        "amr", "lb_imbalance_trigger", config.lbImbalanceTrigger);
+    config.randomizeBufferKeys = pin.getBool(
+        "comm", "randomize_buffer_keys", config.randomizeBufferKeys);
     config.checkpointEvery =
-        pin.getInt("driver", "checkpoint_every", 0);
+        pin.getInt64("driver", "checkpoint_every", config.checkpointEvery);
     config.checkpointPath =
-        pin.getString("driver", "checkpoint_path", "");
+        pin.getString("driver", "checkpoint_path", config.checkpointPath);
     config.checkpointAsync =
-        pin.getBool("driver", "checkpoint_async", true);
+        pin.getBool("driver", "checkpoint_async", config.checkpointAsync);
     return config;
 }
 

@@ -7,10 +7,9 @@
  * cycle, while its peers are already advancing toward the cycle's
  * first collective (the dt allreduce) — the worst-case shape for the
  * abort path, since every survivor is blocked in a rendezvous when the
- * failure lands. Configured from the `<exec>` block (`fail_rank`,
- * `fail_cycle`) or the `VIBE_FAIL_RANK` / `VIBE_FAIL_CYCLE`
- * environment variables (deck beats env beats default, the rule of
- * every env-backed knob; see util/env.hpp).
+ * failure lands. Experiment arms it from its spec, whose unset fields
+ * resolve `<exec> fail_rank` / `fail_cycle` (twins VIBE_FAIL_RANK /
+ * VIBE_FAIL_CYCLE) through ParameterInput, one key at a time.
  *
  * The injector fires once per instance: after a supervised restart the
  * same Experiment-owned injector stays quiet, so a recovery test can
@@ -23,8 +22,6 @@
 
 namespace vibe {
 
-class ParameterInput;
-
 /** Throws on a chosen rank at a chosen cycle, exactly once. */
 class FaultInjector
 {
@@ -34,33 +31,6 @@ class FaultInjector
         : fail_rank_(fail_rank), fail_cycle_(fail_cycle)
     {
     }
-
-    // Copies happen only at configuration time (fromEnv/fromParams,
-    // before any rank thread exists); spelled out because the atomic
-    // latch deletes the defaults.
-    FaultInjector(const FaultInjector& other)
-        : fail_rank_(other.fail_rank_), fail_cycle_(other.fail_cycle_),
-          fired_(other.fired_.load(std::memory_order_relaxed))
-    {
-    }
-    FaultInjector&
-    operator=(const FaultInjector& other)
-    {
-        fail_rank_ = other.fail_rank_;
-        fail_cycle_ = other.fail_cycle_;
-        fired_.store(other.fired_.load(std::memory_order_relaxed),
-                     std::memory_order_relaxed);
-        return *this;
-    }
-
-    /** From `VIBE_FAIL_RANK` / `VIBE_FAIL_CYCLE` (unset = disarmed). */
-    static FaultInjector fromEnv();
-
-    /**
-     * From `<exec> fail_rank` / `fail_cycle`; a key absent from the
-     * deck falls back to its env variable, then to disarmed.
-     */
-    static FaultInjector fromParams(const ParameterInput& pin);
 
     /** True when a (rank, cycle) failure point is configured. */
     bool armed() const { return fail_rank_ >= 0 && fail_cycle_ >= 0; }

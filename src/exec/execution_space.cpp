@@ -5,7 +5,6 @@
 #include <utility>
 #include <vector>
 
-#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/thread_safety.hpp"
 
@@ -198,18 +197,6 @@ sharedSerialSpace()
     static const std::shared_ptr<ExecutionSpace> serial =
         std::make_shared<SerialSpace>();
     return serial;
-}
-
-int
-envNumThreads(int fallback)
-{
-    return envInt("VIBE_NUM_THREADS", fallback, 1);
-}
-
-int
-envNumRanks(int fallback)
-{
-    return envInt("VIBE_NUM_RANKS", fallback, 1);
 }
 
 } // namespace vibe

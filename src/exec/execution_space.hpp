@@ -110,20 +110,4 @@ std::shared_ptr<ExecutionSpace> makeExecutionSpace(int num_threads);
 /** The process-wide stateless SerialSpace instance. */
 const std::shared_ptr<ExecutionSpace>& sharedSerialSpace();
 
-/**
- * Thread count requested via the VIBE_NUM_THREADS environment variable,
- * or `fallback` when unset; fatal unless a whole integer >= 1. Lets
- * the test fixtures and the CI matrix exercise the threaded executor
- * paths without per-test knobs.
- */
-int envNumThreads(int fallback = 1);
-
-/**
- * Rank count requested via the VIBE_NUM_RANKS environment variable, or
- * `fallback` when unset; fatal unless a whole integer >= 1. The CI
- * matrix uses it to route the rank-equivalence fixtures through a
- * specific team size.
- */
-int envNumRanks(int fallback = 1);
-
 } // namespace vibe

@@ -12,23 +12,23 @@ MeshConfig
 MeshConfig::fromParams(const ParameterInput& pin)
 {
     MeshConfig config;
-    config.ndim = pin.getInt("mesh", "ndim", 3);
-    config.nx1 = pin.getInt("mesh", "nx1", 64);
+    config.ndim = pin.getInt("mesh", "ndim", config.ndim);
+    config.nx1 = pin.getInt("mesh", "nx1", config.nx1);
     config.nx2 = pin.getInt("mesh", "nx2", config.nx1);
     config.nx3 = pin.getInt("mesh", "nx3", config.nx1);
-    config.blockNx1 = pin.getInt("meshblock", "nx1", 16);
+    config.blockNx1 = pin.getInt("meshblock", "nx1", config.blockNx1);
     config.blockNx2 = pin.getInt("meshblock", "nx2", config.blockNx1);
     config.blockNx3 = pin.getInt("meshblock", "nx3", config.blockNx1);
-    config.numGhost = pin.getInt("mesh", "num_ghost", 4);
-    config.amrLevels = pin.getInt("amr", "num_levels", 3);
-    config.periodic = pin.getBool("mesh", "periodic", true);
-    config.x1min = pin.getReal("mesh", "x1min", 0.0);
-    config.x1max = pin.getReal("mesh", "x1max", 1.0);
-    config.optimizeAuxMemory =
-        pin.getBool("mesh", "optimize_aux_memory", false);
-    config.numThreads = pin.getInt("exec", "num_threads", 1);
-    config.useMemoryPool = pin.getBool("mesh", "use_memory_pool", true);
-    config.numRanks = pin.getInt("exec", "num_ranks", 1);
+    config.numGhost = pin.getInt("mesh", "num_ghost", config.numGhost);
+    config.amrLevels = pin.getInt("amr", "num_levels", config.amrLevels);
+    config.periodic = pin.getBool("mesh", "periodic", config.periodic);
+    config.x1min = pin.getReal("mesh", "x1min", config.x1min);
+    config.x1max = pin.getReal("mesh", "x1max", config.x1max);
+    config.optimizeAuxMemory = pin.getBool("mesh", "optimize_aux_memory",
+                                           config.optimizeAuxMemory);
+    config.numThreads =
+        pin.getInt("exec", "num_threads", config.numThreads);
+    config.numRanks = pin.getInt("exec", "num_ranks", config.numRanks);
     config.validate();
     return config;
 }

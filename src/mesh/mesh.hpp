@@ -58,10 +58,11 @@ struct MeshConfig
     int numThreads = 1;
     /**
      * Recycle block array storage through a size-bucketed free list
-     * (`<mesh> use_memory_pool`, default on): refine/derefine draws
-     * from and returns to the pool instead of hitting the allocator,
-     * and fully-overwritten buffers skip zero-init. Numerically
-     * invisible — state-carrying arrays are still cleared on adopt.
+     * (default on): refine/derefine draws from and returns to the pool
+     * instead of hitting the allocator, and fully-overwritten buffers
+     * skip zero-init. Numerically invisible — state-carrying arrays
+     * are still cleared on adopt. Not a deck knob: the unpooled side
+     * is the reference the pool's equivalence tests compare against.
      */
     bool useMemoryPool = true;
     /**

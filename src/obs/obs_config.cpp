@@ -1,32 +1,10 @@
 /**
  * @file obs_config.cpp
- * ObsConfig readers (deck + environment) and build identity.
+ * Build identity (the one file CMake compiles with VIBE_GIT_DESCRIBE).
  */
 #include "obs/obs_config.hpp"
 
-#include "util/env.hpp"
-#include "util/parameter_input.hpp"
-
 namespace vibe {
-
-ObsConfig
-ObsConfig::fromParams(const ParameterInput& pin)
-{
-    ObsConfig config = fromEnv();
-    config.tracePath = pin.getString("obs", "trace", config.tracePath);
-    config.metricsPath =
-        pin.getString("obs", "metrics", config.metricsPath);
-    return config;
-}
-
-ObsConfig
-ObsConfig::fromEnv()
-{
-    ObsConfig config;
-    config.tracePath = envString("VIBE_TRACE");
-    config.metricsPath = envString("VIBE_METRICS");
-    return config;
-}
 
 const char*
 buildDescribe()

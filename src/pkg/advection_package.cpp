@@ -39,8 +39,9 @@ AdvectionConfig::fromParams(const ParameterInput& pin)
 {
     AdvectionConfig config;
     config.readParams(pin, "advection");
-    config.ic = advectionProfileFromName(
-        pin.getString("advection", "ic", "gaussian_blob"));
+    if (pin.has("advection", "ic"))
+        config.ic = advectionProfileFromName(
+            pin.getString("advection", "ic", ""));
     return config;
 }
 

@@ -12,14 +12,19 @@ BurgersConfig
 BurgersConfig::fromParams(const ParameterInput& pin)
 {
     BurgersConfig config;
-    config.numScalars = pin.getInt("burgers", "num_scalars", 8);
-    config.cfl = pin.getReal("burgers", "cfl", 0.4);
-    config.recon =
-        reconMethodFromName(pin.getString("burgers", "recon", "weno5"));
-    config.refineTol = pin.getReal("burgers", "refine_tol", 0.08);
-    config.derefineTol = pin.getReal("burgers", "derefine_tol", 0.02);
-    config.ic =
-        initialConditionFromName(pin.getString("burgers", "ic", "ripple"));
+    config.numScalars =
+        pin.getInt("burgers", "num_scalars", config.numScalars);
+    config.cfl = pin.getReal("burgers", "cfl", config.cfl);
+    if (pin.has("burgers", "recon"))
+        config.recon =
+            reconMethodFromName(pin.getString("burgers", "recon", ""));
+    config.refineTol =
+        pin.getReal("burgers", "refine_tol", config.refineTol);
+    config.derefineTol =
+        pin.getReal("burgers", "derefine_tol", config.derefineTol);
+    if (pin.has("burgers", "ic"))
+        config.ic =
+            initialConditionFromName(pin.getString("burgers", "ic", ""));
     return config;
 }
 

@@ -102,10 +102,11 @@ ReactionConfig::fromParams(const ParameterInput& pin)
 {
     ReactionConfig config;
     config.readParams(pin, "reaction");
-    config.rate = pin.getReal("reaction", "rate", 1.0);
-    config.stiffness = pin.getReal("reaction", "stiffness", 3.0);
-    config.stiffTol = pin.getReal("reaction", "stiff_tol", 1e-12);
-    config.maxIters = pin.getInt("reaction", "max_iters", 200);
+    config.rate = pin.getReal("reaction", "rate", config.rate);
+    config.stiffness =
+        pin.getReal("reaction", "stiffness", config.stiffness);
+    config.stiffTol = pin.getReal("reaction", "stiff_tol", config.stiffTol);
+    config.maxIters = pin.getInt("reaction", "max_iters", config.maxIters);
     return config;
 }
 

@@ -2,9 +2,12 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdlib>
 #include <fstream>
-#include <set>
+#include <optional>
 #include <sstream>
+#include <vector>
 
 #include "util/logging.hpp"
 
@@ -21,45 +24,114 @@ trim(const std::string& s)
     return b < e ? std::string(b, e) : std::string();
 }
 
+/** One knob a recognized block accepts, and its `VIBE_*` twin. */
+struct Knob
+{
+    const char* key;
+    const char* env = nullptr;
+};
+
 /**
  * Knobs each recognized deck block accepts. A typo inside one of
  * these blocks (`<exec> pack_interor = true`) is fatal at parse time
  * instead of silently selecting the default; unrecognized block names
  * pass through untouched so applications can carry their own
- * sections. Keep in sync with the fromParams readers (MeshConfig,
+ * sections. A knob with an env twin reads that variable when the deck
+ * leaves it out. Keep in sync with the fromParams readers (MeshConfig,
  * DriverConfig, package configs) and documented in the README.
  */
-const std::map<std::string, std::set<std::string>>&
+const std::map<std::string, std::vector<Knob>>&
 knownKnobs()
 {
-    static const std::map<std::string, std::set<std::string>> table = {
+    static const std::map<std::string, std::vector<Knob>> table = {
         {"mesh",
-         {"ndim", "nx1", "nx2", "nx3", "num_ghost", "periodic", "x1min",
-          "x1max", "optimize_aux_memory", "use_memory_pool"}},
-        {"meshblock", {"nx1", "nx2", "nx3"}},
+         {{"ndim"}, {"nx1"}, {"nx2"}, {"nx3"}, {"num_ghost"},
+          {"periodic"}, {"x1min"}, {"x1max"}, {"optimize_aux_memory"}}},
+        {"meshblock", {{"nx1"}, {"nx2"}, {"nx3"}}},
         {"amr",
-         {"num_levels", "derefine_gap", "refine_every", "lb_every",
-          "lb_cost", "lb_imbalance_trigger"}},
+         {{"num_levels"}, {"derefine_gap"}, {"refine_every"},
+          {"lb_every"}, {"lb_cost", "VIBE_LB_COST"},
+          {"lb_imbalance_trigger"}}},
         {"exec",
-         {"num_threads", "num_ranks", "fail_rank", "fail_cycle"}},
+         {{"num_threads", "VIBE_NUM_THREADS"},
+          {"num_ranks", "VIBE_NUM_RANKS"},
+          {"fail_rank", "VIBE_FAIL_RANK"},
+          {"fail_cycle", "VIBE_FAIL_CYCLE"}}},
         {"driver",
-         {"ncycles", "tlim", "fixed_dt", "checkpoint_every",
-          "checkpoint_path", "checkpoint_async"}},
-        {"comm", {"randomize_buffer_keys"}},
-        {"job", {"package"}},
-        {"obs", {"trace", "metrics"}},
+         {{"ncycles"}, {"tlim"}, {"fixed_dt"}, {"checkpoint_every"},
+          {"checkpoint_path"}, {"checkpoint_async"}}},
+        {"comm", {{"randomize_buffer_keys"}}},
+        {"job", {{"package"}}},
+        {"obs", {{"trace", "VIBE_TRACE"}, {"metrics", "VIBE_METRICS"}}},
         {"burgers",
-         {"num_scalars", "cfl", "recon", "refine_tol", "derefine_tol",
-          "ic"}},
+         {{"num_scalars"}, {"cfl"}, {"recon"}, {"refine_tol"},
+          {"derefine_tol"}, {"ic"}}},
         {"advection",
-         {"vx", "vy", "vz", "cfl", "recon", "refine_tol",
-          "derefine_tol", "ic"}},
+         {{"vx"}, {"vy"}, {"vz"}, {"cfl"}, {"recon"}, {"refine_tol"},
+          {"derefine_tol"}, {"ic"}}},
         {"reaction",
-         {"vx", "vy", "vz", "cfl", "recon", "refine_tol",
-          "derefine_tol", "rate", "stiffness", "stiff_tol",
-          "max_iters"}},
+         {{"vx"}, {"vy"}, {"vz"}, {"cfl"}, {"recon"}, {"refine_tol"},
+          {"derefine_tol"}, {"rate"}, {"stiffness"}, {"stiff_tol"},
+          {"max_iters"}}},
     };
     return table;
+}
+
+/** The table entry for `block/key`; null when absent from the table. */
+const Knob*
+findKnob(const std::string& block, const std::string& key)
+{
+    auto known = knownKnobs().find(block);
+    if (known == knownKnobs().end())
+        return nullptr;
+    for (const Knob& knob : known->second)
+        if (key == knob.key)
+            return &knob;
+    return nullptr;
+}
+
+/** A resolved knob's text and where it came from (for errors). */
+struct Resolved
+{
+    std::string text;
+    std::string source;
+};
+
+/** `block/key` from the deck, else from its env twin; none if neither. */
+std::optional<Resolved>
+resolve(const std::map<std::string, std::string>& deck,
+        const std::string& block, const std::string& key)
+{
+    const std::string name = block + "/" + key;
+    if (auto it = deck.find(name); it != deck.end())
+        return Resolved{it->second, "parameter " + name};
+    const Knob* knob = findKnob(block, key);
+    if (!knob || !knob->env)
+        return std::nullopt;
+    // The one environment read in src/. Configuration resolves during
+    // start-up, before any worker or rank thread exists, and nothing
+    // in src/ calls setenv.
+    const char* value = std::getenv(knob->env);
+    if (!value || !*value)
+        return std::nullopt;
+    return Resolved{value, std::string("environment variable ") + knob->env};
+}
+
+/** The whole text of `v` as a T; `default_value` when nothing resolved. */
+template <typename T>
+T
+parseNumber(const std::optional<Resolved>& v, T default_value,
+            const char* kind)
+{
+    if (!v)
+        return default_value;
+    const char* end = v->text.data() + v->text.size();
+    T result{};
+    const auto [ptr, ec] = std::from_chars(v->text.data(), end, result);
+    if (ec == std::errc() && ptr == end)
+        return result;
+    fatal(v->source, " = '", v->text, "' is ",
+          ec == std::errc::result_out_of_range ? "out of range" : kind);
 }
 
 } // namespace
@@ -97,10 +169,10 @@ ParameterInput::fromString(const std::string& text)
         if (key.empty())
             fatal("input deck line ", lineno, ": empty key");
         if (auto known = knownKnobs().find(block);
-            known != knownKnobs().end() && !known->second.count(key)) {
+            known != knownKnobs().end() && !findKnob(block, key)) {
             std::ostringstream valid;
-            for (const auto& knob : known->second)
-                valid << (valid.tellp() > 0 ? ", " : "") << knob;
+            for (const Knob& knob : known->second)
+                valid << (valid.tellp() > 0 ? ", " : "") << knob.key;
             fatal("input deck line ", lineno, ": unknown parameter '",
                   key, "' in block <", block, "> (known knobs: ",
                   valid.str(), ")");
@@ -128,125 +200,62 @@ void
 ParameterInput::set(const std::string& block, const std::string& key,
                     const std::string& value)
 {
-    values_[makeKey(block, key)] = value;
+    values_[block + "/" + key] = value;
 }
 
 bool
 ParameterInput::has(const std::string& block, const std::string& key) const
 {
-    return find(block, key) != nullptr;
+    return values_.count(block + "/" + key) != 0;
 }
 
 int
 ParameterInput::getInt(const std::string& block, const std::string& key,
                        int default_value) const
 {
-    const std::string* v = find(block, key);
-    if (!v)
-        return default_value;
-    try {
-        std::size_t pos = 0;
-        int result = std::stoi(*v, &pos);
-        if (pos != v->size())
-            throw std::invalid_argument("trailing characters");
-        return result;
-    } catch (const std::exception&) {
-        fatal("parameter ", block, "/", key, " = '", *v,
-              "' is not an integer");
-    }
+    return parseNumber(resolve(values_, block, key), default_value,
+                       "not an integer");
 }
 
 std::int64_t
 ParameterInput::getInt64(const std::string& block, const std::string& key,
                          std::int64_t default_value) const
 {
-    const std::string* v = find(block, key);
-    if (!v)
-        return default_value;
-    try {
-        std::size_t pos = 0;
-        std::int64_t result = std::stoll(*v, &pos);
-        if (pos != v->size())
-            throw std::invalid_argument("trailing characters");
-        return result;
-    } catch (const std::exception&) {
-        fatal("parameter ", block, "/", key, " = '", *v,
-              "' is not an integer");
-    }
+    return parseNumber(resolve(values_, block, key), default_value,
+                       "not an integer");
 }
 
 double
 ParameterInput::getReal(const std::string& block, const std::string& key,
                         double default_value) const
 {
-    const std::string* v = find(block, key);
-    if (!v)
-        return default_value;
-    try {
-        std::size_t pos = 0;
-        double result = std::stod(*v, &pos);
-        if (pos != v->size())
-            throw std::invalid_argument("trailing characters");
-        return result;
-    } catch (const std::exception&) {
-        fatal("parameter ", block, "/", key, " = '", *v, "' is not a real");
-    }
+    return parseNumber(resolve(values_, block, key), default_value,
+                       "not a real");
 }
 
 bool
 ParameterInput::getBool(const std::string& block, const std::string& key,
                         bool default_value) const
 {
-    const std::string* v = find(block, key);
+    const std::optional<Resolved> v = resolve(values_, block, key);
     if (!v)
         return default_value;
-    std::string lower = *v;
+    std::string lower = v->text;
     std::transform(lower.begin(), lower.end(), lower.begin(),
                    [](unsigned char c) { return std::tolower(c); });
     if (lower == "true" || lower == "1" || lower == "yes" || lower == "on")
         return true;
     if (lower == "false" || lower == "0" || lower == "no" || lower == "off")
         return false;
-    fatal("parameter ", block, "/", key, " = '", *v, "' is not a boolean");
+    fatal(v->source, " = '", v->text, "' is not a boolean");
 }
 
 std::string
 ParameterInput::getString(const std::string& block, const std::string& key,
                           const std::string& default_value) const
 {
-    const std::string* v = find(block, key);
-    return v ? *v : default_value;
-}
-
-int
-ParameterInput::requireInt(const std::string& block,
-                           const std::string& key) const
-{
-    if (!has(block, key))
-        fatal("required parameter ", block, "/", key, " is missing");
-    return getInt(block, key, 0);
-}
-
-double
-ParameterInput::requireReal(const std::string& block,
-                            const std::string& key) const
-{
-    if (!has(block, key))
-        fatal("required parameter ", block, "/", key, " is missing");
-    return getReal(block, key, 0.0);
-}
-
-std::string
-ParameterInput::makeKey(const std::string& block, const std::string& key)
-{
-    return block + "/" + key;
-}
-
-const std::string*
-ParameterInput::find(const std::string& block, const std::string& key) const
-{
-    auto it = values_.find(makeKey(block, key));
-    return it == values_.end() ? nullptr : &it->second;
+    const std::optional<Resolved> v = resolve(values_, block, key);
+    return v ? v->text : default_value;
 }
 
 } // namespace vibe

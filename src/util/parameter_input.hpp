@@ -10,6 +10,12 @@
  * <parthenon/meshblock>
  * nx1 = 16
  * @endcode
+ *
+ * The only reader of run configuration in src/. A few run-level knobs
+ * have a `VIBE_*` environment twin (`<exec> num_threads` and
+ * VIBE_NUM_THREADS, ...; the table lives in parameter_input.cpp).
+ * Every typed getter resolves one rule, per key: deck value, else the
+ * env twin (unset or empty = not given), else the caller's default.
  */
 #pragma once
 
@@ -28,8 +34,8 @@ class ParameterInput
     /**
      * Parse deck text; later duplicate keys override earlier ones.
      * Unknown knobs inside recognized blocks (mesh, meshblock, amr,
-     * exec, driver, comm, job, and the package blocks) are fatal with
-     * the offending block/knob named — a typo must not silently
+     * exec, driver, comm, job, obs, and the package blocks) are fatal
+     * with the offending block/knob named — a typo must not silently
      * select the default. Unrecognized block names pass through.
      */
     static ParameterInput fromString(const std::string& text);
@@ -41,9 +47,14 @@ class ParameterInput
     void set(const std::string& block, const std::string& key,
              const std::string& value);
 
+    /** True when the deck itself sets `block/key`. */
     bool has(const std::string& block, const std::string& key) const;
 
-    /** Typed getters: fatal if present but unparseable. */
+    /**
+     * Typed getters: deck, then env twin, then `default_value`. The
+     * whole text must parse, or the run fails naming `block/key` (or
+     * the variable, when the text came from the environment).
+     */
     int getInt(const std::string& block, const std::string& key,
                int default_value) const;
     /** 64-bit variant for cycle-valued knobs that can exceed int. */
@@ -56,19 +67,7 @@ class ParameterInput
     std::string getString(const std::string& block, const std::string& key,
                           const std::string& default_value) const;
 
-    /** Required variants: fatal if the key is missing. */
-    int requireInt(const std::string& block, const std::string& key) const;
-    double requireReal(const std::string& block,
-                       const std::string& key) const;
-
-    const std::map<std::string, std::string>& raw() const { return values_; }
-
   private:
-    static std::string makeKey(const std::string& block,
-                               const std::string& key);
-    const std::string* find(const std::string& block,
-                            const std::string& key) const;
-
     std::map<std::string, std::string> values_;
 };
 

@@ -63,8 +63,9 @@ shardDriverConfig(int lb_every = 1)
     config.derefineGap = 2;
     config.lbEvery = lb_every;
     // Like the boundary path, the cost source sweeps with the CI
-    // matrix: mesh state must be bitwise identical either way.
-    config.lbCost = envLbCostMode(LbCostMode::Uniform);
+    // matrix (VIBE_LB_COST): mesh state must be bitwise identical
+    // either way.
+    config.lbCost = DriverConfig::fromParams(ParameterInput()).lbCost;
     return config;
 }
 

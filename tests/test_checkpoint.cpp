@@ -20,6 +20,7 @@
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_writer.hpp"
 #include "util/logging.hpp"
+#include "util/parameter_input.hpp"
 
 namespace vibe {
 namespace {
@@ -477,46 +478,62 @@ TEST(FaultRecovery, ExperimentValidatesCheckpointKnobs)
     EXPECT_THROW(Experiment(restarts).run(), FatalError);
 }
 
+TEST(FaultRecovery, SpecFaultKnobsResolvePerKey)
+{
+    // The spec arms rank 0; only the cycle comes from the environment.
+    // Each unset field resolves its own env twin, as on the deck path.
+    ScopedEnv env_rank("VIBE_FAIL_RANK", nullptr);
+    ScopedEnv env_cycle("VIBE_FAIL_CYCLE", "3");
+    TempFile ckpt("test_ckpt_per_key.bin");
+    ExperimentSpec spec;
+    spec.meshSize = 16;
+    spec.blockSize = 8;
+    spec.amrLevels = 2;
+    spec.ncycles = 6;
+    spec.numeric = true;
+    spec.package = "advection";
+    spec.numRanks = 2;
+    spec.checkpointEvery = 2;
+    spec.checkpointPath = ckpt.path;
+    spec.maxRestarts = 1;
+    spec.failRank = 0;
+    EXPECT_EQ(Experiment(spec).run().restarts, 1);
+}
+
 TEST(FaultRecovery, InjectorKnobsAndOneShotFiring)
 {
     ParameterInput pin;
     pin.set("exec", "fail_rank", "1");
     pin.set("exec", "fail_cycle", "3");
-    const FaultInjector from_params = FaultInjector::fromParams(pin);
-    EXPECT_TRUE(from_params.armed());
-    EXPECT_EQ(from_params.failRank(), 1);
-    EXPECT_EQ(from_params.failCycle(), 3);
+    EXPECT_EQ(pin.getInt("exec", "fail_rank", -1), 1);
+    EXPECT_EQ(pin.getInt64("exec", "fail_cycle", -1), 3);
 
-    // The deck path keeps full 64-bit width, matching VIBE_FAIL_CYCLE.
+    // fail_cycle keeps full 64-bit width, from the deck and the env.
     ParameterInput wide;
-    wide.set("exec", "fail_rank", "0");
     wide.set("exec", "fail_cycle", "4294967296");
-    EXPECT_EQ(FaultInjector::fromParams(wide).failCycle(),
+    EXPECT_EQ(wide.getInt64("exec", "fail_cycle", -1),
               INT64_C(4294967296));
 
     // Deck beats env beats default, per knob: the env variables only
     // fill keys the deck leaves out.
     {
         ScopedEnv env_rank("VIBE_FAIL_RANK", "2");
-        ScopedEnv env_cycle("VIBE_FAIL_CYCLE", "7");
-        const FaultInjector deck_wins = FaultInjector::fromParams(pin);
-        EXPECT_EQ(deck_wins.failRank(), 1);
-        EXPECT_EQ(deck_wins.failCycle(), 3);
+        ScopedEnv env_cycle("VIBE_FAIL_CYCLE", "4294967296");
+        EXPECT_EQ(pin.getInt("exec", "fail_rank", -1), 1);
+        EXPECT_EQ(pin.getInt64("exec", "fail_cycle", -1), 3);
         ParameterInput rank_only;
         rank_only.set("exec", "fail_rank", "0");
-        const FaultInjector mixed = FaultInjector::fromParams(rank_only);
-        EXPECT_EQ(mixed.failRank(), 0);
-        EXPECT_EQ(mixed.failCycle(), 7);
-        const FaultInjector env_only =
-            FaultInjector::fromParams(ParameterInput());
-        EXPECT_EQ(env_only.failRank(), 2);
-        EXPECT_EQ(env_only.failCycle(), 7);
+        EXPECT_EQ(rank_only.getInt("exec", "fail_rank", -1), 0);
+        EXPECT_EQ(rank_only.getInt64("exec", "fail_cycle", -1),
+                  INT64_C(4294967296));
+        const ParameterInput no_deck;
+        EXPECT_EQ(no_deck.getInt("exec", "fail_rank", -1), 2);
 
         // A malformed env integer fails naming the variable instead of
         // arming a fault at cycle 0.
         env_cycle.set("abc");
         try {
-            FaultInjector::fromEnv();
+            no_deck.getInt64("exec", "fail_cycle", -1);
             FAIL() << "expected VIBE_FAIL_CYCLE=abc to be fatal";
         } catch (const FatalError& e) {
             EXPECT_NE(std::string(e.what()).find("VIBE_FAIL_CYCLE"),
@@ -527,7 +544,9 @@ TEST(FaultRecovery, InjectorKnobsAndOneShotFiring)
     {
         ScopedEnv env_rank("VIBE_FAIL_RANK", nullptr);
         ScopedEnv env_cycle("VIBE_FAIL_CYCLE", nullptr);
-        EXPECT_FALSE(FaultInjector::fromParams(ParameterInput()).armed());
+        const ParameterInput no_deck;
+        EXPECT_EQ(no_deck.getInt("exec", "fail_rank", -1), -1);
+        EXPECT_EQ(no_deck.getInt64("exec", "fail_cycle", -1), -1);
     }
 
     FaultInjector disarmed;

@@ -7,6 +7,8 @@
  * (exact copies, restricted averages, linear prolongation), so they are
  * the independent reference for the BoundaryPlan exchange.
  */
+#include "fixture_knobs.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -104,7 +106,7 @@ struct CommFixture
 
     CommFixture(int mesh_nx, int block_nx, int levels, ExecMode mode,
                 int nranks = 1, bool randomize = false,
-                int num_threads = envNumThreads())
+                int num_threads = fixtureNumThreads())
     {
         ctx = std::make_unique<ExecContext>(
             mode, &profiler, &tracker,

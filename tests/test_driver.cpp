@@ -4,6 +4,8 @@
  * driver (cycle bookkeeping, derefinement gap, counting-vs-numeric
  * structural equivalence).
  */
+#include "fixture_knobs.hpp"
+
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -286,7 +288,7 @@ struct DriverFixture
         // driver runs through the threaded task-graph executor.
         ctx = std::make_unique<ExecContext>(
             mode, &profiler, &tracker,
-            makeExecutionSpace(envNumThreads()));
+            makeExecutionSpace(fixtureNumThreads()));
         MeshConfig config;
         config.nx1 = config.nx2 = config.nx3 = mesh_nx;
         config.blockNx1 = config.blockNx2 = config.blockNx3 = block_nx;

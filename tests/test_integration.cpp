@@ -5,6 +5,8 @@
  * under the gradient tagger, and invariant checks over full driver
  * runs.
  */
+#include "fixture_knobs.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -46,7 +48,7 @@ struct Sim
         // bitwise identical to serial by design.
         ctx = std::make_unique<ExecContext>(
             mode, &profiler, &tracker,
-            makeExecutionSpace(envNumThreads()));
+            makeExecutionSpace(fixtureNumThreads()));
         MeshConfig config;
         config.nx1 = config.nx2 = config.nx3 = mesh_nx;
         config.blockNx1 = config.blockNx2 = config.blockNx3 = block_nx;

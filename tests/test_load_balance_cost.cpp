@@ -59,13 +59,23 @@ TEST(LbCostMode, NamesAndEnvKnob)
     EXPECT_EQ(std::string(lbCostModeName(LbCostMode::Measured)),
               "measured");
 
-    // Preserve the CI matrix's VIBE_LB_COST across this test.
+    // Deck beats VIBE_LB_COST beats uniform. ScopedEnv preserves the
+    // CI matrix's VIBE_LB_COST across this test.
     ScopedEnv env("VIBE_LB_COST", "measured");
-    EXPECT_EQ(envLbCostMode(LbCostMode::Uniform), LbCostMode::Measured);
+    const ParameterInput no_deck;
+    EXPECT_EQ(DriverConfig::fromParams(no_deck).lbCost,
+              LbCostMode::Measured);
+    const ParameterInput deck =
+        ParameterInput::fromString("<amr>\nlb_cost = uniform\n");
+    EXPECT_EQ(DriverConfig::fromParams(deck).lbCost, LbCostMode::Uniform);
     env.set("");
-    EXPECT_EQ(envLbCostMode(LbCostMode::Uniform), LbCostMode::Uniform);
+    EXPECT_EQ(DriverConfig::fromParams(no_deck).lbCost,
+              LbCostMode::Uniform);
     env.set(nullptr);
-    EXPECT_EQ(envLbCostMode(LbCostMode::Measured), LbCostMode::Measured);
+    EXPECT_EQ(DriverConfig::fromParams(no_deck).lbCost,
+              LbCostMode::Uniform);
+    env.set("turbo");
+    EXPECT_THROW(DriverConfig::fromParams(no_deck), FatalError);
 }
 
 TEST(BlockCostModel, AccumulatesPositiveSamplesPerCycle)

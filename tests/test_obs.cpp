@@ -2,7 +2,7 @@
  * @file test_obs.cpp
  * Observability subsystem: TraceRecorder hot-path contracts (no
  * allocation steady-state, cheap when off), Chrome trace export
- * structure, MetricsRegistry + JSONL writer records, ObsConfig deck /
+ * structure, MetricsRegistry + JSONL writer records, `<obs>` deck /
  * environment resolution, and the end-to-end guarantees — a
  * tracing-off run is bitwise identical to a traced run, traced
  * non-retry event counts are deterministic across pool sizes, the
@@ -30,6 +30,7 @@
 #include "obs/metrics.hpp"
 #include "obs/obs_config.hpp"
 #include "obs/trace.hpp"
+#include "scoped_env.hpp"
 #include "util/parameter_input.hpp"
 
 // Global allocation counter for the hot-path test: the recorder's
@@ -322,27 +323,26 @@ TEST(Metrics, WriterEmitsCycleAndFooterRecords)
     EXPECT_EQ(records.back().find("{\"type\":\"footer\""), 0u);
 }
 
-// --- ObsConfig --------------------------------------------------------
+// --- <obs> knobs -------------------------------------------------------
 
 TEST(ObsConfig, DeckKnobsWinOverEnvironment)
 {
-    ::setenv("VIBE_TRACE", "env_trace.json", 1);
-    ::setenv("VIBE_METRICS", "env_metrics.jsonl", 1);
-    const ObsConfig env = ObsConfig::fromEnv();
-    EXPECT_EQ(env.tracePath, "env_trace.json");
-    EXPECT_EQ(env.metricsPath, "env_metrics.jsonl");
-    EXPECT_TRUE(env.any());
+    ScopedEnv trace("VIBE_TRACE", "env_trace.json");
+    ScopedEnv metrics("VIBE_METRICS", "env_metrics.jsonl");
+    const ParameterInput no_deck;
+    EXPECT_EQ(no_deck.getString("obs", "trace", ""), "env_trace.json");
+    EXPECT_EQ(no_deck.getString("obs", "metrics", ""),
+              "env_metrics.jsonl");
 
     ParameterInput pin;
     pin.set("obs", "trace", "deck_trace.json");
-    const ObsConfig merged = ObsConfig::fromParams(pin);
-    EXPECT_EQ(merged.tracePath, "deck_trace.json");
-    EXPECT_EQ(merged.metricsPath, "env_metrics.jsonl");
+    EXPECT_EQ(pin.getString("obs", "trace", ""), "deck_trace.json");
+    EXPECT_EQ(pin.getString("obs", "metrics", ""), "env_metrics.jsonl");
 
-    ::unsetenv("VIBE_TRACE");
-    ::unsetenv("VIBE_METRICS");
-    const ObsConfig off = ObsConfig::fromEnv();
-    EXPECT_FALSE(off.any());
+    trace.set(nullptr);
+    metrics.set("");
+    EXPECT_EQ(no_deck.getString("obs", "trace", ""), "");
+    EXPECT_EQ(no_deck.getString("obs", "metrics", ""), "");
     EXPECT_NE(std::string(buildDescribe()), "");
 }
 

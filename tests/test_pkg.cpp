@@ -8,6 +8,8 @@
  * refine/derefine, and the same bitwise serial-vs-threaded
  * equivalence the Burgers package proves.
  */
+#include "fixture_knobs.hpp"
+
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -239,7 +241,7 @@ analyticError(int mesh_nx, int ncycles)
     // VIBE_NUM_THREADS (the CI matrix leg) routes the advection
     // integration runs through the threaded executor; results are
     // bitwise identical to serial by design.
-    AdvSim sim(mesh_nx, mesh_nx / 2, 1, config, envNumThreads());
+    AdvSim sim(mesh_nx, mesh_nx / 2, 1, config, fixtureNumThreads());
     GradientTagger tagger(sim.package);
     DriverConfig driver_config;
     driver_config.ncycles = ncycles;
@@ -286,7 +288,7 @@ TEST(Advection, MassConservedAcrossRefineDerefine)
     // blob advects; flux correction + conservative restriction must
     // keep total phi mass at round-off through every restructure.
     AdvectionConfig config;
-    AdvSim sim(16, 8, 2, config, envNumThreads());
+    AdvSim sim(16, 8, 2, config, fixtureNumThreads());
     SphericalWaveTagger::Params wave;
     wave.cx = wave.cy = wave.cz = 0.28;
     wave.rMin = 0.08;

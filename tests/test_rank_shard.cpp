@@ -9,6 +9,8 @@
  * block's storage, and it is the owner), and migration being
  * numerically invisible (lbEvery = 0 vs lbEvery = 1 agree).
  */
+#include "fixture_knobs.hpp"
+
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -165,8 +167,8 @@ TEST(RankShard, MigrationIsNumericallyInvisible)
 TEST(RankShard, EnvRankCountMatchesClassic)
 {
     // The CI matrix routes this through VIBE_NUM_RANKS; default 2.
-    const int ranks = envNumRanks(2);
-    const int threads = envNumThreads(1);
+    const int ranks = ParameterInput().getInt("exec", "num_ranks", 2);
+    const int threads = fixtureNumThreads();
     const ShardRun classic = runClassic("advection", threads);
     const ShardRun team = runTeam("advection", ranks, threads);
     expectBitwiseEqual(classic, team,

@@ -1,7 +1,8 @@
 /**
  * @file test_util.cpp
  * Unit tests for the util module: logging, arrays, RNG, statistics,
- * tables, the input-deck parser and the strict env-knob reader.
+ * tables, and the input-deck parser with its strict env-twin
+ * resolution.
  */
 #include <gtest/gtest.h>
 
@@ -9,10 +10,9 @@
 #include <sstream>
 #include <string>
 
-#include "exec/execution_space.hpp"
+#include "mesh/mesh.hpp"
 #include "scoped_env.hpp"
 #include "util/array4.hpp"
-#include "util/env.hpp"
 #include "util/logging.hpp"
 #include "util/parameter_input.hpp"
 #include "util/random.hpp"
@@ -376,14 +376,6 @@ TEST(ParameterInput, BadTypesAreFatal)
     EXPECT_THROW(pin.getBool("m", "x", false), FatalError);
 }
 
-TEST(ParameterInput, RequireVariants)
-{
-    auto pin = ParameterInput::fromString("<m>\nx = 3\n");
-    EXPECT_EQ(pin.requireInt("m", "x"), 3);
-    EXPECT_THROW(pin.requireInt("m", "missing"), FatalError);
-    EXPECT_THROW(pin.requireReal("m", "missing"), FatalError);
-}
-
 TEST(ParameterInput, MissingFileIsFatal)
 {
     EXPECT_THROW(ParameterInput::fromFile("/nonexistent/deck.in"),
@@ -444,7 +436,7 @@ TEST(ParameterInput, RemovedFusedBoundariesKnobIsRejected)
         << what;
 }
 
-// --- env knobs ---
+// --- env twins: deck beats env beats default, per key ---
 
 /** The FatalError message of `fn`, or "" when it does not throw. */
 template <typename F>
@@ -461,49 +453,58 @@ fatalMessage(F&& fn)
 
 TEST(Env, UnsetAndEmptyFallBack)
 {
-    ScopedEnv env("VIBE_TEST_KNOB", nullptr);
-    EXPECT_EQ(envString("VIBE_TEST_KNOB"), "");
-    EXPECT_EQ(envInt64("VIBE_TEST_KNOB", -1), -1);
-    EXPECT_EQ(envInt("VIBE_TEST_KNOB", 3, 1), 3);
+    ScopedEnv env("VIBE_FAIL_CYCLE", nullptr);
+    const ParameterInput no_deck;
+    EXPECT_EQ(no_deck.getInt64("exec", "fail_cycle", -1), -1);
     env.set("");
-    EXPECT_EQ(envInt64("VIBE_TEST_KNOB", 9), 9);
-    EXPECT_EQ(envInt("VIBE_TEST_KNOB", 2, 1), 2);
+    EXPECT_EQ(no_deck.getInt64("exec", "fail_cycle", 9), 9);
+    ScopedEnv trace("VIBE_TRACE", "");
+    EXPECT_EQ(no_deck.getString("obs", "trace", "off"), "off");
 }
 
 TEST(Env, ParsesWholeIntegersAtFullWidth)
 {
-    ScopedEnv env("VIBE_TEST_KNOB", "4");
-    EXPECT_EQ(envString("VIBE_TEST_KNOB"), "4");
-    EXPECT_EQ(envInt("VIBE_TEST_KNOB", 1, 1), 4);
-    env.set("-1");
-    EXPECT_EQ(envInt("VIBE_TEST_KNOB", 0), -1);
-    env.set("4294967296");
-    EXPECT_EQ(envInt64("VIBE_TEST_KNOB", -1), INT64_C(4294967296));
+    ScopedEnv threads("VIBE_NUM_THREADS", "4");
+    ScopedEnv rank("VIBE_FAIL_RANK", "-1");
+    ScopedEnv cycle("VIBE_FAIL_CYCLE", "4294967296");
+    const ParameterInput no_deck;
+    EXPECT_EQ(no_deck.getInt("exec", "num_threads", 1), 4);
+    EXPECT_EQ(no_deck.getInt("exec", "fail_rank", 0), -1);
+    EXPECT_EQ(no_deck.getInt64("exec", "fail_cycle", -1),
+              INT64_C(4294967296));
 }
 
 TEST(Env, MalformedIntegersAreFatalNamingTheVariable)
 {
-    ScopedEnv env("VIBE_TEST_KNOB", nullptr);
+    ScopedEnv env("VIBE_FAIL_CYCLE", nullptr);
     for (const char* bad : {"4x", "abc", "1.5", "99999999999999999999"}) {
         env.set(bad);
-        const std::string what =
-            fatalMessage([] { envInt64("VIBE_TEST_KNOB", 1); });
-        EXPECT_NE(what.find("VIBE_TEST_KNOB"), std::string::npos)
+        const std::string what = fatalMessage(
+            [] { ParameterInput().getInt64("exec", "fail_cycle", 1); });
+        EXPECT_NE(what.find("VIBE_FAIL_CYCLE"), std::string::npos)
             << bad << ": " << what;
         EXPECT_NE(what.find(bad), std::string::npos) << what;
     }
+    // The same text in the deck fails naming block/key instead.
+    ParameterInput deck;
+    deck.set("exec", "fail_cycle", "4x");
+    const std::string what =
+        fatalMessage([&] { deck.getInt64("exec", "fail_cycle", 1); });
+    EXPECT_NE(what.find("exec/fail_cycle"), std::string::npos) << what;
 }
 
 TEST(Env, IntRejectsTruncationAndValuesBelowMinimum)
 {
     // VIBE_FAIL_RANK used to be truncated to int: 2^32 read as 0.
-    ScopedEnv env("VIBE_TEST_KNOB", "4294967296");
-    EXPECT_NE(fatalMessage([] { envInt("VIBE_TEST_KNOB", -1); })
-                  .find("VIBE_TEST_KNOB"),
+    ScopedEnv rank("VIBE_FAIL_RANK", "4294967296");
+    EXPECT_NE(fatalMessage([] {
+                  ParameterInput().getInt("exec", "fail_rank", -1);
+              }).find("VIBE_FAIL_RANK"),
               std::string::npos);
-    env.set("0");
-    EXPECT_NE(fatalMessage([] { envInt("VIBE_TEST_KNOB", 1, 1); })
-                  .find("out of range"),
+    // A thread count below 1 fails before a run starts.
+    ScopedEnv threads("VIBE_NUM_THREADS", "0");
+    EXPECT_NE(fatalMessage([] { MeshConfig::fromParams(ParameterInput()); })
+                  .find("num_threads"),
               std::string::npos);
 }
 
@@ -512,18 +513,30 @@ TEST(Env, ThreadAndRankKnobsAreStrict)
     // VIBE_NUM_THREADS=4x used to run 4 threads and =abc / =0 silently
     // fell back to 1.
     ScopedEnv threads("VIBE_NUM_THREADS", "4x");
-    EXPECT_NE(fatalMessage([] { envNumThreads(); }).find("VIBE_NUM_THREADS"),
-              std::string::npos);
-    threads.set("0");
-    EXPECT_NE(fatalMessage([] { envNumThreads(); }).find("VIBE_NUM_THREADS"),
-              std::string::npos);
+    ScopedEnv ranks("VIBE_NUM_RANKS", nullptr);
+    const auto mesh_error = [] {
+        return fatalMessage(
+            [] { MeshConfig::fromParams(ParameterInput()); });
+    };
+    EXPECT_NE(mesh_error().find("VIBE_NUM_THREADS"), std::string::npos);
+    threads.set("abc");
+    EXPECT_NE(mesh_error().find("VIBE_NUM_THREADS"), std::string::npos);
     threads.set("3");
-    EXPECT_EQ(envNumThreads(), 3);
-    ScopedEnv ranks("VIBE_NUM_RANKS", "abc");
-    EXPECT_NE(fatalMessage([] { envNumRanks(2); }).find("VIBE_NUM_RANKS"),
-              std::string::npos);
+    EXPECT_EQ(MeshConfig::fromParams(ParameterInput()).numThreads, 3);
+    ranks.set("abc");
+    EXPECT_NE(mesh_error().find("VIBE_NUM_RANKS"), std::string::npos);
     ranks.set(nullptr);
-    EXPECT_EQ(envNumRanks(2), 2);
+    EXPECT_EQ(ParameterInput().getInt("exec", "num_ranks", 2), 2);
+}
+
+TEST(Env, DeckBeatsEnvPerKey)
+{
+    ScopedEnv threads("VIBE_NUM_THREADS", "3");
+    ScopedEnv ranks("VIBE_NUM_RANKS", "2");
+    const MeshConfig config = MeshConfig::fromParams(
+        ParameterInput::fromString("<exec>\nnum_threads = 2\n"));
+    EXPECT_EQ(config.numThreads, 2); // the deck key wins
+    EXPECT_EQ(config.numRanks, 2);   // the absent key reads its twin
 }
 
 } // namespace
