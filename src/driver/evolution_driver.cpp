@@ -750,11 +750,6 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
     tl.setLabel("plan:bounds+flux stage " + std::to_string(stage));
     const FusedBoundsIds bounds = addFusedBoundsTasks(tl);
 
-    const bool serialize_flux =
-        mesh_->config().optimizeAuxMemory &&
-        mesh_->ctx().space().concurrency() > 1;
-    TaskId prev_flux = -1;
-
     const std::vector<MeshBlock*>& owned = mesh_->ownedBlocks();
     std::vector<int> pack_of(owned.size());
     std::vector<TaskId> flux_tasks;
@@ -764,17 +759,13 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
         MeshBlock* block = owned[b];
         pack_of[b] = plan.subPackOf(block->gid());
         const auto p = static_cast<std::size_t>(pack_of[b]);
-        std::vector<TaskId> flux_deps{bounds.set[p]};
-        if (serialize_flux && prev_flux >= 0)
-            flux_deps.push_back(prev_flux);
         const TaskId t_flux = tl.addTask(
             "CalculateFluxes:" + std::to_string(block->gid()),
             [this, block] {
                 package_->calculateFluxesBlock(*mesh_, *block);
                 return TaskStatus::Complete;
             },
-            std::move(flux_deps), TaskCategory::Compute, block->gid());
-        prev_flux = t_flux;
+            {bounds.set[p]}, TaskCategory::Compute, block->gid());
         flux_tasks.push_back(t_flux);
         pack_fluxes[p].push_back(t_flux);
     }

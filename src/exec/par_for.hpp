@@ -449,9 +449,9 @@ parForAt(const ExecContext& ctx, std::string_view phase, int rank,
 // ---------------------------------------------------------------------
 // Row and item launches.
 //
-// The block flux kernels hoist per-chunk scratch to launch setup and
-// write the contiguous innermost i loop themselves, so they dispatch
-// (k, j) or (n, k, j) rows instead of cells; the body receives the
+// The block flux kernel hoists per-chunk scratch to launch setup and
+// writes the contiguous innermost i loop itself, so it dispatches
+// (k, j) rows instead of cells; the body receives the
 // chunk id (always within [0, concurrency()), also on the serial path
 // and in nested launches). parForEach spreads a list of independent
 // items — owned blocks, boundary-plan sub-packs — over the space as
@@ -490,71 +490,6 @@ parForExecRows(const ExecContext& ctx, int kl, int ku, int jl, int ju,
                 const int j =
                     launch->jl + static_cast<int>(idx % launch->nj);
                 launch->body(chunk, k, j);
-            }
-        },
-        &launch);
-}
-
-namespace detail {
-
-template <typename F>
-struct LaunchPack
-{
-    F& body;
-    std::int64_t nn, nk, nj;
-    int nl, kl, jl;
-};
-
-} // namespace detail
-
-/**
- * Execute-only row loop: flatten (block, n, k, j) over `nblocks`
- * blocks and chunk it across the space. The body receives
- * (chunk, b, n, k, j) and writes the contiguous i loop itself; use
- * nl = nu = 0 for kernels without a leading component dimension. The
- * block flux kernels call it with one block to chunk the (n, k, j)
- * rows of a reconstruction pass.
- */
-template <typename F>
-void
-parForPackExec(const ExecContext& ctx, int nblocks, int nl, int nu,
-               int kl, int ku, int jl, int ju, F&& body)
-{
-    if (!ctx.executing() || nblocks <= 0 || nu < nl || ku < kl ||
-        ju < jl)
-        return;
-    ExecutionSpace& space = ctx.space();
-    const std::int64_t nn = static_cast<std::int64_t>(nu) - nl + 1;
-    const std::int64_t nk = static_cast<std::int64_t>(ku) - kl + 1;
-    const std::int64_t nj = static_cast<std::int64_t>(ju) - jl + 1;
-    const std::int64_t rows = nblocks * nn * nk * nj;
-    if (space.concurrency() == 1 || rows <= 1) {
-        for (int b = 0; b < nblocks; ++b)
-            for (int n = nl; n <= nu; ++n)
-                for (int k = kl; k <= ku; ++k)
-                    for (int j = jl; j <= ju; ++j)
-                        body(0, b, n, k, j);
-        return;
-    }
-    detail::LaunchPack<F> launch{body, nn, nk, nj, nl, kl, jl};
-    space.forEachChunk(
-        rows,
-        [](void* p, std::int64_t begin, std::int64_t end, int chunk) {
-            auto* launch = static_cast<detail::LaunchPack<F>*>(p);
-            const std::int64_t per_block =
-                launch->nn * launch->nk * launch->nj;
-            const std::int64_t kj = launch->nk * launch->nj;
-            for (std::int64_t idx = begin; idx < end; ++idx) {
-                const int b = static_cast<int>(idx / per_block);
-                std::int64_t rem = idx % per_block;
-                const int n =
-                    launch->nl + static_cast<int>(rem / kj);
-                rem %= kj;
-                const int k =
-                    launch->kl + static_cast<int>(rem / launch->nj);
-                const int j =
-                    launch->jl + static_cast<int>(rem % launch->nj);
-                launch->body(chunk, b, n, k, j);
             }
         },
         &launch);

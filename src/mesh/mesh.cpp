@@ -122,28 +122,20 @@ Mesh::Mesh(const MeshConfig& config, const VariableRegistry& registry,
 
     if (config_.optimizeAuxMemory) {
         // §VIII-B: one shared reconstruction scratch instead of
-        // per-block copies. Physically we keep one full-block scratch
-        // (blocks are processed one at a time); the modeled device
-        // footprint is the per-thread-block slab formula.
+        // per-block copies, accounted as the paper's per-thread-block
+        // slab formula. On the host both layouts compute alike: the
+        // flux kernel reconstructs into per-chunk row scratch.
         const BlockShape shape = config_.blockShape();
         const int ncons = registry_->ncompConserved();
-        if (ctx_->executing()) {
-            for (int d = 0; d < config_.ndim; ++d) {
-                shared_recon_l_[d] =
-                    RealArray4(ncons, shape.nk(), shape.nj(), shape.ni());
-                shared_recon_r_[d] =
-                    RealArray4(ncons, shape.nk(), shape.nj(), shape.ni());
-            }
-        }
         // Modeled footprint: #ThreadBlocks x B x 6 x (nx1+2ng)^2 x ncomp
         // (d = 2 post-optimization, paper §VIII-B).
         constexpr std::size_t kThreadBlocks = 1024; // typical for H100
         const std::size_t slab = static_cast<std::size_t>(shape.ni()) *
                                  shape.ni() * sizeof(double);
-        recon_pool_bytes_ = kThreadBlocks * 6 * slab *
-                            static_cast<std::size_t>(ncons);
         if (ctx_->tracker())
-            ctx_->tracker()->allocate("mesh/recon_pool", recon_pool_bytes_);
+            ctx_->tracker()->allocate(
+                "mesh/recon_pool",
+                kThreadBlocks * 6 * slab * static_cast<std::size_t>(ncons));
     }
 
     for (const auto& loc : tree_.leavesZOrder())
@@ -164,18 +156,10 @@ Mesh::makeBlock(const LogicalLocation& loc)
     // In a sharded replica ownership is unknown until the caller
     // assigns a rank, so blocks are born Shadow and realizeBlock()
     // materializes the owned ones.
-    auto block = std::make_unique<MeshBlock>(
+    return std::make_unique<MeshBlock>(
         loc, config_.blockShape(), geometryFor(loc), *registry_, *ctx_,
-        /*own_recon=*/!config_.optimizeAuxMemory, pool_.get(),
+        /*account_recon=*/!config_.optimizeAuxMemory, pool_.get(),
         /*shadow=*/sharded());
-    if (!sharded() && config_.optimizeAuxMemory && ctx_->executing()) {
-        RealArray4* l[3] = {&shared_recon_l_[0], &shared_recon_l_[1],
-                            &shared_recon_l_[2]};
-        RealArray4* r[3] = {&shared_recon_r_[0], &shared_recon_r_[1],
-                            &shared_recon_r_[2]};
-        block->lendRecon(l, r);
-    }
-    return block;
 }
 
 void
@@ -185,13 +169,6 @@ Mesh::realizeBlock(MeshBlock& block)
         block.mode() != DataMode::Shadow)
         return;
     block.materialize(*ctx_, pool_.get());
-    if (config_.optimizeAuxMemory && ctx_->executing()) {
-        RealArray4* l[3] = {&shared_recon_l_[0], &shared_recon_l_[1],
-                            &shared_recon_l_[2]};
-        RealArray4* r[3] = {&shared_recon_r_[0], &shared_recon_r_[1],
-                            &shared_recon_r_[2]};
-        block.lendRecon(l, r);
-    }
 }
 
 std::vector<MeshBlock*>

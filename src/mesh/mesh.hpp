@@ -45,7 +45,8 @@ struct MeshConfig
     int amrLevels = 3;
     bool periodic = true;
     double x1min = 0.0, x1max = 1.0;      ///< Cubic domain extent.
-    /** Use the §VIII-B shared reconstruction scratch layout. */
+    /** Account the §VIII-B shared reconstruction layout instead of
+     *  per-block recon arrays (memory accounting only). */
     bool optimizeAuxMemory = false;
     /**
      * Host threads for kernel execution (`<exec> num_threads` in the
@@ -270,10 +271,6 @@ class Mesh
     std::unordered_map<LogicalLocation, int, LogicalLocationHash>
         loc_to_gid_;
     std::vector<std::vector<NeighborBlock>> neighbor_lists_;
-
-    /** Shared reconstruction scratch (§VIII-B layout), if enabled. */
-    RealArray4 shared_recon_l_[3], shared_recon_r_[3];
-    std::size_t recon_pool_bytes_ = 0;
 };
 
 } // namespace vibe

@@ -9,14 +9,14 @@ namespace vibe {
 MeshBlock::MeshBlock(const LogicalLocation& loc, const BlockShape& shape,
                      const BlockGeometry& geom,
                      const VariableRegistry& registry,
-                     const ExecContext& ctx, bool own_recon,
+                     const ExecContext& ctx, bool account_recon,
                      BlockMemoryPool* pool, bool shadow)
     : loc_(loc), shape_(shape), geom_(geom), registry_(&registry),
       tracker_(ctx.tracker()), pool_(pool),
       mode_(shadow ? DataMode::Shadow
                    : (ctx.executing() ? DataMode::Real
                                       : DataMode::Virtual)),
-      own_recon_(own_recon)
+      account_recon_(account_recon)
 {
     cost_ = static_cast<double>(shape_.interiorCells());
     if (mode_ == DataMode::Shadow) {
@@ -37,12 +37,12 @@ MeshBlock::MeshBlock(const LogicalLocation& loc, const BlockShape& shape,
             data_bytes_ += cell_bytes(ncons, 0, 1, 0);
         if (shape_.ndim >= 3)
             data_bytes_ += cell_bytes(ncons, 1, 0, 0);
-        if (own_recon_)
+        if (account_recon_)
             data_bytes_ += static_cast<std::size_t>(2 * shape_.ndim) *
                            cell_bytes(ncons, 0, 0, 0);
         return;
     }
-    allocateAll(ctx, own_recon);
+    allocateAll(ctx);
 }
 
 MeshBlock::~MeshBlock()
@@ -58,13 +58,8 @@ MeshBlock::releaseAll()
         pool_->release(cons0_.releaseStorage());
         pool_->release(dudt_.releaseStorage());
         pool_->release(derived_.releaseStorage());
-        for (int d = 0; d < 3; ++d) {
+        for (int d = 0; d < 3; ++d)
             pool_->release(flux_[d].releaseStorage());
-            // Only owned recon scratch goes back; lent (shared) scratch
-            // belongs to the Mesh.
-            pool_->release(recon_l_owned_[d].releaseStorage());
-            pool_->release(recon_r_owned_[d].releaseStorage());
-        }
     }
     if (tracker_)
         for (const auto& [label, bytes] : registered_)
@@ -81,7 +76,7 @@ MeshBlock::materialize(const ExecContext& ctx, BlockMemoryPool* pool)
     tracker_ = ctx.tracker();
     mode_ = ctx.executing() ? DataMode::Real : DataMode::Virtual;
     data_bytes_ = 0; // allocateAll re-accumulates the identical total
-    allocateAll(ctx, own_recon_);
+    allocateAll(ctx);
 }
 
 void
@@ -97,15 +92,8 @@ MeshBlock::dematerialize()
         cons0_ = RealArray4();
         dudt_ = RealArray4();
         derived_ = RealArray4();
-        for (int d = 0; d < 3; ++d) {
+        for (int d = 0; d < 3; ++d)
             flux_[d] = RealArray4();
-            recon_l_owned_[d] = RealArray4();
-            recon_r_owned_[d] = RealArray4();
-            if (own_recon_) {
-                recon_l_[d] = nullptr;
-                recon_r_[d] = nullptr;
-            }
-        }
     }
     mode_ = DataMode::Shadow;
 }
@@ -163,7 +151,7 @@ MeshBlock::registerAllocation(const ExecContext& ctx,
 }
 
 void
-MeshBlock::allocateAll(const ExecContext& ctx, bool own_recon)
+MeshBlock::allocateAll(const ExecContext& ctx)
 {
     const int ncons = registry_->ncompConserved();
     const int nder = registry_->ncompDerived();
@@ -177,7 +165,7 @@ MeshBlock::allocateAll(const ExecContext& ctx, bool own_recon)
 
     if (mode_ == DataMode::Real) {
         // Pooled path: recycled storage, and buffers whose every cell
-        // is written before it is read (fluxes, recon scratch, dudt)
+        // is written before it is read (fluxes, dudt)
         // skip the clearing pass — state-carrying arrays are zeroed in
         // a single assign, so results are bit-identical to the
         // allocate-and-zero path.
@@ -202,14 +190,6 @@ MeshBlock::allocateAll(const ExecContext& ctx, bool own_recon)
             flux_[1] = make(ncons, 0, 1, 0, false);
         if (shape_.ndim >= 3)
             flux_[2] = make(ncons, 1, 0, 0, false);
-        if (own_recon) {
-            for (int d = 0; d < shape_.ndim; ++d) {
-                recon_l_owned_[d] = make(ncons, 0, 0, 0, false);
-                recon_r_owned_[d] = make(ncons, 0, 0, 0, false);
-                recon_l_[d] = &recon_l_owned_[d];
-                recon_r_[d] = &recon_r_owned_[d];
-            }
-        }
     }
 
     registerAllocation(ctx, "mesh/cons", cell_bytes(ncons, 0, 0, 0));
@@ -221,22 +201,14 @@ MeshBlock::allocateAll(const ExecContext& ctx, bool own_recon)
         registerAllocation(ctx, "mesh/flux", cell_bytes(ncons, 0, 1, 0));
     if (shape_.ndim >= 3)
         registerAllocation(ctx, "mesh/flux", cell_bytes(ncons, 1, 0, 0));
-    if (own_recon) {
+    if (account_recon_) {
         // The paper's auxiliary-variable term (§VIII-B): two face states
-        // per direction at full block resolution.
+        // per direction at full block resolution. Accounted only: the
+        // flux kernel reconstructs into per-chunk row scratch.
         registerAllocation(
             ctx, "mesh/recon",
             static_cast<std::size_t>(2 * shape_.ndim) *
                 cell_bytes(ncons, 0, 0, 0));
-    }
-}
-
-void
-MeshBlock::lendRecon(RealArray4* l[3], RealArray4* r[3])
-{
-    for (int d = 0; d < 3; ++d) {
-        recon_l_[d] = l[d];
-        recon_r_[d] = r[d];
     }
 }
 

@@ -6,8 +6,9 @@
  *
  * Every block carries `num_ghost` ghost-cell layers per active dimension
  * (4 for WENO5), packed conserved variables, a step-start copy for RK2,
- * face fluxes, derived fields, and the full-block face-reconstruction
- * scratch whose footprint the paper's §VIII-B optimization targets.
+ * face fluxes and derived fields. It also accounts (but does not
+ * allocate) the full-block face-reconstruction scratch whose footprint
+ * the paper's §VIII-B optimization targets.
  */
 #pragma once
 
@@ -99,14 +100,17 @@ class MeshBlock
      * @param geom      Physical extents of this block.
      * @param registry  Variable declarations (outlives the block).
      * @param ctx       Execution context (mode + memory tracker).
-     * @param own_recon Allocate per-block reconstruction scratch (the
-     *                  pre-§VIII-B layout); if false the Mesh lends a
-     *                  shared scratch instead.
+     * @param account_recon Account per-block reconstruction bytes
+     *                  (`mesh/recon`, the pre-§VIII-B layout) in the
+     *                  tracker and dataBytes(); false models the
+     *                  optimized layout. Nothing is allocated either
+     *                  way: the flux kernel reconstructs into per-chunk
+     *                  row scratch.
      * @param pool      Optional storage pool: array backing stores are
      *                  drawn from it and returned on destruction, and
      *                  buffers whose every cell is written before it
-     *                  is read (fluxes, recon scratch, dudt) skip the
-     *                  zero-init pass entirely. Must outlive the block.
+     *                  is read (fluxes, dudt) skip the zero-init pass
+     *                  entirely. Must outlive the block.
      */
     /**
      * @param shadow Create without storage or tracker registration (a
@@ -115,7 +119,7 @@ class MeshBlock
      */
     MeshBlock(const LogicalLocation& loc, const BlockShape& shape,
               const BlockGeometry& geom, const VariableRegistry& registry,
-              const ExecContext& ctx, bool own_recon,
+              const ExecContext& ctx, bool account_recon,
               BlockMemoryPool* pool = nullptr, bool shadow = false);
     ~MeshBlock();
 
@@ -209,17 +213,6 @@ class MeshBlock
         return flux_[d];
     }
 
-    /**
-     * Face-reconstruction scratch (left/right states in direction `d`).
-     * Either owned (per-block, the unoptimized layout) or lent by the
-     * Mesh (the §VIII-B optimized layout). Null in Virtual mode.
-     */
-    RealArray4* reconL(int d) { return recon_l_[d]; }
-    RealArray4* reconR(int d) { return recon_r_[d]; }
-
-    /** Lend shared reconstruction scratch to this block. */
-    void lendRecon(RealArray4* l[3], RealArray4* r[3]);
-
     /** Bytes this block accounts for (identical in all data modes). */
     std::size_t dataBytes() const { return data_bytes_; }
 
@@ -245,7 +238,7 @@ class MeshBlock
      * Serialize the state that must survive a migration — the full
      * conserved and derived arrays, ghosts included — into a flat
      * payload (bitwise copies, so a migrated block is indistinguishable
-     * from one that never moved). Scratch (cons0/dudt/flux/recon) is
+     * from one that never moved). Scratch (cons0/dudt/flux) is
      * rebuilt every stage and does not travel.
      */
     std::vector<double> serializeState() const;
@@ -262,7 +255,7 @@ class MeshBlock
         ownership_audit::checkAccess(rank_);
     }
 
-    void allocateAll(const ExecContext& ctx, bool own_recon);
+    void allocateAll(const ExecContext& ctx);
     void releaseAll();
     void registerAllocation(const ExecContext& ctx,
                             const std::string& label, std::size_t bytes);
@@ -274,7 +267,7 @@ class MeshBlock
     MemoryTracker* tracker_;
     BlockMemoryPool* pool_ = nullptr;
     DataMode mode_;
-    bool own_recon_ = true;
+    bool account_recon_ = true;
 
     int gid_ = -1;
     int rank_ = 0;
@@ -284,9 +277,6 @@ class MeshBlock
 
     RealArray4 cons_, cons0_, dudt_, derived_;
     RealArray4 flux_[3];
-    RealArray4 recon_l_owned_[3], recon_r_owned_[3];
-    RealArray4* recon_l_[3] = {nullptr, nullptr, nullptr};
-    RealArray4* recon_r_[3] = {nullptr, nullptr, nullptr};
 
     std::size_t data_bytes_ = 0;
     std::vector<std::pair<std::string, std::size_t>> registered_;

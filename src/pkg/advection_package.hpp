@@ -8,8 +8,9 @@
  *   e = 0.5 phi^2               (derived "energy" density),
  *
  * discretized with the same Godunov machinery as Burgers — WENO5/PLM
- * reconstruction through the shared reconRow stencil kernel — but with
- * the exact upwind flux (the Riemann solution of a linear equation).
+ * reconstruction through the shared row-fused flux kernel
+ * (fvCalculateFluxesBlock) — but with the exact upwind flux (the
+ * Riemann solution of a linear equation).
  * Because v is constant the solution is the initial profile translated
  * rigidly, phi(x, t) = phi0(x - v t) with periodic wrap, so tests can
  * compare a full AMR run (ghost exchange, flux correction, mid-run

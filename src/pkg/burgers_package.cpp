@@ -120,7 +120,7 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
     // HLL row; the chunk's scratch holds the (ul, ur, f) state triple.
     fvCalculateFluxesBlock(
         mesh, block, config_.recon, kHllFlopsPerComp, 3,
-        [](const RealArray4& rl, const RealArray4& rr, RealArray4& flux,
+        [](const double* l, const double* r, int stride, RealArray4& flux,
            int d, int ncomp, int k, int j, int fis, int fie,
            double* scratch) {
             double* ul = scratch;
@@ -128,8 +128,8 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
             double* f = ur + ncomp;
             for (int i = fis; i <= fie; ++i) {
                 for (int n = 0; n < ncomp; ++n) {
-                    ul[n] = rl(n, k, j, i);
-                    ur[n] = rr(n, k, j, i);
+                    ul[n] = l[n * stride + i - fis];
+                    ur[n] = r[n * stride + i - fis];
                 }
                 hllFlux(ul, ur, d, ncomp, f);
                 for (int n = 0; n < ncomp; ++n)

@@ -6,16 +6,19 @@
  * record (kernel name, per-item cost), the index and face ranges and,
  * for the history, the gid-ordered fold; the package passes its
  * per-cell physics as a callable. Callables are template parameters,
- * so they inline like hand-written loop bodies (the Burgers HLL row is
- * the hot path). Evaluation order is fixed here, so profiler tables
- * and state bits do not depend on which package supplied the physics,
- * and the bitwise guarantees proved for one package carry over.
+ * so they inline like hand-written loop bodies (the flux row, which
+ * reconstructs faces into row scratch and feeds them straight to the
+ * package's Riemann row, is the hot path). Evaluation order is fixed
+ * here, so profiler tables and state bits do not depend on which
+ * package supplied the physics, and the bitwise guarantees proved for
+ * one package carry over.
  */
 #pragma once
 
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
+#include <type_traits>
 #include <vector>
 
 #include "comm/rank_world.hpp"
@@ -54,10 +57,15 @@ fvInitializeBlock(const ExecContext& ctx, MeshBlock& block,
 
 /**
  * Reconstruction + Riemann fluxes for one block (kernel
- * "CalculateFluxes"). Per direction d: `reconRow` over the face range,
- * then `row(rl, rr, flux, d, ncomp, k, j, fis, fie, scratch)` per
- * (k, j) row of faces, where `scratch` is `scratch_per_comp * ncomp`
- * doubles private to the chunk.
+ * "CalculateFluxes"). Per direction d, ONE row launch over the (k, j)
+ * rows of faces: each row reconstructs every component's faces
+ * [fis, fie] into chunk-private row scratch, then runs
+ * `row(l, r, stride, flux, d, ncomp, k, j, fis, fie, scratch)` on it
+ * right away. Face i's state of component n is l[n * stride + i - fis]
+ * (resp. r); `scratch` is `scratch_per_comp * ncomp` more doubles
+ * private to the chunk. No per-block face-state array exists, so the
+ * row stays in cache between the two halves (Athena++'s per-row
+ * wl_/wr_, AthenaK's team-scratch pencils).
  */
 template <typename RiemannRow>
 inline void
@@ -72,13 +80,15 @@ fvCalculateFluxesBlock(Mesh& mesh, MeshBlock& block, ReconMethod recon,
     const double recon_flops =
         recon == ReconMethod::Weno5 ? kWeno5Flops : kPlmFlops;
     // Per interior cell and direction (~1 face): two reconstructed
-    // states and one Riemann flux per component; DRAM traffic is the
-    // state read, two recon writes and the flux write.
+    // states and one Riemann flux per component. The byte count models
+    // the paper's per-block recon traffic (state read, two full-block
+    // recon writes, flux write), not this host's row-fused kernel,
+    // whose face states never leave the chunk's row scratch.
     const KernelCosts costs{
         ndim * ncomp * (2 * recon_flops + riemann_flops_per_comp),
         ndim * ncomp * 4.0 * sizeof(double)};
 
-    // One record covers both passes; the launches only dispatch.
+    // One record covers the block; the row launches only dispatch.
     recordKernelAt(ctx, "CalculateFluxes", block.rank(),
                    "CalculateFluxes",
                    static_cast<double>(s.interiorCells()), costs,
@@ -88,42 +98,57 @@ fvCalculateFluxesBlock(Mesh& mesh, MeshBlock& block, ReconMethod recon,
 
     // Grow-only scratch of the launching thread, one slice per chunk,
     // passed as a plain pointer: a pool worker naming the thread_local
-    // would resolve its own (unsized) instance.
+    // would resolve its own (unsized) instance. A slice holds the left
+    // and right states of one row of faces (at most nx1 + 1, the x1
+    // row) per component, then the Riemann row's own scratch.
     static thread_local std::vector<double> row_scratch;
+    const int stride = s.nx1 + 1;
+    const std::size_t states = static_cast<std::size_t>(stride) * ncomp;
     const std::size_t per_chunk =
-        static_cast<std::size_t>(scratch_per_comp) * ncomp;
+        2 * states + static_cast<std::size_t>(scratch_per_comp) * ncomp;
     const std::size_t need =
         static_cast<std::size_t>(ctx.space().concurrency()) * per_chunk;
     if (row_scratch.size() < need)
         row_scratch.resize(need);
     double* const scratch = row_scratch.data();
 
-    RealArray4& cons = block.cons();
-    for (int d = 0; d < ndim; ++d) {
-        RealArray4* rl = block.reconL(d);
-        RealArray4* rr = block.reconR(d);
-        require(rl && rr, "reconstruction scratch missing");
-        RealArray4& flux = block.flux(d);
-        const int di = d == 0 ? 1 : 0;
-        const int dj = d == 1 ? 1 : 0;
-        const int dk = d == 2 ? 1 : 0;
-        // Interior faces of dim d, interior cells transversely.
-        const int fis = s.is(), fie = s.ie() + di;
-        const int fjs = s.js(), fje = s.je() + dj;
-        const int fks = s.ks(), fke = s.ke() + dk;
+    const RealArray4& cons = block.cons();
+    // The scheme is a template argument of the row, so the stencil
+    // branch is resolved once per block, not once per face.
+    const auto sweep = [&](auto method) {
+        for (int d = 0; d < ndim; ++d) {
+            RealArray4& flux = block.flux(d);
+            const int di = d == 0 ? 1 : 0;
+            const int dj = d == 1 ? 1 : 0;
+            const int dk = d == 2 ? 1 : 0;
+            // Interior faces of dim d, interior cells transversely.
+            const int fis = s.is(), fie = s.ie() + di;
+            const int fjs = s.js(), fje = s.je() + dj;
+            const int fks = s.ks(), fke = s.ke() + dk;
+            const int nfaces = fie - fis + 1;
+            // Element distance of one cell along d in (n, k, j, i).
+            const std::ptrdiff_t step =
+                &cons(0, dk, dj, di) - &cons(0, 0, 0, 0);
 
-        parForPackExec(ctx, 1, 0, ncomp - 1, fks, fke, fjs, fje,
-                       [&](int, int, int n, int k, int j) {
-                           reconRow(cons, *rl, *rr, recon, n, k, j, fis,
-                                    fie, di, dj, dk);
-                       });
-
-        parForExecRows(
-            ctx, fks, fke, fjs, fje, [&](int chunk, int k, int j) {
-                row(*rl, *rr, flux, d, ncomp, k, j, fis, fie,
-                    scratch + static_cast<std::size_t>(chunk) * per_chunk);
-            });
-    }
+            parForExecRows(
+                ctx, fks, fke, fjs, fje, [&](int chunk, int k, int j) {
+                    double* const l =
+                        scratch + static_cast<std::size_t>(chunk) * per_chunk;
+                    double* const r = l + states;
+                    for (int n = 0; n < ncomp; ++n)
+                        reconRow<decltype(method)::value>(
+                            &cons(n, k, j, fis), step, nfaces,
+                            l + static_cast<std::size_t>(n) * stride,
+                            r + static_cast<std::size_t>(n) * stride);
+                    row(l, r, stride, flux, d, ncomp, k, j, fis, fie,
+                        r + states);
+                });
+        }
+    };
+    if (recon == ReconMethod::Weno5)
+        sweep(std::integral_constant<ReconMethod, ReconMethod::Weno5>{});
+    else
+        sweep(std::integral_constant<ReconMethod, ReconMethod::Plm>{});
 }
 
 /** dudt = -div(flux) for one block (kernel "FluxDivergence"). */

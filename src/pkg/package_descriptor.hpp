@@ -75,9 +75,8 @@ class PackageDescriptor
 
     /**
      * Reconstruction + fluxes for one block (stage-graph task). Reads
-     * only the block's own data — unless the mesh shares
-     * reconstruction scratch (optimizeAuxMemory), in which case the
-     * driver serializes these tasks.
+     * only the block's own data and chunk-private row scratch, so the
+     * driver runs these tasks concurrently in every memory layout.
      */
     virtual void calculateFluxesBlock(Mesh& mesh,
                                       MeshBlock& block) const = 0;

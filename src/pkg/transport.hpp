@@ -69,16 +69,17 @@ wrap01(double x)
 /**
  * Exact upwind flux for one (k, j) row of faces [fis, fie]: the
  * Riemann solution of the linear equation selects the upwind
- * reconstructed state, F = vel * u_upwind.
+ * reconstructed state, F = vel * u_upwind. Face i's states of
+ * component n are l/r[n * stride + i - fis].
  */
 inline void
-upwindRow(const RealArray4& rl, const RealArray4& rr, RealArray4& flux,
+upwindRow(const double* l, const double* r, int stride, RealArray4& flux,
           double vel, int ncomp, int k, int j, int fis, int fie)
 {
-    for (int i = fis; i <= fie; ++i)
-        for (int n = 0; n < ncomp; ++n)
-            flux(n, k, j, i) = vel >= 0.0 ? vel * rl(n, k, j, i)
-                                          : vel * rr(n, k, j, i);
+    const double* upwind = vel >= 0.0 ? l : r;
+    for (int n = 0; n < ncomp; ++n)
+        for (int i = fis; i <= fie; ++i)
+            flux(n, k, j, i) = vel * upwind[n * stride + i - fis];
 }
 
 /** Flops of one upwind flux per component (compare kHllFlopsPerComp). */
@@ -92,9 +93,9 @@ transportFluxesBlock(Mesh& mesh, MeshBlock& block,
     const double vel[3] = {config.vx, config.vy, config.vz};
     fvCalculateFluxesBlock(
         mesh, block, config.recon, kUpwindFlopsPerComp, 0,
-        [&](const RealArray4& rl, const RealArray4& rr, RealArray4& flux,
+        [&](const double* l, const double* r, int stride, RealArray4& flux,
             int d, int ncomp, int k, int j, int fis, int fie, double*) {
-            upwindRow(rl, rr, flux, vel[d], ncomp, k, j, fis, fie);
+            upwindRow(l, r, stride, flux, vel[d], ncomp, k, j, fis, fie);
         });
 }
 

@@ -1,7 +1,5 @@
 #include "solver/reconstruct.hpp"
 
-#include <cmath>
-
 #include "util/logging.hpp"
 
 namespace vibe {
@@ -14,47 +12,6 @@ reconMethodFromName(const std::string& name)
     if (name == "plm")
         return ReconMethod::Plm;
     fatal("unknown reconstruction '", name, "'");
-}
-
-double
-weno5Face(double m2, double m1, double c, double p1, double p2)
-{
-    // Jiang & Shu (1996): three candidate stencils, smoothness
-    // indicators beta_k, ideal weights (1/10, 6/10, 3/10).
-    constexpr double eps = 1e-6;
-    constexpr double thirteen_twelfths = 13.0 / 12.0;
-
-    const double b0 = thirteen_twelfths * (m2 - 2 * m1 + c) *
-                          (m2 - 2 * m1 + c) +
-                      0.25 * (m2 - 4 * m1 + 3 * c) * (m2 - 4 * m1 + 3 * c);
-    const double b1 = thirteen_twelfths * (m1 - 2 * c + p1) *
-                          (m1 - 2 * c + p1) +
-                      0.25 * (m1 - p1) * (m1 - p1);
-    const double b2 = thirteen_twelfths * (c - 2 * p1 + p2) *
-                          (c - 2 * p1 + p2) +
-                      0.25 * (3 * c - 4 * p1 + p2) * (3 * c - 4 * p1 + p2);
-
-    const double a0 = 0.1 / ((eps + b0) * (eps + b0));
-    const double a1 = 0.6 / ((eps + b1) * (eps + b1));
-    const double a2 = 0.3 / ((eps + b2) * (eps + b2));
-    const double inv_sum = 1.0 / (a0 + a1 + a2);
-
-    const double s0 = (2 * m2 - 7 * m1 + 11 * c) / 6.0;
-    const double s1 = (-m1 + 5 * c + 2 * p1) / 6.0;
-    const double s2 = (2 * c + 5 * p1 - p2) / 6.0;
-
-    return (a0 * s0 + a1 * s1 + a2 * s2) * inv_sum;
-}
-
-double
-plmFace(double m1, double c, double p1)
-{
-    const double dp = p1 - c;
-    const double dm = c - m1;
-    double slope = 0.0;
-    if (dp * dm > 0.0)
-        slope = std::fabs(dp) < std::fabs(dm) ? dp : dm;
-    return c + 0.5 * slope;
 }
 
 } // namespace vibe

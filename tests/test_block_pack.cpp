@@ -1,9 +1,9 @@
 /**
  * @file test_block_pack.cpp
- * Row and item launches: parForPackExec covers its flattened
- * (block, n, k, j) row domain exactly once in per-block order, and
- * parForEach runs every item exactly once as one launch, with nested
- * kernels inline and counting mode visiting items in order.
+ * Row and item launches: parForExecRows visits every (k, j) row
+ * exactly once with a chunk id inside the space, and parForEach runs
+ * every item exactly once as one launch, with nested kernels inline
+ * and counting mode visiting items in order.
  */
 #include <gtest/gtest.h>
 
@@ -17,42 +17,28 @@
 namespace vibe {
 namespace {
 
-// --- parForPackExec ----------------------------------------------------
+// --- parForExecRows ---------------------------------------------------
 
-TEST(ParForPack, CoversPackedDomainExactlyOnce)
+TEST(ParForExecRows, CoversRowsExactlyOnceWithChunkInRange)
 {
     for (int threads : {1, 4}) {
         ExecContext ctx(ExecMode::Execute, nullptr, nullptr,
                         makeExecutionSpace(threads));
-        const int nb = 5, nn = 3, nk = 4, nj = 6, ni = 7;
-        std::vector<std::atomic<int>> hits(nb * nn * nk * nj * ni);
-        parForPackExec(ctx, nb, 0, nn - 1, 0, nk - 1, 0, nj - 1,
-                       [&](int chunk, int b, int n, int k, int j) {
-                           EXPECT_GE(chunk, 0);
-                           EXPECT_LT(chunk, ctx.space().concurrency());
-                           for (int i = 0; i < ni; ++i)
-                               hits[(((b * nn + n) * nk + k) * nj + j) *
-                                        ni +
-                                    i]
-                                   .fetch_add(1);
-                       });
-        for (const auto& h : hits)
-            ASSERT_EQ(h.load(), 1) << threads << " threads";
+        const int kl = 2, ku = 5, jl = 1, ju = 6;
+        std::vector<std::atomic<int>> hits((ku + 1) * (ju + 1));
+        parForExecRows(ctx, kl, ku, jl, ju, [&](int chunk, int k, int j) {
+            EXPECT_GE(chunk, 0);
+            EXPECT_LT(chunk, ctx.space().concurrency());
+            hits[static_cast<std::size_t>(k * (ju + 1) + j)].fetch_add(1);
+        });
+        for (int k = 0; k <= ku; ++k)
+            for (int j = 0; j <= ju; ++j)
+                ASSERT_EQ(hits[static_cast<std::size_t>(k * (ju + 1) + j)]
+                              .load(),
+                          k >= kl && j >= jl ? 1 : 0)
+                    << threads << " threads, row (" << k << ", " << j
+                    << ")";
     }
-}
-
-TEST(ParForPack, SerialVisitsPerBlockOrder)
-{
-    ExecContext ctx(ExecMode::Execute, nullptr, nullptr);
-    std::vector<int> order;
-    parForPackExec(ctx, 3, 0, 0, 0, 1, 0, 1,
-                   [&](int, int b, int, int k, int j) {
-                       order.push_back((b * 2 + k) * 2 + j);
-                   });
-    // Blocks in pack order, rows in (k, j) order within each block —
-    // exactly the per-block launch sequence.
-    for (std::size_t idx = 0; idx < order.size(); ++idx)
-        EXPECT_EQ(order[idx], static_cast<int>(idx));
 }
 
 // --- parForEach ---------------------------------------------------------

@@ -208,17 +208,12 @@ TEST(BlockMemoryPool, LiveBlocksNeverAliasBuffers)
         check(block->cons0());
         check(block->dudt());
         check(block->derived());
-        for (int d = 0; d < 3; ++d) {
+        for (int d = 0; d < 3; ++d)
             check(block->flux(d));
-            if (block->reconL(d))
-                check(*block->reconL(d));
-            if (block->reconR(d))
-                check(*block->reconR(d));
-        }
     }
-    // Every block contributes cons/cons0/dudt/derived + 3 flux + 6
-    // recon arrays in 3-D.
-    EXPECT_EQ(arrays, mesh.numBlocks() * 13u);
+    // Every block contributes cons/cons0/dudt/derived + 3 flux arrays
+    // in 3-D (reconstruction uses row scratch, not block arrays).
+    EXPECT_EQ(arrays, mesh.numBlocks() * 7u);
 }
 
 TEST(BlockMemoryPool, FootprintAndAllocationCallsMatchUnpooled)

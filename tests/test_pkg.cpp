@@ -6,7 +6,9 @@
  * correctness guarantees — analytic-solution accuracy on a uniform
  * mesh, mass conservation to round-off across mid-run
  * refine/derefine, and the same bitwise serial-vs-threaded
- * equivalence the Burgers package proves.
+ * equivalence the Burgers package proves. The shared row-fused flux
+ * kernel is checked bitwise against the two-pass (full-block face
+ * array) kernel it replaced, for every package and dimensionality.
  */
 #include "fixture_knobs.hpp"
 
@@ -28,6 +30,8 @@
 #include "pkg/advection_package.hpp"
 #include "pkg/burgers_package.hpp"
 #include "pkg/package_registry.hpp"
+#include "pkg/reaction_package.hpp"
+#include "solver/riemann.hpp"
 #include "util/logging.hpp"
 
 namespace vibe {
@@ -399,6 +403,191 @@ TEST(Advection, ThreadedRunsMatchSerialBitwise)
         expectBitwiseEqual(serial, runAdvection(threads),
                            "advection @" + std::to_string(threads) +
                                " threads vs serial");
+}
+
+// --- FvOps: row-fused fluxes against the two-pass layout -------------
+
+/**
+ * The two-pass flux kernel the row-fused one replaced, kept here as the
+ * reference: per direction, reconstruct full-block left/right face
+ * arrays over every (n, k, j) row, then run the Riemann row over every
+ * (k, j) row reading them. `riemann(rl, rr, flux, d, ncomp, k, j, fis,
+ * fie)` is the package's row on full-block arrays.
+ */
+template <typename RiemannRow>
+std::vector<RealArray4>
+twoPassFluxes(const MeshBlock& block, ReconMethod recon,
+              RiemannRow&& riemann)
+{
+    const BlockShape s = block.shape();
+    const RealArray4& cons = block.cons();
+    const int ncomp = cons.nvar();
+    std::vector<RealArray4> fluxes;
+    for (int d = 0; d < s.ndim; ++d) {
+        const int di = d == 0 ? 1 : 0;
+        const int dj = d == 1 ? 1 : 0;
+        const int dk = d == 2 ? 1 : 0;
+        const int fis = s.is(), fie = s.ie() + di;
+        const int fjs = s.js(), fje = s.je() + dj;
+        const int fks = s.ks(), fke = s.ke() + dk;
+        RealArray4 rl(ncomp, s.nk(), s.nj(), s.ni());
+        RealArray4 rr(ncomp, s.nk(), s.nj(), s.ni());
+        RealArray4 flux(ncomp, s.nk() + dk, s.nj() + dj, s.ni() + di);
+        for (int n = 0; n < ncomp; ++n)
+            for (int k = fks; k <= fke; ++k)
+                for (int j = fjs; j <= fje; ++j)
+                    for (int i = fis; i <= fie; ++i) {
+                        auto c = [&](int shift) {
+                            return cons(n, k + shift * dk, j + shift * dj,
+                                        i + shift * di);
+                        };
+                        if (recon == ReconMethod::Weno5) {
+                            rl(n, k, j, i) = weno5Face(c(-3), c(-2),
+                                                       c(-1), c(0), c(1));
+                            rr(n, k, j, i) = weno5Face(c(2), c(1), c(0),
+                                                       c(-1), c(-2));
+                        } else {
+                            rl(n, k, j, i) = plmFace(c(-2), c(-1), c(0));
+                            rr(n, k, j, i) = plmFace(c(1), c(0), c(-1));
+                        }
+                    }
+        for (int k = fks; k <= fke; ++k)
+            for (int j = fjs; j <= fje; ++j)
+                riemann(rl, rr, flux, d, ncomp, k, j, fis, fie);
+        fluxes.push_back(std::move(flux));
+    }
+    return fluxes;
+}
+
+/** The Burgers HLL row on full-block face arrays. */
+void
+hllRowTwoPass(const RealArray4& rl, const RealArray4& rr, RealArray4& flux,
+              int d, int ncomp, int k, int j, int fis, int fie)
+{
+    std::vector<double> ul(ncomp), ur(ncomp), f(ncomp);
+    for (int i = fis; i <= fie; ++i) {
+        for (int n = 0; n < ncomp; ++n) {
+            ul[n] = rl(n, k, j, i);
+            ur[n] = rr(n, k, j, i);
+        }
+        hllFlux(ul.data(), ur.data(), d, ncomp, f.data());
+        for (int n = 0; n < ncomp; ++n)
+            flux(n, k, j, i) = f[n];
+    }
+}
+
+/**
+ * Fill a block's cells, ghosts included, with a rough signed field:
+ * velocities of both signs (both HLL branches, both upwind sides) and
+ * jumps large enough to switch the WENO weights and the PLM limiter.
+ */
+void
+fillRough(MeshBlock& block)
+{
+    RealArray4& cons = block.cons();
+    const BlockShape s = block.shape();
+    for (int n = 0; n < cons.nvar(); ++n)
+        for (int k = 0; k < s.nk(); ++k)
+            for (int j = 0; j < s.nj(); ++j)
+                for (int i = 0; i < s.ni(); ++i) {
+                    const int h = ((n * 131 + k) * 31 + j) * 17 + i;
+                    cons(n, k, j, i) = std::sin(0.7 * h + 0.3 * n) +
+                                       0.25 * ((h * 7) % 5 - 2);
+                }
+}
+
+/**
+ * Run `package`'s row-fused flux kernel on an 8x4x2 block (cut to its
+ * first ndim dimensions) filled by fillRough, and compare every face
+ * flux bitwise against the two-pass reference.
+ */
+template <typename RiemannRow>
+void
+expectFusedMatchesTwoPass(const PackageDescriptor& package,
+                          ReconMethod recon, RiemannRow&& riemann,
+                          const std::string& what)
+{
+    const VariableRegistry registry = package.buildRegistry();
+    for (int ndim = 1; ndim <= 3; ++ndim) {
+        for (int threads : {1, 4}) {
+            ExecContext ctx(ExecMode::Execute, nullptr, nullptr,
+                            makeExecutionSpace(threads));
+            MeshConfig config;
+            config.ndim = ndim;
+            config.nx1 = 16;
+            config.nx2 = 8;
+            config.nx3 = 4;
+            config.blockNx1 = 8;
+            config.blockNx2 = 4;
+            config.blockNx3 = 2;
+            config.amrLevels = 1;
+            config.numThreads = threads;
+            Mesh mesh(config, registry, ctx);
+            MeshBlock& block = mesh.block(0);
+            fillRough(block);
+
+            package.calculateFluxesBlock(mesh, block);
+            const std::vector<RealArray4> expected =
+                twoPassFluxes(block, recon, riemann);
+
+            const BlockShape s = block.shape();
+            const std::string where = what + ", " + std::to_string(ndim) +
+                                      "-D, " + std::to_string(threads) +
+                                      " threads";
+            ASSERT_EQ(expected.size(), static_cast<std::size_t>(ndim));
+            for (int d = 0; d < ndim; ++d) {
+                const int di = d == 0, dj = d == 1, dk = d == 2;
+                const RealArray4& got = block.flux(d);
+                std::int64_t faces = 0;
+                for (int n = 0; n < got.nvar(); ++n)
+                    for (int k = s.ks(); k <= s.ke() + dk; ++k)
+                        for (int j = s.js(); j <= s.je() + dj; ++j)
+                            for (int i = s.is(); i <= s.ie() + di; ++i) {
+                                ++faces;
+                                const double a = got(n, k, j, i);
+                                const double b = expected[d](n, k, j, i);
+                                ASSERT_EQ(std::memcmp(&a, &b, sizeof a), 0)
+                                    << where << ", dir " << d << ", face ("
+                                    << n << ", " << k << ", " << j << ", "
+                                    << i << "): " << a << " vs " << b;
+                            }
+                EXPECT_GT(faces, 0) << where;
+            }
+        }
+    }
+}
+
+TEST(FvOps, RowFusedFluxesMatchTwoPassReference)
+{
+    BurgersConfig burgers;
+    burgers.numScalars = 2;
+    expectFusedMatchesTwoPass(BurgersPackage(burgers), burgers.recon,
+                              hllRowTwoPass, "burgers (WENO5)");
+
+    // Mixed-sign velocities: faces upwind from both sides.
+    const auto upwind = [](const TransportConfig& config) {
+        return [config](const RealArray4& rl, const RealArray4& rr,
+                        RealArray4& flux, int d, int ncomp, int k, int j,
+                        int fis, int fie) {
+            const double vel[3] = {config.vx, config.vy, config.vz};
+            const double v = vel[d];
+            for (int i = fis; i <= fie; ++i)
+                for (int n = 0; n < ncomp; ++n)
+                    flux(n, k, j, i) =
+                        v >= 0.0 ? v * rl(n, k, j, i) : v * rr(n, k, j, i);
+        };
+    };
+    AdvectionConfig advection;
+    advection.vy = -0.5;
+    ASSERT_EQ(advection.recon, ReconMethod::Weno5);
+    expectFusedMatchesTwoPass(AdvectionPackage(advection), advection.recon,
+                              upwind(advection), "advection (WENO5)");
+
+    ReactionConfig reaction;
+    reaction.vx = -1.0;
+    ASSERT_EQ(reaction.recon, ReconMethod::Plm);
+    expectFusedMatchesTwoPass(ReactionPackage(reaction), reaction.recon,
+                              upwind(reaction), "reaction (PLM)");
 }
 
 } // namespace
