@@ -81,11 +81,10 @@ class Array4
      * With `zero_init` the contents are cleared in one pass; without
      * it, recycled contents are kept as-is — callers use this for
      * buffers every cell of which is written before it is read
-     * (fluxes, reconstruction scratch, dudt), skipping the clear
-     * entirely on a pool hit. The vector is resized to the exact
-     * element count; a pool-fresh vector arrives with reserved
-     * capacity and zero size, so even the fresh path initializes
-     * each element exactly once.
+     * (fluxes, dudt), skipping the clear entirely on a pool hit. The
+     * vector is resized to the exact element count; a pool-fresh
+     * vector arrives with reserved capacity and zero size, so even the
+     * fresh path initializes each element exactly once.
      */
     Array4(int nn, int nk, int nj, int ni, std::vector<T>&& storage,
            bool zero_init)

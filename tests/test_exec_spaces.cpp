@@ -318,11 +318,11 @@ TEST(ExecutionSpace, ThreadedNumericRunMatchesSerialExactly)
     }
 }
 
-TEST(ExecutionSpace, SharedScratchSerializesFluxTasksCorrectly)
+TEST(ExecutionSpace, AuxMemoryLayoutThreadedRunMatchesSerial)
 {
-    // With the §VIII-B shared reconstruction scratch, per-block flux
-    // tasks are chained under the threaded executor; the result must
-    // still match the serial run bitwise.
+    // The §VIII-B layout changes only the memory accounting: flux
+    // tasks reconstruct into per-chunk row scratch and run
+    // concurrently, and the result must match the serial run bitwise.
     const RippleRun serial = runRipple(1, true);
     const RippleRun threaded = runRipple(4, true);
     ASSERT_EQ(serial.locs, threaded.locs);
