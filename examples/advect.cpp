@@ -7,8 +7,10 @@
  * application. For the advection package the run is cross-checked
  * against the exact translated profile.
  *
- * One driver runs here, so a deck (or VIBE_* twin) that sets a knob
- * only the Experiment harness honours — `<exec> num_ranks` > 1,
+ * The run goes through a RankTeam, so `<exec> num_ranks` shards the
+ * mesh over that many concurrent drivers; one rank is the classic
+ * driver, whose RankWorld models two ranks. A deck (or VIBE_* twin)
+ * that sets a knob only the Experiment harness honours —
  * `<driver> checkpoint_every`, `<exec> fail_rank|fail_cycle`,
  * `<obs> trace|metrics` — is refused, naming the key, rather than run
  * as if the knob were unset.
@@ -23,12 +25,9 @@
 #include <iostream>
 #include <string>
 
-#include "comm/rank_world.hpp"
-#include "driver/evolution_driver.hpp"
+#include "driver/rank_team.hpp"
 #include "driver/tagger.hpp"
-#include "exec/execution_space.hpp"
 #include "exec/kernel_profiler.hpp"
-#include "exec/memory_tracker.hpp"
 #include "pkg/advection_package.hpp"
 #include "pkg/package_registry.hpp"
 #include "util/table.hpp"
@@ -62,11 +61,8 @@ derefine_tol = 0.03
  */
 std::string
 experimentOnlyKnob(const vibe::ParameterInput& pin,
-                   const vibe::MeshConfig& mesh,
                    const vibe::DriverConfig& driver)
 {
-    if (mesh.numRanks > 1)
-        return "exec/num_ranks = " + std::to_string(mesh.numRanks);
     if (driver.checkpointEvery > 0)
         return "driver/checkpoint_every = " +
                std::to_string(driver.checkpointEvery);
@@ -107,37 +103,35 @@ main(int argc, char** argv)
     MeshConfig mesh_config = MeshConfig::fromParams(pin);
     DriverConfig driver_config = DriverConfig::fromParams(pin);
     if (const std::string knob =
-            experimentOnlyKnob(pin, mesh_config, driver_config);
+            experimentOnlyKnob(pin, driver_config);
         !knob.empty()) {
         std::cerr << "advect: " << knob
                   << " is set, but only the Experiment harness honours "
-                     "it; this single-driver runner refuses the deck "
-                     "rather than ignore the knob\n";
+                     "it; this runner refuses the deck rather than "
+                     "ignore the knob\n";
         return 1;
     }
 
-    KernelProfiler profiler;
-    MemoryTracker tracker;
-    ExecContext ctx(ExecMode::Execute, &profiler, &tracker,
-                    makeExecutionSpace(mesh_config.numThreads));
-    Mesh mesh(mesh_config, registry, ctx);
-    RankWorld world(2);
-    GradientTagger tagger(*package);
-    EvolutionDriver driver(mesh, *package, world, tagger,
-                           driver_config);
+    RankTeam team(
+        mesh_config, registry, *package, driver_config,
+        [&package](int) {
+            return std::make_unique<GradientTagger>(*package);
+        },
+        ExecMode::Execute, /*modeled_ranks=*/2);
 
     std::cout << "package: " << package->name() << " (variables:";
     for (const auto& v : registry.all())
         std::cout << " " << v.name << "[" << v.ncomp << "]";
     std::cout << ")\n\n";
 
-    driver.initialize();
-    driver.run();
+    team.run();
+    const EvolutionDriver& driver = team.driver(0);
+    const std::vector<CycleStats> history = team.aggregatedHistory();
 
     Table table("Evolution history");
     table.setHeader({"cycle", "time", "dt", "blocks", "refined",
                      "derefined", "mass"});
-    for (const auto& s : driver.history()) {
+    for (const auto& s : history) {
         if (s.cycle % 3 != 0)
             continue;
         table.addRow({std::to_string(s.cycle), formatSig(s.time, 3),
@@ -148,23 +142,25 @@ main(int argc, char** argv)
     }
     table.print(std::cout);
 
-    if (driver.history().empty()) {
+    if (history.empty()) {
         std::cout << "\nno cycles ran (ncycles = 0?)\n";
         return 0;
     }
-    const double mass0 = driver.history().front().mass;
-    const double mass1 = driver.history().back().mass;
+    const double mass0 = history.front().mass;
+    const double mass1 = history.back().mass;
     std::cout << "\nconservation: |mass drift| = "
               << formatSig(std::fabs(mass1 - mass0), 3) << "\n";
 
     // Advection has an exact solution: report the discretization
-    // error of the final state against the translated profile.
+    // error of the final state against the translated profile, read
+    // from each block's owner replica.
     if (const auto* advection =
             dynamic_cast<const AdvectionPackage*>(package.get())) {
-        const BlockShape s = mesh.config().blockShape();
+        const BlockShape s = mesh_config.blockShape();
         double err = 0;
         std::int64_t cells = 0;
-        for (const auto& block : mesh.blocks()) {
+        for (const auto& replica : team.mesh(0).blocks()) {
+            const MeshBlock* block = team.ownedBlock(replica->loc());
             const BlockGeometry& g = block->geom();
             for (int k = s.ks(); k <= s.ke(); ++k)
                 for (int j = s.js(); j <= s.je(); ++j)
@@ -182,6 +178,8 @@ main(int argc, char** argv)
                   << " after t = " << formatSig(driver.time(), 3)
                   << "\n";
     }
+    KernelProfiler profiler;
+    team.mergeInstrumentation(&profiler, nullptr);
     std::cout << "kernel launches recorded: " << profiler.totalLaunches()
               << "\n";
     return 0;

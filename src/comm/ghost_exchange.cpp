@@ -1,9 +1,7 @@
 #include "comm/ghost_exchange.hpp"
 
 #include <algorithm>
-#include <chrono>
 #include <cmath>
-#include <thread>
 
 #include "exec/par_for.hpp"
 #include "mesh/prolong_restrict.hpp"
@@ -627,23 +625,20 @@ GhostExchange::sendFusedMessage(PlanPhase phase, int slot)
 }
 
 void
-GhostExchange::takeFusedMessage(PlanPhase phase, int slot)
+GhostExchange::acceptFusedMessage(PlanPhase phase, int slot, Message msg)
 {
     const PlanMessage& m = plan_.messages(phase)[static_cast<std::size_t>(
         plan_.localRecvIds(phase)[static_cast<std::size_t>(slot)])];
-    auto msg = world_->receive(m.id);
-    require(msg.has_value(), "missing coalesced ", planPhaseName(phase),
-            " message ", m.src, " -> ", m.dst);
-    require(msg->src == m.src && msg->dst == m.dst, "coalesced ",
+    require(msg.src == m.src && msg.dst == m.dst, "coalesced ",
             planPhaseName(phase), " message rank mismatch: carried ",
-            msg->src, " -> ", msg->dst, ", expected ", m.src, " -> ",
+            msg.src, " -> ", msg.dst, ", expected ", m.src, " -> ",
             m.dst);
-    require(!mesh_->ctx().executing() || msg->payload.size() == m.doubles,
+    require(!mesh_->ctx().executing() || msg.payload.size() == m.doubles,
             "coalesced ", planPhaseName(phase),
-            " payload size mismatch: ", msg->payload.size(),
+            " payload size mismatch: ", msg.payload.size(),
             " doubles, directory says ", m.doubles);
     fused_[static_cast<int>(phase)].inbox[static_cast<std::size_t>(slot)] =
-        std::move(*msg);
+        std::move(msg);
 }
 
 bool
@@ -651,9 +646,10 @@ GhostExchange::pollFusedMessage(PlanPhase phase, int slot)
 {
     const PlanMessage& m = plan_.messages(phase)[static_cast<std::size_t>(
         plan_.localRecvIds(phase)[static_cast<std::size_t>(slot)])];
-    if (!world_->iprobe(m.id))
+    std::optional<Message> msg = world_->receive(m.id);
+    if (!msg)
         return false;
-    takeFusedMessage(phase, slot);
+    acceptFusedMessage(phase, slot, std::move(*msg));
     // One probe per rank pair, recorded on completion.
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", m.dst, "recv_poll",
                    1.0);
@@ -665,32 +661,16 @@ GhostExchange::receiveFusedPhase(PlanPhase phase)
 {
     const auto& msgs = plan_.messages(phase);
     const auto& ids = plan_.localRecvIds(phase);
-    // vibe-lint: allow(obs-isolation) peer-wait deadline bounding the
-    // Iprobe progress loop, not timing instrumentation.
-    const auto deadline = std::chrono::steady_clock::now() +
-                          std::chrono::duration<double>(kPeerWaitSeconds);
     for (std::size_t r = 0; r < ids.size(); ++r) {
         const PlanMessage& m = msgs[static_cast<std::size_t>(ids[r])];
-        if (mesh_->sharded()) {
-            // Concurrent peers: poll with a deadline (the real code's
-            // Iprobe progress loop).
-            while (!world_->iprobe(m.id)) {
-                require(!world_->failed(),
-                        "fused ghost exchange aborted: a peer rank "
-                        "failed");
-                require(std::chrono::steady_clock::now() < deadline,
-                        "fused ghost exchange timed out waiting for "
-                        "the coalesced ",
-                        planPhaseName(phase), " message from rank ",
-                        m.src, " on rank ", m.dst);
-                std::this_thread::yield();
-            }
-        } else {
-            require(world_->iprobe(m.id),
-                    "fused ghost exchange lost a coalesced ",
-                    planPhaseName(phase), " message");
-        }
-        takeFusedMessage(phase, static_cast<int>(r));
+        acceptFusedMessage(
+            phase, static_cast<int>(r),
+            world_->receiveWait(m.id, "fused ghost exchange", [&] {
+                return "the coalesced " +
+                       std::string(planPhaseName(phase)) +
+                       " message from rank " + std::to_string(m.src) +
+                       " on rank " + std::to_string(m.dst);
+            }));
     }
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs",
                    mesh_->collectiveRank(), "recv_poll",

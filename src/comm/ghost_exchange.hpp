@@ -174,8 +174,8 @@ class GhostExchange
     void runFusedPhase(PlanPhase phase);
     /** Blocking poll for every inbound message of a phase. */
     void receiveFusedPhase(PlanPhase phase);
-    /** Move a present message into its inbox slot, validating it. */
-    void takeFusedMessage(PlanPhase phase, int slot);
+    /** Move a received message into its inbox slot, validating it. */
+    void acceptFusedMessage(PlanPhase phase, int slot, Message msg);
     /** isend the finished payload of send slot `slot`. */
     void sendFusedMessage(PlanPhase phase, int slot);
     /** Best-fit pooled payload of `count` doubles (or a fresh one). */

@@ -1,5 +1,8 @@
 #include "comm/rank_world.hpp"
 
+#include <chrono>
+#include <thread>
+
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
 
@@ -71,6 +74,30 @@ RankWorld::receive(const ChannelId& channel)
     it->second.pop_front();
     --pending_total_;
     return msg;
+}
+
+Message
+RankWorld::receiveWait(const ChannelId& channel, std::string_view what,
+                       const std::function<std::string()>& awaited)
+{
+    // vibe-lint: allow(obs-isolation) peer-wait deadline bounding the
+    // receive poll loop, not timing instrumentation.
+    const auto deadline = std::chrono::steady_clock::now() +
+                          std::chrono::duration_cast<
+                              std::chrono::steady_clock::duration>(
+                              std::chrono::duration<double>(
+                                  kPeerWaitSeconds));
+    for (;;) {
+        if (std::optional<Message> msg = receive(channel))
+            return std::move(*msg);
+        if (!concurrent_)
+            panic(what, " lost ", awaited());
+        if (failed())
+            panic(what, " aborted: ", failureReason());
+        if (std::chrono::steady_clock::now() >= deadline)
+            panic(what, " timed out waiting for ", awaited());
+        std::this_thread::yield();
+    }
 }
 
 std::size_t

@@ -28,9 +28,11 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <optional>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -183,6 +185,18 @@ class RankWorld
 
     /** MPI_Test + receive: take the pending message, if any. */
     std::optional<Message> receive(const ChannelId& channel);
+
+    /**
+     * Blocking receive: take the next message on `channel`, polling
+     * until a concurrent peer sends it. Panics "<what> aborted: <the
+     * failureReason()>" once the world failed, and "<what> timed out
+     * waiting for <awaited()>" after kPeerWaitSeconds. A modeled world
+     * has no peer left to send, so there an empty mailbox panics at
+     * once ("<what> lost <awaited()>"). `awaited` runs only to word a
+     * panic.
+     */
+    Message receiveWait(const ChannelId& channel, std::string_view what,
+                        const std::function<std::string()>& awaited);
 
     /**
      * Silently drop any messages pending on `channel` (no traffic is

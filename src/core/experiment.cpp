@@ -1,11 +1,8 @@
 #include "core/experiment.hpp"
 
-#include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <thread>
 
-#include "comm/rank_world.hpp"
 #include "driver/fault_injector.hpp"
 #include "driver/rank_team.hpp"
 #include "driver/tagger.hpp"
@@ -95,6 +92,31 @@ writeRunFooter(MetricsWriter& metrics, const ExperimentSpec& spec,
     totals.set("trace.dropped_events",
                static_cast<double>(TraceRecorder::instance().dropped()));
     metrics.writeFooter(identity, totals);
+}
+
+/**
+ * Numeric runs refine on the package's own gradient criterion.
+ * Counting runs follow a compact pulsating blob (the Gaussian pulse of
+ * the VIBE initial condition): solid mode keeps the refined-block count
+ * roughly independent of MeshBlockSize, the regime the paper's §IV-B
+ * ratios exhibit.
+ */
+std::unique_ptr<RefinementTagger>
+makeTagger(const ExperimentSpec& spec, const PackageDescriptor& package)
+{
+    if (spec.numeric)
+        return std::make_unique<GradientTagger>(package);
+    SphericalWaveTagger::Params wave_params;
+    wave_params.solid = true;
+    wave_params.rMin = 0.06;
+    wave_params.rMax = 0.11;
+    wave_params.width = 0.005;
+    // Tagging halo of one block width: a coarse block "sees" the
+    // feature from further away, the over-refinement mechanism that
+    // amplifies cell updates at large MeshBlockSize (Fig. 1a).
+    wave_params.haloCells = 0.25 * spec.blockSize;
+    wave_params.derefineFactor = 1.8;
+    return std::make_unique<SphericalWaveTagger>(wave_params);
 }
 
 } // namespace
@@ -270,161 +292,58 @@ Experiment::runAttempt(FaultInjector* injector,
     driver_config.fixedDt = spec.fixedDt();
     driver_config.randomizeBufferKeys = spec.randomizeBufferKeys;
     driver_config.checkpointEvery = spec.checkpointEvery;
-    driver_config.checkpointPath = spec.checkpointPath;
-    driver_config.checkpointAsync = spec.checkpointAsync;
     driver_config.lbCost = lbCostModeFromName(spec.lbCost);
     driver_config.lbImbalanceTrigger = spec.lbImbalanceTrigger;
 
-    if (spec.numRanks > 1) {
-        // Rank-sharded measured path: one driver per rank on its own
-        // thread, coupled only through RankWorld. Per-rank
-        // instrumentation is merged into the run-wide report after.
-        RankTeam team(mesh_config, registry, *package, driver_config,
-                      [&package](int) {
-                          return std::make_unique<GradientTagger>(
-                              *package);
-                      });
-        if (writer)
-            team.setCheckpointWriter(writer);
-        if (metrics)
-            team.setMetricsWriter(metrics);
-        if (injector)
-            team.setFaultInjector(injector);
-        if (restore)
-            team.setRestoreImage(restore);
-        team.run();
-
-        if (writer) {
-            writer->finish();
-            result.checkpointsWritten =
-                static_cast<int>(writer->snapshots());
-            result.checkpointDrainSeconds = writer->drainSeconds();
-            result.checkpointCaptureSeconds =
-                team.driver(0).checkpointCaptureSeconds();
-        }
-
-        KernelProfiler profiler;
-        MemoryTracker tracker;
-        team.mergeInstrumentation(&profiler, &tracker);
-
-        result.zoneCycles = team.zoneCycles();
-        result.commCells = team.commCells();
-        result.commFaces = team.commFaces();
-        result.cellUpdates = 2 * team.zoneCycles();
-        result.finalBlocks = team.mesh(0).numBlocks();
-        result.kokkosBytes = tracker.currentBytes();
-        result.history = team.aggregatedHistory();
-        result.profiler = profiler;
-        result.wallSeconds = team.wallSeconds();
-        result.traffic = team.world().traffic();
-        result.migratedStorageBytes = team.migratedStorageBytes();
-
-        EvolutionDriver& driver0 = team.driver(0);
-        RunArtifacts artifacts;
-        artifacts.profiler = &result.profiler;
-        artifacts.ncycles = driver0.cycle();
-        artifacts.zoneCycles = team.zoneCycles();
-        artifacts.commCells = team.commCells();
-        artifacts.kokkosBytes = tracker.currentBytes();
-        artifacts.remoteWireBytes =
-            driver0.bufferCache().remoteWireBytes();
-        artifacts.remoteMsgsPerCycle =
-            driver0.cycle() > 0
-                ? static_cast<double>(
-                      team.world().traffic().remoteMessages) /
-                      static_cast<double>(driver0.cycle())
-                : 0.0;
-        artifacts.finalBlocks = team.mesh(0).numBlocks();
-
-        const ExecutionModel model;
-        result.report = model.evaluate(artifacts, spec.platform);
-        return result;
-    }
-
-    KernelProfiler profiler;
-    MemoryTracker tracker;
-    // The MeshConfig carries the exec/num_threads knob; counting mode
-    // never executes kernel bodies, so spawning a pool there would be
-    // pure startup/teardown overhead across sweep points.
-    ExecContext ctx(spec.numeric ? ExecMode::Execute : ExecMode::Count,
-                    &profiler, &tracker,
-                    makeExecutionSpace(
-                        spec.numeric ? mesh_config.numThreads : 1));
-
-    Mesh mesh(mesh_config, registry, ctx);
-
-    RankWorld world(spec.platform.ranks);
-
-    GradientTagger gradient_tagger(*package);
-    // Counting-mode feature: a compact pulsating blob (the Gaussian
-    // pulse of the VIBE initial condition). Solid mode keeps the
-    // refined-block count roughly independent of MeshBlockSize, the
-    // regime the paper's §IV-B ratios exhibit.
-    SphericalWaveTagger::Params wave_params;
-    wave_params.solid = true;
-    wave_params.rMin = 0.06;
-    wave_params.rMax = 0.11;
-    wave_params.width = 0.005;
-    // Tagging halo of one block width: a coarse block "sees" the
-    // feature from further away, the over-refinement mechanism that
-    // amplifies cell updates at large MeshBlockSize (Fig. 1a).
-    wave_params.haloCells = 0.25 * spec.blockSize;
-    wave_params.derefineFactor = 1.8;
-    SphericalWaveTagger wave_tagger(wave_params);
-    RefinementTagger& tagger =
-        spec.numeric ? static_cast<RefinementTagger&>(gradient_tagger)
-                     : static_cast<RefinementTagger&>(wave_tagger);
-
-    EvolutionDriver driver(mesh, *package, world, tagger, driver_config);
-    if (writer)
-        driver.setCheckpointWriter(writer);
-    if (metrics)
-        driver.setMetricsWriter(metrics);
-    if (injector)
-        driver.setFaultInjector(injector);
-    const auto wall_start = std::chrono::steady_clock::now();
-    if (restore)
-        driver.initializeFromCheckpoint(*restore);
-    else
-        driver.initialize();
-    driver.run();
-    result.wallSeconds = std::chrono::duration<double>(
-                             std::chrono::steady_clock::now() -
-                             wall_start)
-                             .count();
-    result.traffic = world.traffic();
+    // One driver per rank, coupled only through RankWorld; a one-rank
+    // team is the classic driver over the platform's modeled ranks.
+    RankTeam team(
+        mesh_config, registry, *package, driver_config,
+        [&](int) { return makeTagger(spec, *package); },
+        spec.numeric ? ExecMode::Execute : ExecMode::Count,
+        spec.platform.ranks);
+    team.setCheckpointWriter(writer);
+    team.setMetricsWriter(metrics);
+    team.setFaultInjector(injector);
+    team.setRestoreImage(restore);
+    team.run();
+    EvolutionDriver& driver0 = team.driver(0);
 
     if (writer) {
         writer->finish();
-        result.checkpointsWritten =
-            static_cast<int>(writer->snapshots());
+        result.checkpointsWritten = static_cast<int>(writer->snapshots());
         result.checkpointDrainSeconds = writer->drainSeconds();
         result.checkpointCaptureSeconds =
-            driver.checkpointCaptureSeconds();
+            driver0.checkpointCaptureSeconds();
     }
 
-    result.zoneCycles = driver.zoneCycles();
-    result.commCells = driver.commCells();
-    result.commFaces = driver.commFaces();
-    result.cellUpdates = 2 * driver.zoneCycles(); // two RK stages
-    result.finalBlocks = mesh.numBlocks();
+    MemoryTracker tracker;
+    team.mergeInstrumentation(&result.profiler, &tracker);
+
+    result.zoneCycles = team.zoneCycles();
+    result.commCells = team.commCells();
+    result.commFaces = team.commFaces();
+    result.cellUpdates = 2 * team.zoneCycles(); // two RK stages
+    result.finalBlocks = team.mesh(0).numBlocks();
     result.kokkosBytes = tracker.currentBytes();
-    result.history = driver.history();
-    result.profiler = profiler;
+    result.history = team.aggregatedHistory();
+    result.wallSeconds = team.wallSeconds();
+    result.traffic = team.world().traffic();
+    result.migratedStorageBytes = team.migratedStorageBytes();
 
     RunArtifacts artifacts;
     artifacts.profiler = &result.profiler;
-    artifacts.ncycles = driver.cycle();
-    artifacts.zoneCycles = driver.zoneCycles();
-    artifacts.commCells = driver.commCells();
-    artifacts.kokkosBytes = tracker.currentBytes();
-    artifacts.remoteWireBytes = driver.bufferCache().remoteWireBytes();
+    artifacts.ncycles = driver0.cycle();
+    artifacts.zoneCycles = result.zoneCycles;
+    artifacts.commCells = result.commCells;
+    artifacts.kokkosBytes = result.kokkosBytes;
+    artifacts.remoteWireBytes = driver0.bufferCache().remoteWireBytes();
     artifacts.remoteMsgsPerCycle =
-        driver.cycle() > 0
-            ? static_cast<double>(world.traffic().remoteMessages) /
-                  static_cast<double>(driver.cycle())
+        driver0.cycle() > 0
+            ? static_cast<double>(result.traffic.remoteMessages) /
+                  static_cast<double>(driver0.cycle())
             : 0.0;
-    artifacts.finalBlocks = mesh.numBlocks();
+    artifacts.finalBlocks = result.finalBlocks;
 
     const ExecutionModel model;
     result.report = model.evaluate(artifacts, spec.platform);

@@ -58,11 +58,12 @@ struct ExperimentSpec
     int numThreads = 1;
     /**
      * Simulated ranks executing concurrently (the `exec/num_ranks`
-     * knob): 1 runs the classic single-driver loop; >1 launches a
-     * RankTeam — one driver thread per rank over a disjoint block
-     * shard, all coupling through RankWorld — turning the §V rank
-     * scaling from a model output into a measurement. Requires
-     * `numeric`; results are bitwise identical to numRanks = 1.
+     * knob). Every run is a RankTeam: 1 is the classic single driver,
+     * whose RankWorld models `platform.ranks`; >1 runs one driver per
+     * rank over a disjoint block shard, all coupling through RankWorld,
+     * turning the §V rank scaling from a model output into a
+     * measurement. >1 requires `numeric`; results are bitwise identical
+     * to numRanks = 1.
      */
     int numRanks = 1;
     /**
@@ -151,7 +152,8 @@ struct ExperimentResult
     std::vector<CycleStats> history;
 
     // Measured-run facts (the --measured benches read these).
-    /** Wall seconds of initialize + evolve (all ranks). */
+    /** Wall seconds of RankTeam::run(): rank-state construction,
+     *  initialize and evolve (all ranks, at every rank count). */
     double wallSeconds = 0;
     /** RankWorld traffic counters at the end of the run. */
     Traffic traffic;

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <chrono>
 #include <limits>
-#include <thread>
 
 #include "driver/fault_injector.hpp"
 #include "driver/task_list.hpp"
@@ -64,10 +63,6 @@ DriverConfig::fromParams(const ParameterInput& pin)
         "comm", "randomize_buffer_keys", config.randomizeBufferKeys);
     config.checkpointEvery =
         pin.getInt64("driver", "checkpoint_every", config.checkpointEvery);
-    config.checkpointPath =
-        pin.getString("driver", "checkpoint_path", config.checkpointPath);
-    config.checkpointAsync =
-        pin.getBool("driver", "checkpoint_async", config.checkpointAsync);
     return config;
 }
 
@@ -961,14 +956,6 @@ EvolutionDriver::applyRestructureData(
                               std::move(payload), bytes);
             }
         }
-        // vibe-lint: allow(obs-isolation) peer-wait deadline, not
-        // timing instrumentation: bounds how long a parent waits for
-        // a remote child's restriction octant.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(kPeerWaitSeconds));
         for (const auto& derefined : restructure.derefined) {
             if (derefined.parent->rank() != my_rank)
                 continue;
@@ -983,20 +970,11 @@ EvolutionDriver::applyRestructureData(
                 channel.sender = child->loc();
                 channel.receiver = derefined.parent->loc();
                 channel.kind = ChannelKind::Block;
-                std::optional<Message> msg;
-                while (!(msg = world_->receive(channel)).has_value()) {
-                    // Not require(): its message args are evaluated
-                    // every iteration, and failureReason() locks.
-                    if (world_->failed())
-                        panic("remote restriction aborted: ",
-                              world_->failureReason());
-                    require(std::chrono::steady_clock::now() < deadline,
-                            "remote restriction timed out waiting for ",
-                            child->loc().str());
-                    std::this_thread::yield();
-                }
+                const Message msg = world_->receiveWait(
+                    channel, "remote restriction",
+                    [&] { return child->loc().str(); });
                 applyRestrictedOctant(ctx, *derefined.parent,
-                                      child->loc(), msg->payload);
+                                      child->loc(), msg.payload);
             }
         }
         return;

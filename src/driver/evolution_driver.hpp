@@ -86,10 +86,6 @@ struct DriverConfig
      * (rank 0 on a team) also writes the file.
      */
     std::int64_t checkpointEvery = 0;
-    /** Destination file (`<driver> checkpoint_path`). */
-    std::string checkpointPath;
-    /** Drain snapshots off-thread (`<driver> checkpoint_async`). */
-    bool checkpointAsync = true;
 
     static DriverConfig fromParams(const ParameterInput& pin);
 };

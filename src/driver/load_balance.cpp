@@ -1,8 +1,6 @@
 #include "driver/load_balance.hpp"
 
 #include <algorithm>
-#include <chrono>
-#include <thread>
 #include <utility>
 
 #include "exec/par_for.hpp"
@@ -199,30 +197,13 @@ loadBalance(Mesh& mesh, RankWorld& world,
     // so a bounded poll wait suffices.
     if (sharded) {
         TraceSpan span("MigrateBlocks", TraceCat::Comm, my_rank);
-        // vibe-lint: allow(obs-isolation) peer-wait deadline bounding
-        // the migration receive loop, not timing instrumentation.
-        const auto deadline =
-            std::chrono::steady_clock::now() +
-            std::chrono::duration_cast<
-                std::chrono::steady_clock::duration>(
-                std::chrono::duration<double>(kPeerWaitSeconds));
         for (std::size_t b : arrivals) {
             MeshBlock& block = *blocks[b];
-            const ChannelId channel = migrationChannel(block.loc());
-            std::optional<Message> msg;
-            while (!(msg = world.receive(channel)).has_value()) {
-                // Not require(): its message args are evaluated every
-                // iteration, and failureReason() locks.
-                if (world.failed())
-                    panic("block migration aborted: ",
-                          world.failureReason());
-                require(std::chrono::steady_clock::now() < deadline,
-                        "block migration timed out waiting for ",
-                        block.loc().str());
-                std::this_thread::yield();
-            }
+            const Message msg = world.receiveWait(
+                migrationChannel(block.loc()), "block migration",
+                [&] { return block.loc().str(); });
             mesh.realizeBlock(block);
-            block.deserializeState(msg->payload);
+            block.deserializeState(msg.payload);
         }
         if (stats.movedBlocks > 0)
             mesh.refreshOwnership();

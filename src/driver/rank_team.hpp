@@ -1,8 +1,10 @@
 /**
  * @file rank_team.hpp
- * Rank-sharded execution: one EvolutionDriver per simulated rank, each
- * on its own thread with its own thread team, over a disjoint shard of
- * blocks (paper §V, measured rather than modeled).
+ * The one way a run is launched: one EvolutionDriver per simulated
+ * rank, each with its own thread team, over a disjoint shard of blocks
+ * (paper §V, measured rather than modeled). A serial run is the N = 1
+ * point of the same decomposition, as in Parthenon, where a serial job
+ * is a one-rank MPI job.
  *
  * The decomposition mirrors Parthenon/AMReX distributed AMR:
  *
@@ -20,6 +22,13 @@
  *   blocks, all-gathered, and every rank rebuilds the identical tree
  *   deterministically (BlockTree::update sorts its inputs), so no rank
  *   ever needs another rank's structure.
+ *
+ * A one-rank team is the classic single-address-space driver: its
+ * Mesh is unsharded (shard rank -1, every block materialized), its
+ * RankWorld is non-concurrent with the *modeled* rank count the
+ * performance model charges communication against, and it may run in
+ * counting mode. Only a team of two or more ranks shards storage and
+ * makes the collectives real rendezvous operations.
  *
  * Each rank also owns private instrumentation (KernelProfiler,
  * MemoryTracker) so the hot paths stay lock-free; the team merges them
@@ -58,12 +67,18 @@ class RankTeam
      *        ranks and outlives the team).
      * @param driver_config Loop controls, identical on every rank.
      * @param make_tagger  Builds each rank's refinement tagger.
+     * @param mode         Execute runs kernel bodies; Count (one-rank
+     *        teams only) records the work on a 1-thread space.
+     * @param modeled_ranks Rank count of a one-rank team's RankWorld,
+     *        which block ownership and traffic are modeled against;
+     *        ignored when numRanks > 1.
      */
     RankTeam(const MeshConfig& mesh_config,
              const VariableRegistry& registry,
              const PackageDescriptor& package,
              const DriverConfig& driver_config,
-             TaggerFactory make_tagger);
+             TaggerFactory make_tagger,
+             ExecMode mode = ExecMode::Execute, int modeled_ranks = 1);
     ~RankTeam();
 
     RankTeam(const RankTeam&) = delete;
@@ -71,11 +86,12 @@ class RankTeam
 
     /**
      * Initialize and evolve every rank concurrently; returns when all
-     * rank threads finished. Each rank's state (mesh, driver,
-     * instrumentation) is constructed on its own thread, so per-rank
-     * profilers and trackers run their owner fast paths. Rethrows the
-     * first rank failure after waking any peers blocked on the failed
-     * rank. May be called once.
+     * ranks finished. A one-rank team runs on the calling thread; in a
+     * larger team every rank runs on a thread of its own. Each rank's
+     * state (mesh, driver, instrumentation) is constructed on the
+     * thread that runs it, so per-rank profilers and trackers run
+     * their owner fast paths. Rethrows the first rank failure after
+     * waking any peers blocked on the failed rank. May be called once.
      */
     void run();
 
@@ -132,11 +148,13 @@ class RankTeam
 
     /**
      * The block at `loc` on its owner's replica (the copy that holds
-     * real storage), or nullptr if `loc` is not a current leaf.
+     * real storage; the one mesh of a one-rank team), or nullptr if
+     * `loc` is not a current leaf.
      */
     MeshBlock* ownedBlock(const LogicalLocation& loc);
 
-    /** Wall seconds of run() (initialize + evolve, all ranks). */
+    /** Wall seconds of run(): rank-state construction, initialize and
+     *  evolve, all ranks. */
     double wallSeconds() const { return wall_seconds_; }
 
     // --- Aggregated run-wide counters (valid after run()) -------------
@@ -187,6 +205,7 @@ class RankTeam
     const PackageDescriptor* package_;
     DriverConfig driver_config_;
     TaggerFactory make_tagger_;
+    ExecMode mode_;
     int num_ranks_;
     RankWorld world_;
     std::vector<std::unique_ptr<RankState>> states_;

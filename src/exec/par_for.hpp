@@ -75,7 +75,7 @@ reduceCombine(ReduceOp op, double a, double b)
     return a;
 }
 
-/** Scratch shared by the trampoline of one 3-D/4-D chunked launch. */
+/** Scratch shared by the trampoline of one 3-D chunked launch. */
 template <typename F>
 struct Launch3
 {
@@ -84,54 +84,14 @@ struct Launch3
     int kl, jl, il, iu;
 };
 
-template <typename F>
-struct Launch4
-{
-    F& body;
-    std::int64_t nk, nj;
-    int nl, kl, jl, il, iu;
-};
-
 } // namespace detail
 
 /**
- * Execute-only 1-D loop over [il, iu] through the context's execution
- * space, without recording a launch. For call sites whose accounting
- * is batched separately via `recordKernel` (irregular pack/unpack and
- * fused multi-pass kernels).
- */
-template <typename F>
-void
-parForExec(const ExecContext& ctx, int il, int iu, F&& body)
-{
-    if (!ctx.executing() || iu < il)
-        return;
-    ExecutionSpace& space = ctx.space();
-    const std::int64_t n = static_cast<std::int64_t>(iu) - il + 1;
-    if (space.concurrency() == 1 || n <= 1) {
-        for (int i = il; i <= iu; ++i)
-            body(i);
-        return;
-    }
-    struct Launch1
-    {
-        F& body;
-        int il;
-    } launch{body, il};
-    space.forEachChunk(
-        n,
-        [](void* p, std::int64_t begin, std::int64_t end, int) {
-            auto* launch = static_cast<Launch1*>(p);
-            for (std::int64_t idx = begin; idx < end; ++idx)
-                launch->body(launch->il + static_cast<int>(idx));
-        },
-        &launch);
-}
-
-/**
- * Execute-only 3-D loop over [kl,ku] x [jl,ju] x [il,iu]; the (k, j)
- * plane is flattened and chunked, the contiguous i loop stays inside
- * the body call. No launch is recorded (see the 1-D overload).
+ * Execute-only 3-D loop over [kl,ku] x [jl,ju] x [il,iu] through the
+ * context's execution space, without recording a launch (for call
+ * sites whose accounting is batched separately via `recordKernel`).
+ * The (k, j) plane is flattened and chunked; the contiguous i loop
+ * stays inside the body call.
  */
 template <typename F>
 void
@@ -168,76 +128,13 @@ parForExec(const ExecContext& ctx, int kl, int ku, int jl, int ju, int il,
 }
 
 /**
- * Execute-only 4-D loop with a leading variable index [nl,nu]; the
- * (n, k, j) volume is flattened and chunked.
- */
-template <typename F>
-void
-parForExec(const ExecContext& ctx, int nl, int nu, int kl, int ku, int jl,
-           int ju, int il, int iu, F&& body)
-{
-    if (!ctx.executing() || nu < nl || ku < kl || ju < jl || iu < il)
-        return;
-    ExecutionSpace& space = ctx.space();
-    const std::int64_t nn = static_cast<std::int64_t>(nu) - nl + 1;
-    const std::int64_t nk = static_cast<std::int64_t>(ku) - kl + 1;
-    const std::int64_t nj = static_cast<std::int64_t>(ju) - jl + 1;
-    if (space.concurrency() == 1 || nn * nk * nj <= 1) {
-        for (int n = nl; n <= nu; ++n)
-            for (int k = kl; k <= ku; ++k)
-                for (int j = jl; j <= ju; ++j)
-                    for (int i = il; i <= iu; ++i)
-                        body(n, k, j, i);
-        return;
-    }
-    detail::Launch4<F> launch{body, nk, nj, nl, kl, jl, il, iu};
-    space.forEachChunk(
-        nn * nk * nj,
-        [](void* p, std::int64_t begin, std::int64_t end, int) {
-            auto* launch = static_cast<detail::Launch4<F>*>(p);
-            for (std::int64_t idx = begin; idx < end; ++idx) {
-                const std::int64_t kj = idx % (launch->nk * launch->nj);
-                const int n = launch->nl +
-                              static_cast<int>(idx /
-                                               (launch->nk * launch->nj));
-                const int k =
-                    launch->kl + static_cast<int>(kj / launch->nj);
-                const int j =
-                    launch->jl + static_cast<int>(kj % launch->nj);
-                for (int i = launch->il; i <= launch->iu; ++i)
-                    launch->body(n, k, j, i);
-            }
-        },
-        &launch);
-}
-
-/**
- * 1-D named kernel over [il, iu] inclusive.
+ * 3-D named kernel over [kl,ku] x [jl,ju] x [il,iu], innermost i.
  *
  * @param ctx     Execution context (mode + instrumentation + space).
  * @param name    Kernel label (shows up in Table III / Fig. 12).
  * @param costs   Per-item flop/byte costs for the performance model.
- * @param il,iu   Inclusive index bounds.
- * @param body    Callable (int i).
+ * @param body    Callable (int k, int j, int i).
  */
-template <typename F>
-void
-parFor(const ExecContext& ctx, std::string_view name,
-       const KernelCosts& costs, int il, int iu, F&& body)
-{
-    const double items = iu >= il ? static_cast<double>(iu - il + 1) : 0.0;
-    if (ctx.profiler()) {
-        ctx.profiler()->record({name, {}, ctx.currentRank(), 1, items,
-                                items * costs.flopsPerItem,
-                                items * costs.bytesPerItem, items});
-    }
-    // One span per launch: thread-count-independent, so traced event
-    // counts are comparable across pool sizes.
-    TraceSpan trace(name, TraceCat::Kernel, ctx.currentRank());
-    parForExec(ctx, il, iu, static_cast<F&&>(body));
-}
-
-/** 3-D named kernel over [kl,ku] x [jl,ju] x [il,iu], innermost i. */
 template <typename F>
 void
 parFor(const ExecContext& ctx, std::string_view name,
@@ -253,29 +150,10 @@ parFor(const ExecContext& ctx, std::string_view name,
                                 items * costs.flopsPerItem,
                                 items * costs.bytesPerItem, ni});
     }
+    // One span per launch: thread-count-independent, so traced event
+    // counts are comparable across pool sizes.
     TraceSpan trace(name, TraceCat::Kernel, ctx.currentRank());
     parForExec(ctx, kl, ku, jl, ju, il, iu, static_cast<F&&>(body));
-}
-
-/** 4-D named kernel with a leading variable index [nl,nu]. */
-template <typename F>
-void
-parFor(const ExecContext& ctx, std::string_view name,
-       const KernelCosts& costs, int nl, int nu, int kl, int ku, int jl,
-       int ju, int il, int iu, F&& body)
-{
-    const double nn = nu >= nl ? static_cast<double>(nu - nl + 1) : 0.0;
-    const double nk = ku >= kl ? static_cast<double>(ku - kl + 1) : 0.0;
-    const double nj = ju >= jl ? static_cast<double>(ju - jl + 1) : 0.0;
-    const double ni = iu >= il ? static_cast<double>(iu - il + 1) : 0.0;
-    const double items = nn * nk * nj * ni;
-    if (ctx.profiler()) {
-        ctx.profiler()->record({name, {}, ctx.currentRank(), 1, items,
-                                items * costs.flopsPerItem,
-                                items * costs.bytesPerItem, ni});
-    }
-    TraceSpan trace(name, TraceCat::Kernel, ctx.currentRank());
-    parForExec(ctx, nl, nu, kl, ku, jl, ju, il, iu, static_cast<F&&>(body));
 }
 
 /**

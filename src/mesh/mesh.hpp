@@ -53,7 +53,7 @@ struct MeshConfig
      * input deck): 1 selects the serial fast path, >1 a persistent
      * thread pool. The config only carries the knob — whoever builds
      * the ExecContext must honor it by passing
-     * makeExecutionSpace(config.numThreads), as Experiment::run does;
+     * makeExecutionSpace(config.numThreads), as RankTeam does;
      * the Mesh itself runs on whatever space its context supplies.
      */
     int numThreads = 1;
@@ -67,13 +67,13 @@ struct MeshConfig
      */
     bool useMemoryPool = true;
     /**
-     * Simulated MPI ranks executing concurrently (`<exec> num_ranks`):
-     * 1 runs the classic single-driver loop; >1 selects rank-sharded
-     * execution, where a RankTeam launches one driver per rank over a
-     * disjoint shard of blocks and all cross-rank coupling flows
-     * through RankWorld mailboxes and collectives (§V measured mode).
-     * Requires numeric execution — counting-mode studies model rank
-     * counts through the platform configuration instead.
+     * Simulated MPI ranks executing concurrently (`<exec> num_ranks`),
+     * the size of the RankTeam that runs the mesh: 1 is the classic
+     * single driver over an unsharded mesh; >1 gives each rank a
+     * sharded replica, with all cross-rank coupling through RankWorld
+     * mailboxes and collectives (§V measured mode). >1 requires
+     * numeric execution — counting-mode studies model rank counts
+     * through the platform configuration instead.
      */
     int numRanks = 1;
 

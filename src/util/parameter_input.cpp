@@ -58,8 +58,7 @@ knownKnobs()
           {"fail_rank", "VIBE_FAIL_RANK"},
           {"fail_cycle", "VIBE_FAIL_CYCLE"}}},
         {"driver",
-         {{"ncycles"}, {"tlim"}, {"fixed_dt"}, {"checkpoint_every"},
-          {"checkpoint_path"}, {"checkpoint_async"}}},
+         {{"ncycles"}, {"tlim"}, {"fixed_dt"}, {"checkpoint_every"}}},
         {"comm", {{"randomize_buffer_keys"}}},
         {"job", {{"package"}}},
         {"obs", {{"trace", "VIBE_TRACE"}, {"metrics", "VIBE_METRICS"}}},

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 
 #include "comm/boundary_buffers.hpp"
 #include "comm/ghost_exchange.hpp"
@@ -89,6 +90,42 @@ TEST(RankWorld, RankRangeChecked)
     ChannelId ch{{0, 0, 0, 0}, {0, 1, 0, 0}, 1, 0, 0,
                  ChannelKind::Bounds};
     EXPECT_THROW(world.isend(ch, 0, 5, {}, 0.0), PanicError);
+}
+
+/** The panic message of a receiveWait on an empty `ch`, or "". */
+std::string
+receiveWaitPanic(RankWorld& world)
+{
+    ChannelId ch{{0, 0, 0, 0}, {0, 1, 0, 0}, 1, 0, 0,
+                 ChannelKind::Block};
+    try {
+        world.receiveWait(ch, "test receive",
+                          [] { return std::string("block 0/1"); });
+    } catch (const PanicError& err) {
+        return err.what();
+    }
+    return {};
+}
+
+TEST(RankWorld, ReceiveWaitEchoesThePeerFailure)
+{
+    // A blocked receive on a failed world reports the failing rank's
+    // own message, not a generic abort.
+    RankWorld world(2, /*concurrent=*/true);
+    world.markFailed("rank 1: boom at cycle 3");
+    const std::string what = receiveWaitPanic(world);
+    EXPECT_NE(what.find("test receive aborted"), std::string::npos)
+        << what;
+    EXPECT_NE(what.find("boom"), std::string::npos) << what;
+}
+
+TEST(RankWorld, ModeledReceiveWaitFailsAtOnceNamingTheMessage)
+{
+    // No peer runs beside a modeled world, so nothing can still send.
+    RankWorld world(2);
+    const std::string what = receiveWaitPanic(world);
+    EXPECT_NE(what.find("test receive lost block 0/1"), std::string::npos)
+        << what;
 }
 
 // --- Fixture building a mesh + exchange machinery ---

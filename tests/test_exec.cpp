@@ -20,7 +20,8 @@ TEST(ParFor, ExecutesBodyInExecuteMode)
     KernelProfiler profiler;
     ExecContext ctx(ExecMode::Execute, &profiler, nullptr);
     int sum = 0;
-    parFor(ctx, "k", {1.0, 8.0}, 0, 9, [&](int i) { sum += i; });
+    parFor(ctx, "k", {1.0, 8.0}, 0, 0, 0, 0, 0, 9,
+           [&](int, int, int i) { sum += i; });
     EXPECT_EQ(sum, 45);
 }
 
@@ -29,7 +30,8 @@ TEST(ParFor, SkipsBodyInCountMode)
     KernelProfiler profiler;
     ExecContext ctx(ExecMode::Count, &profiler, nullptr);
     int sum = 0;
-    parFor(ctx, "k", {1.0, 8.0}, 0, 9, [&](int i) { sum += i; });
+    parFor(ctx, "k", {1.0, 8.0}, 0, 0, 0, 0, 0, 9,
+           [&](int, int, int i) { sum += i; });
     EXPECT_EQ(sum, 0);
     // ...but the work is still recorded.
     EXPECT_DOUBLE_EQ(profiler.kernelByName("k").items, 10.0);
@@ -51,22 +53,12 @@ TEST(ParFor, RecordsIdenticalWorkInBothModes)
     }
 }
 
-TEST(ParFor, FourDimensionalVariant)
-{
-    KernelProfiler profiler;
-    ExecContext ctx(ExecMode::Execute, &profiler, nullptr);
-    int count = 0;
-    parFor(ctx, "k4", {}, 0, 1, 0, 1, 0, 1, 0, 1,
-           [&](int, int, int, int) { ++count; });
-    EXPECT_EQ(count, 16);
-    EXPECT_DOUBLE_EQ(profiler.kernelByName("k4").items, 16.0);
-}
-
 TEST(ParFor, EmptyRangeRecordsZeroItems)
 {
     KernelProfiler profiler;
     ExecContext ctx(ExecMode::Execute, &profiler, nullptr);
-    parFor(ctx, "empty", {}, 5, 4, [](int) { FAIL(); });
+    parFor(ctx, "empty", {}, 0, 0, 0, 0, 5, 4,
+           [](int, int, int) { FAIL(); });
     EXPECT_DOUBLE_EQ(profiler.kernelByName("empty").items, 0.0);
 }
 
@@ -76,12 +68,12 @@ TEST(Profiler, PhaseAttribution)
     ExecContext ctx(ExecMode::Count, &profiler, nullptr);
     {
         PhaseScope scope(&profiler, "CalculateFluxes");
-        parFor(ctx, "k", {}, 0, 0, [](int) {});
+        parFor(ctx, "k", {}, 0, 0, 0, 0, 0, 0, [](int, int, int) {});
         {
             PhaseScope inner(&profiler, "SendBoundBufs");
-            parFor(ctx, "k", {}, 0, 0, [](int) {});
+            parFor(ctx, "k", {}, 0, 0, 0, 0, 0, 0, [](int, int, int) {});
         }
-        parFor(ctx, "k", {}, 0, 0, [](int) {});
+        parFor(ctx, "k", {}, 0, 0, 0, 0, 0, 0, [](int, int, int) {});
     }
     EXPECT_DOUBLE_EQ(
         profiler.kernels().at({"CalculateFluxes", "k"}).items, 2.0);
@@ -94,9 +86,9 @@ TEST(Profiler, RankAttribution)
     KernelProfiler profiler;
     ExecContext ctx(ExecMode::Count, &profiler, nullptr);
     ctx.setCurrentRank(2);
-    parFor(ctx, "k", {}, 0, 9, [](int) {});
+    parFor(ctx, "k", {}, 0, 0, 0, 0, 0, 9, [](int, int, int) {});
     ctx.setCurrentRank(5);
-    parFor(ctx, "k", {}, 0, 4, [](int) {});
+    parFor(ctx, "k", {}, 0, 0, 0, 0, 0, 4, [](int, int, int) {});
     const auto stats = profiler.kernelByName("k");
     EXPECT_DOUBLE_EQ(stats.itemsByRank.at(2), 10.0);
     EXPECT_DOUBLE_EQ(stats.itemsByRank.at(5), 5.0);
@@ -121,8 +113,8 @@ TEST(Profiler, TotalsAndReset)
 {
     KernelProfiler profiler;
     ExecContext ctx(ExecMode::Count, &profiler, nullptr);
-    parFor(ctx, "a", {}, 0, 9, [](int) {});
-    parFor(ctx, "b", {}, 0, 4, [](int) {});
+    parFor(ctx, "a", {}, 0, 0, 0, 0, 0, 9, [](int, int, int) {});
+    parFor(ctx, "b", {}, 0, 0, 0, 0, 0, 4, [](int, int, int) {});
     EXPECT_DOUBLE_EQ(profiler.totalItems(), 15.0);
     EXPECT_EQ(profiler.totalLaunches(), 2u);
     profiler.reset();

@@ -436,6 +436,28 @@ TEST(ParameterInput, RemovedFusedBoundariesKnobIsRejected)
         << what;
 }
 
+TEST(ParameterInput, RemovedCheckpointPathKnobsAreRejected)
+{
+    // The checkpoint file and drain mode are ExperimentSpec fields;
+    // nothing read the deck twins, so a deck setting them must fail
+    // loudly rather than be silently ignored.
+    for (const char* line :
+         {"checkpoint_path = run.ckpt", "checkpoint_async = false"}) {
+        std::string what;
+        try {
+            ParameterInput::fromString(std::string("<driver>\n") + line +
+                                       "\n");
+        } catch (const FatalError& err) {
+            what = err.what();
+        }
+        const std::string key =
+            std::string(line).substr(0, std::string(line).find(' '));
+        EXPECT_NE(what.find("unknown parameter '" + key + "'"),
+                  std::string::npos)
+            << line << ": " << what;
+    }
+}
+
 // --- env twins: deck beats env beats default, per key ---
 
 /** The FatalError message of `fn`, or "" when it does not throw. */
