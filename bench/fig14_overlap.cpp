@@ -14,8 +14,8 @@
  *   hidden   = clamp(comm + compute - wall, 0, comm)
  *   overlap  = hidden / comm    (fraction of exchange hidden)
  *   conc     = (comm + compute) / wall    (mean task concurrency)
- * At T = 1 the executor degrades to the serial scan, so hidden ~ 0;
- * the paper's async direction predicts hidden > 0 from T = 2 up.
+ * At T = 1 one worker runs every task in turn, so hidden ~ 0; the
+ * paper's async direction predicts hidden > 0 from T = 2 up.
  *
  * Threaded and serial runs are bitwise state-identical (see
  * tests/test_exec_spaces.cpp), so the sweep isolates scheduling alone.
@@ -143,10 +143,10 @@ main(int argc, char** argv)
                       formatFixed(p.compute, 3), formatFixed(hidden, 3),
                       formatPercent(overlap), formatRatio(conc)});
     }
-    table.addNote("hidden = comm + compute - wall; the serial scan "
-                  "(T=1) overlaps nothing by construction");
-    table.addNote("threaded and serial runs produce bitwise-identical "
-                  "mesh state; only scheduling changes");
+    table.addNote("hidden = comm + compute - wall; one worker (T=1) "
+                  "overlaps nothing by construction");
+    table.addNote("every thread count produces bitwise-identical mesh "
+                  "state; only scheduling changes");
     expect(table,
            "overlap > 0% from 2 threads up: boundary polling tasks "
            "run while interior blocks compute");

@@ -485,12 +485,10 @@ EvolutionDriver::stageExecOptions() const
     TaskExecOptions options;
     options.space = &mesh_->ctx().space();
     // On a rank team, this graph's polls wait on messages produced by
-    // OTHER ranks' driver threads: completion counts say nothing about
-    // progress, so stalls are judged by wall clock instead — and a
-    // peer failure aborts promptly rather than burning the deadline.
-    options.external_progress = world_->concurrent();
-    options.external_stall_seconds = kPeerWaitSeconds;
-    if (options.external_progress) {
+    // OTHER ranks' driver threads: the abort probe marks that progress
+    // and lets a peer failure abort promptly rather than burning the
+    // peer-wait deadline.
+    if (world_->concurrent()) {
         RankWorld* world = world_;
         options.external_abort = [world]() -> std::string {
             // failed() is a lock-free fast path; the reason (one lock)
@@ -519,8 +517,8 @@ EvolutionDriver::maybeWriteCheckpoint(CycleStats& stats)
     // The capture runs as a task in the stage graph: the gather is a
     // collective (every rank's poll/abort policy applies), and the
     // graph accounting folds the capture into the comm columns the
-    // benches report. One task always executes on the serial backend,
-    // so the capture point is deterministic.
+    // benches report. A one-task graph runs on the calling thread, so
+    // the capture point is deterministic.
     CheckpointImage image;
     TaskList tl;
     tl.setLabel("checkpoint");

@@ -313,7 +313,7 @@ class EvolutionDriver
         TaskList& tl, std::vector<std::vector<TaskId>> send_deps);
     /** One RK stage: plan sub-pack comm tasks + per-block compute. */
     TaskList buildStageGraphFused(int stage, bool flux_correction);
-    /** Execution options for stage graphs (space + peer-wait policy). */
+    /** Stage-graph options: the space, plus the abort probe on a team. */
     TaskExecOptions stageExecOptions() const;
     /**
      * Execute one task graph and fold its timings into the run totals

@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <chrono>
-#include <deque>
 #include <exception>
+#include <numeric>
 #include <thread>
 
+#include "comm/rank_world.hpp"
 #include "exec/execution_space.hpp"
 #include "obs/trace.hpp"
 #include "util/logging.hpp"
@@ -16,6 +17,14 @@ namespace vibe {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+/**
+ * Fruitless polls tolerated per task, when no progress can come from
+ * outside the graph, before the executor panics naming the stuck
+ * tasks. Distinguishes a permanently blocked polling task (progress
+ * stall) from a plain dependency cycle, which is detected immediately.
+ */
+constexpr std::uint64_t kStallPolls = 100;
 
 double
 secondsSince(Clock::time_point start)
@@ -57,27 +66,6 @@ TaskList::addTask(std::string name, TaskFn fn, std::vector<TaskId> deps,
     return static_cast<TaskId>(tasks_.size()) - 1;
 }
 
-void
-TaskList::execute(int max_passes)
-{
-    TaskExecOptions options;
-    options.max_passes = max_passes;
-    execute(options);
-}
-
-void
-TaskList::execute(const TaskExecOptions& options)
-{
-    resetRunState();
-    const auto start = Clock::now();
-    if (options.space && options.space->concurrency() > 1 &&
-        tasks_.size() > 1)
-        executeThreaded(options, *options.space);
-    else
-        executeSerial(options);
-    last_execute_seconds_ = secondsSince(start);
-}
-
 double
 TaskList::criticalPathSeconds() const
 {
@@ -106,7 +94,6 @@ TaskList::categorySeconds(TaskCategory category) const
 void
 TaskList::resetRunState()
 {
-    completion_order_.clear();
     last_execute_seconds_ = 0;
     for (auto& task : tasks_) {
         task.complete = false;
@@ -133,97 +120,24 @@ TaskList::incompleteNames() const
 }
 
 void
-TaskList::executeSerial(const TaskExecOptions& options)
+TaskList::execute(const TaskExecOptions& options)
 {
-    std::size_t done = 0;
-    int stalled_passes = 0;
-    const auto stall_deadline =
-        Clock::now() +
-        std::chrono::duration<double>(options.external_stall_seconds);
-    for (int pass = 0;
-         (options.external_progress || pass < options.max_passes) &&
-         done < tasks_.size();
-         ++pass) {
-        bool any_ran = false;
-        std::size_t completed_this_pass = 0;
-        for (auto& task : tasks_) {
-            if (task.complete)
-                continue;
-            bool ready = true;
-            for (TaskId dep : task.deps)
-                if (!tasks_[dep].complete) {
-                    ready = false;
-                    break;
-                }
-            if (!ready)
-                continue;
-            any_ran = true;
-            const auto start = Clock::now();
-            const TaskStatus status = task.fn();
-            const double seconds = secondsSince(start);
-            task.seconds += seconds;
-            traceAttempt(task.name, task.category, trace_rank_,
-                         trace_cycle_, label_, start, seconds,
-                         status == TaskStatus::Iterate);
-            if (status == TaskStatus::Complete) {
-                task.complete = true;
-                completion_order_.push_back(task.name);
-                ++done;
-                ++completed_this_pass;
-            }
-        }
-        if (!any_ran && done < tasks_.size()) {
-            // Nothing is runnable yet incomplete tasks remain: a
-            // dependency cycle.
-            panic("task list deadlocked with ", tasks_.size() - done,
-                  " incomplete tasks: ", incompleteNames());
-        }
-        // Progress stall: tasks ran but only ever returned Iterate. A
-        // permanently-blocked polling task must be named, not burn
-        // every remaining pass into a generic pass-bound failure. When
-        // progress can come from a peer rank's thread, pass counts say
-        // nothing — yield and fall back to a wall-clock bound.
-        if (any_ran && completed_this_pass == 0) {
-            if (options.external_progress) {
-                if (options.external_abort) {
-                    const std::string reason = options.external_abort();
-                    if (!reason.empty())
-                        panic("task list aborted: ", reason,
-                              "; incomplete tasks: ", incompleteNames());
-                }
-                if (Clock::now() >= stall_deadline)
-                    panic("no task completed within ",
-                          options.external_stall_seconds,
-                          "s while waiting on peer ranks; stuck "
-                          "polling tasks: ",
-                          incompleteNames());
-                std::this_thread::yield();
-            } else if (++stalled_passes >= options.stall_passes) {
-                panic("no task completed in ", stalled_passes,
-                      " consecutive passes; stuck polling tasks: ",
-                      incompleteNames());
-            }
-        } else {
-            stalled_passes = 0;
-        }
-    }
-    require(done == tasks_.size(), "task list did not complete within ",
-            options.max_passes,
-            " passes; incomplete tasks: ", incompleteNames());
-}
+    resetRunState();
+    const auto start = Clock::now();
 
-void
-TaskList::executeThreaded(const TaskExecOptions& options,
-                          ExecutionSpace& space)
-{
     struct State
     {
         TaskList* list = nullptr;
         Mutex mutex;
         CondVar cv;
-        std::deque<TaskId> ready VIBE_GUARDED_BY(mutex);
+        /** Dependents of task t: dependents[first[t], first[t + 1]). */
+        std::vector<std::size_t> first;
+        std::vector<TaskId> dependents;
+        /** FIFO ring of ready tasks; a task is queued at most once. */
+        std::vector<TaskId> ready VIBE_GUARDED_BY(mutex);
+        std::size_t ready_head VIBE_GUARDED_BY(mutex) = 0;
+        std::size_t ready_size VIBE_GUARDED_BY(mutex) = 0;
         std::vector<int> waiting VIBE_GUARDED_BY(mutex);
-        std::vector<std::vector<TaskId>> dependents;
         /** Tasks that have returned Iterate at least once. */
         std::vector<char> iterated VIBE_GUARDED_BY(mutex);
         std::size_t done VIBE_GUARDED_BY(mutex) = 0;
@@ -233,12 +147,22 @@ TaskList::executeThreaded(const TaskExecOptions& options,
         std::size_t inflight_fresh VIBE_GUARDED_BY(mutex) = 0;
         std::uint64_t idle_polls VIBE_GUARDED_BY(mutex) = 0;
         std::uint64_t idle_limit = 0;
-        bool external_progress = false;
         Clock::time_point stall_deadline;
         const std::function<std::string()>* external_abort = nullptr;
         bool failed VIBE_GUARDED_BY(mutex) = false;
         std::exception_ptr error VIBE_GUARDED_BY(mutex);
 
+        void push(TaskId id) VIBE_REQUIRES(mutex)
+        {
+            ready[(ready_head + ready_size++) % ready.size()] = id;
+        }
+        TaskId pop() VIBE_REQUIRES(mutex)
+        {
+            const TaskId id = ready[ready_head];
+            ready_head = (ready_head + 1) % ready.size();
+            --ready_size;
+            return id;
+        }
         void failLocked(std::exception_ptr err) VIBE_REQUIRES(mutex)
         {
             if (!failed) {
@@ -252,28 +176,36 @@ TaskList::executeThreaded(const TaskExecOptions& options,
     const std::size_t n = tasks_.size();
     State state;
     state.list = this;
-    state.dependents.assign(n, {});
-    state.idle_limit =
-        static_cast<std::uint64_t>(options.stall_passes) * n + 64;
-    state.external_progress = options.external_progress;
+    state.idle_limit = kStallPolls * n + 64;
     state.stall_deadline =
-        Clock::now() + std::chrono::duration_cast<Clock::duration>(
-                           std::chrono::duration<double>(
-                               options.external_stall_seconds));
+        start + std::chrono::duration_cast<Clock::duration>(
+                    std::chrono::duration<double>(kPeerWaitSeconds));
     if (options.external_abort)
         state.external_abort = &options.external_abort;
+    // Dependents in CSR form: count each task's dependents, turn the
+    // counts into bucket ends, then fill every bucket back to front so
+    // it lists its dependents in ascending id order.
+    state.first.assign(n + 1, 0);
+    for (const Task& task : tasks_)
+        for (TaskId dep : task.deps)
+            ++state.first[dep];
+    std::partial_sum(state.first.begin(), state.first.end(),
+                     state.first.begin());
+    state.dependents.resize(state.first[n]);
+    for (std::size_t id = n; id-- > 0;)
+        for (TaskId dep : tasks_[id].deps)
+            state.dependents[--state.first[dep]] = static_cast<TaskId>(id);
     {
         // No worker is running yet; the lock only makes the guarded
         // initialization visible to the thread-safety analysis.
         LockGuard lock(state.mutex);
-        state.waiting.assign(n, 0);
+        state.ready.resize(n);
+        state.waiting.resize(n);
         state.iterated.assign(n, 0);
         for (std::size_t id = 0; id < n; ++id) {
             state.waiting[id] = static_cast<int>(tasks_[id].deps.size());
-            for (TaskId dep : tasks_[id].deps)
-                state.dependents[dep].push_back(static_cast<TaskId>(id));
             if (state.waiting[id] == 0)
-                state.ready.push_back(static_cast<TaskId>(id));
+                state.push(static_cast<TaskId>(id));
         }
     }
 
@@ -285,7 +217,7 @@ TaskList::executeThreaded(const TaskExecOptions& options,
         for (;;) {
             if (st.failed || st.done == n)
                 return;
-            if (st.ready.empty()) {
+            if (st.ready_size == 0) {
                 if (st.inflight == 0) {
                     // No runnable task, none in flight, incomplete
                     // tasks remain: a dependency cycle.
@@ -299,8 +231,7 @@ TaskList::executeThreaded(const TaskExecOptions& options,
                 st.cv.wait(lock);
                 continue;
             }
-            const TaskId id = st.ready.front();
-            st.ready.pop_front();
+            const TaskId id = st.pop();
             ++st.inflight;
             const bool fresh = !st.iterated[id];
             if (fresh)
@@ -337,35 +268,33 @@ TaskList::executeThreaded(const TaskExecOptions& options,
             }
             if (status == TaskStatus::Complete) {
                 list.tasks_[id].complete = true;
-                list.completion_order_.push_back(list.tasks_[id].name);
                 ++st.done;
                 st.idle_polls = 0;
-                for (TaskId dep : st.dependents[id])
-                    if (--st.waiting[dep] == 0)
-                        st.ready.push_back(dep);
+                for (std::size_t e = st.first[id]; e < st.first[id + 1];
+                     ++e)
+                    if (--st.waiting[st.dependents[e]] == 0)
+                        st.push(st.dependents[e]);
                 st.cv.notify_all();
                 continue;
             }
             // Iterate: re-queue the poller behind other ready work.
             st.iterated[id] = 1;
-            st.ready.push_back(id);
+            st.push(id);
             if (st.inflight_fresh == 0) {
                 // Every in-flight task is a known repeat-poller. With
-                // external progress a peer rank's thread may still
+                // an abort probe a peer rank's thread may still
                 // deliver what these polls wait for, so only the wall
                 // clock can call it stuck; otherwise nothing anywhere
                 // can, and a bounded poll count suffices.
-                if (st.external_progress) {
-                    if (st.external_abort) {
-                        const std::string reason = (*st.external_abort)();
-                        if (!reason.empty()) {
-                            st.failLocked(std::make_exception_ptr(
-                                PanicError(detail::concat(
-                                    "task list aborted: ", reason,
-                                    "; incomplete tasks: ",
-                                    list.incompleteNames()))));
-                            return;
-                        }
+                if (st.external_abort) {
+                    const std::string reason = (*st.external_abort)();
+                    if (!reason.empty()) {
+                        st.failLocked(std::make_exception_ptr(
+                            PanicError(detail::concat(
+                                "task list aborted: ", reason,
+                                "; incomplete tasks: ",
+                                list.incompleteNames()))));
+                        return;
                     }
                     if (Clock::now() >= st.stall_deadline) {
                         st.failLocked(std::make_exception_ptr(PanicError(
@@ -392,14 +321,21 @@ TaskList::executeThreaded(const TaskExecOptions& options,
         }
     };
 
-    // Dispatch one worker loop per pool chunk (the calling thread runs
-    // chunk 0). Inside a chunk the space's nested-launch rule makes
-    // every kernel launched by a task body run in-line on that worker,
-    // so tasks are the sole unit of concurrency.
-    space.forEachChunk(space.concurrency(), worker, &state);
+    // One worker loop per pool chunk (the calling thread runs chunk
+    // 0); inside a chunk the space's nested-launch rule makes every
+    // kernel a task body launches run in-line on that worker, so tasks
+    // are the sole unit of concurrency. One worker suffices without a
+    // space, at concurrency 1 and for a one-task graph: it runs on the
+    // caller, whose kernel launches keep the whole space.
+    const int workers =
+        options.space && n > 1 ? options.space->concurrency() : 1;
+    if (workers > 1)
+        options.space->forEachChunk(workers, worker, &state);
+    else
+        worker(&state, 0, 1, 0);
 
-    // All workers have joined (forEachChunk is a barrier); the lock is
-    // for the analysis, not for contention.
+    // All workers have returned (forEachChunk is a barrier); the lock
+    // is for the analysis, not for contention.
     std::exception_ptr error;
     std::size_t done = 0;
     {
@@ -407,9 +343,10 @@ TaskList::executeThreaded(const TaskExecOptions& options,
         error = state.error;
         done = state.done;
     }
+    last_execute_seconds_ = secondsSince(start);
     if (error)
         std::rethrow_exception(error);
-    require(done == n, "threaded task list finished with ", n - done,
+    require(done == n, "task list finished with ", n - done,
             " incomplete tasks: ", incompleteNames());
 }
 

@@ -5,22 +5,20 @@
  * (e.g. ReceiveBoundBufs) may return Iterate to be re-run until their
  * communication completes.
  *
- * Execution has two backends behind one interface:
+ * One executor runs every graph: workers pull tasks from a shared FIFO
+ * ready queue, and Iterate tasks are re-queued as polling tasks behind
+ * other ready work. On an ExecutionSpace of concurrency > 1 one worker
+ * loop runs per pool chunk; kernels launched from inside a task body
+ * then degrade to in-line execution on the worker (the space's
+ * nested-launch rule), so a task is a unit of concurrency exactly as
+ * in Parthenon's one-task-per-stream model. Work too wide for one
+ * worker is therefore split into several tasks by its builder — the
+ * fused boundary phases run one task per plan sub-pack. Without a
+ * space, at concurrency 1, or for a one-task graph, the single worker
+ * runs in-line on the calling thread.
  *
- * - A serial scan (the historical behavior, bit for bit): repeatedly
- *   sweep the task vector running every ready task until all complete.
- * - A thread-pool executor: ready tasks are dispatched onto an
- *   ExecutionSpace (the PR-1 ThreadPoolSpace), each worker pulling
- *   from a shared ready queue; Iterate tasks are re-queued as polling
- *   tasks behind other ready work. Kernels launched from inside a task
- *   body degrade to in-line execution on the worker (the space's
- *   nested-launch rule), so a task is a unit of concurrency exactly as
- *   in Parthenon's one-task-per-stream model. Work too wide for one
- *   worker is therefore split into several tasks by its builder — the
- *   fused boundary phases run one task per plan sub-pack.
- *
- * Both backends record wall time per task (summed over Iterate
- * retries) and aggregate it by TaskCategory, which is what the
+ * The executor records wall time per task (summed over Iterate
+ * retries) and aggregates it by TaskCategory, which is what the
  * fig14 overlap bench uses to report how much exchange time hides
  * behind interior compute.
  */
@@ -55,40 +53,22 @@ using TaskFn = std::function<TaskStatus()>;
 /** Execution parameters for TaskList::execute. */
 struct TaskExecOptions
 {
-    /** Safety bound on full scans of the serial backend. */
-    int max_passes = 1000;
     /**
-     * Consecutive zero-completion scans (serial) or idle polls scaled
-     * by the task count (threaded) tolerated before the executor
-     * panics naming the stuck tasks. Distinguishes a permanently
-     * blocked polling task (progress stall) from a plain dependency
-     * cycle, which is detected immediately.
-     */
-    int stall_passes = 100;
-    /**
-     * Space ready tasks are dispatched on. nullptr or concurrency 1
-     * selects the serial scan (bit-exact seed behavior).
+     * Space the worker loops run on; nullptr runs the graph on the
+     * calling thread, as a SerialSpace would.
      */
     ExecutionSpace* space = nullptr;
     /**
-     * Progress may arrive from outside this graph (another rank's
-     * driver thread delivering mailbox messages). Zero-completion
-     * scans then yield the CPU instead of counting toward the stall
-     * panic, the pass bound is lifted, and a genuinely stuck graph is
-     * detected by wall clock (`external_stall_seconds`) rather than by
-     * pass count — a poll loop cannot know how long a peer needs.
-     */
-    bool external_progress = false;
-    /** Wall-clock stall bound when external_progress is set. */
-    double external_stall_seconds = 120.0;
-    /**
-     * Optional fast-abort probe for external_progress mode: polled on
-     * zero-completion scans; returning a non-empty string panics
-     * immediately with that string as the cause (a peer rank failed —
-     * nothing will ever deliver) instead of burning the full
-     * wall-clock stall bound. The string is the failing rank's
-     * original error message, so every unwinding peer reports the
-     * root cause and not just "a peer failed".
+     * Abort probe for graphs whose polls wait on progress from outside
+     * the graph (another rank's driver thread delivering mailbox
+     * messages). Installing one tells the executor that such progress
+     * exists: when only repeat-pollers are in flight it calls the
+     * probe, and judges a stall by wall clock (kPeerWaitSeconds)
+     * instead of a poll count — a poll loop cannot know how long a
+     * peer needs. A non-empty return panics at once with that string
+     * as the cause: it is the failing rank's original error message,
+     * so every unwinding peer reports the root cause and not just "a
+     * peer failed".
      */
     std::function<std::string()> external_abort;
 };
@@ -96,7 +76,7 @@ struct TaskExecOptions
 /**
  * A task graph executor with Parthenon-style semantics. Tasks are
  * added with explicit dependencies; execute() runs them to completion
- * on the configured backend. A cycle panics immediately; a polling
+ * on the configured space. A cycle panics immediately; a polling
  * task that stops making progress panics with the incomplete task
  * names after the stall bound.
  */
@@ -132,29 +112,15 @@ class TaskList
     void setLabel(std::string label) { label_ = std::move(label); }
     const std::string& label() const { return label_; }
 
-    /** Run all tasks to completion on the serial backend. */
-    void execute(int max_passes = 1000);
-
-    /** Run all tasks to completion with explicit options. */
-    void execute(const TaskExecOptions& options);
-
-    /**
-     * Names in completion order of the last execute() call. Serial
-     * execution completes tasks in deterministic scan order; the
-     * threaded executor records the actual completion sequence, which
-     * is always a topological order of the dependency graph.
-     */
-    const std::vector<std::string>& completionOrder() const
-    {
-        return completion_order_;
-    }
+    /** Run all tasks to completion. */
+    void execute(const TaskExecOptions& options = {});
 
     /** Wall seconds of the last execute() call. */
     double lastExecuteSeconds() const { return last_execute_seconds_; }
 
     /**
      * Attribute this graph's task spans to (rank, cycle) in the obs
-     * timeline. Both backends emit one span per task *attempt*
+     * timeline. The executor emits one span per task *attempt*
      * (attempts that return Iterate carry TraceEvent::kPollRetry, so
      * non-retry span counts are deterministic: exactly one completing
      * attempt per task). No-op overhead when tracing is off.
@@ -206,13 +172,9 @@ class TaskList
     };
 
     void resetRunState();
-    void executeSerial(const TaskExecOptions& options);
-    void executeThreaded(const TaskExecOptions& options,
-                         ExecutionSpace& space);
     std::string incompleteNames() const;
 
     std::vector<Task> tasks_;
-    std::vector<std::string> completion_order_;
     std::string label_;
     double last_execute_seconds_ = 0;
     int trace_rank_ = 0;

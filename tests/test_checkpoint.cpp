@@ -16,7 +16,6 @@
 
 #include "core/experiment.hpp"
 #include "driver/fault_injector.hpp"
-#include "driver/task_list.hpp"
 #include "io/checkpoint.hpp"
 #include "io/checkpoint_writer.hpp"
 #include "util/logging.hpp"
@@ -560,56 +559,6 @@ TEST(FaultRecovery, InjectorKnobsAndOneShotFiring)
     EXPECT_THROW(armed.maybeFail(0, 5), PanicError);
     EXPECT_TRUE(armed.fired());
     armed.maybeFail(0, 5); // fires once: the retried attempt sails past
-}
-
-TEST(FaultRecovery, TaskListAbortCarriesPeerReasonSerial)
-{
-    TaskList tl;
-    tl.setLabel("abort-test");
-    tl.addTask("NeverReady", [] { return TaskStatus::Iterate; });
-    TaskExecOptions options;
-    options.external_progress = true;
-    options.external_stall_seconds = 30.0;
-    options.external_abort = [] {
-        return std::string("injected fault: rank 7 failed at cycle 9");
-    };
-    try {
-        tl.execute(options);
-        FAIL() << "expected the abort probe to panic";
-    } catch (const PanicError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("task list aborted: injected fault: "
-                            "rank 7 failed at cycle 9"),
-                  std::string::npos)
-            << what;
-        EXPECT_NE(what.find("NeverReady"), std::string::npos) << what;
-    }
-}
-
-TEST(FaultRecovery, TaskListAbortCarriesPeerReasonThreaded)
-{
-    TaskList tl;
-    tl.setLabel("abort-test-threaded");
-    tl.addTask("NeverReadyA", [] { return TaskStatus::Iterate; });
-    tl.addTask("NeverReadyB", [] { return TaskStatus::Iterate; });
-    auto space = makeExecutionSpace(2);
-    TaskExecOptions options;
-    options.space = space.get();
-    options.external_progress = true;
-    options.external_stall_seconds = 30.0;
-    options.external_abort = [] {
-        return std::string("injected fault: rank 3 failed at cycle 1");
-    };
-    try {
-        tl.execute(options);
-        FAIL() << "expected the abort probe to panic";
-    } catch (const PanicError& e) {
-        const std::string what = e.what();
-        EXPECT_NE(what.find("task list aborted: injected fault: "
-                            "rank 3 failed at cycle 1"),
-                  std::string::npos)
-            << what;
-    }
 }
 
 TEST(FaultRecovery, RankWorldKeepsFirstFailureReason)

@@ -11,6 +11,8 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <set>
 #include <string>
 #include <thread>
@@ -54,8 +56,6 @@ TEST(TaskList, ExecutesInDependencyOrder)
         {b, a});
     tl.execute();
     EXPECT_EQ(order, (std::vector<int>{0, 1, 2}));
-    EXPECT_EQ(tl.completionOrder(),
-              (std::vector<std::string>{"a", "b", "c"}));
 }
 
 TEST(TaskList, IteratingTaskRetries)
@@ -87,61 +87,37 @@ TEST(TaskList, UnknownDependencyPanics)
         PanicError);
 }
 
-TEST(TaskList, StuckTaskDetected)
-{
-    TaskList tl;
-    tl.addTask("stuck", [] { return TaskStatus::Iterate; });
-    EXPECT_THROW(tl.execute(10), PanicError);
-}
-
-TEST(TaskList, StalledPollingNamesStuckTasks)
-{
-    // Regression: a permanently-blocked polling task used to count as
-    // progress every pass ("any_ran"), burning all max_passes and
-    // dying with a generic bound message. The stall detector must fire
-    // well before the pass bound and name the stuck task.
-    TaskList tl;
-    tl.addTask("fine", [] { return TaskStatus::Complete; });
-    tl.addTask("never-arrives", [] { return TaskStatus::Iterate; });
-    try {
-        tl.execute();
-        FAIL() << "stuck polling task not detected";
-    } catch (const PanicError& err) {
-        const std::string what = err.what();
-        EXPECT_NE(what.find("never-arrives"), std::string::npos) << what;
-        EXPECT_NE(what.find("no task completed"), std::string::npos)
-            << what;
-        // The healthy task must not be blamed.
-        EXPECT_EQ(what.find("fine"), std::string::npos) << what;
-    }
-}
-
 TEST(TaskList, ThreadedExecutorCompletesGraphInTopologicalOrder)
 {
     auto space = makeExecutionSpace(4);
     TaskList tl;
+    std::mutex order_mutex;
+    std::vector<std::string> order;
+    // Each body records its own completion; the executor keeps no log.
+    auto completes = [&](const char* name) {
+        std::lock_guard<std::mutex> lock(order_mutex);
+        order.emplace_back(name);
+        return TaskStatus::Complete;
+    };
     int polls = 0;
-    const TaskId a =
-        tl.addTask("a", [] { return TaskStatus::Complete; });
+    const TaskId a = tl.addTask("a", [&] { return completes("a"); });
     const TaskId poll = tl.addTask(
         "poll",
         [&] {
             // Counter mutated by one task only; completion gates deps.
             ++polls;
-            return polls < 5 ? TaskStatus::Iterate
-                             : TaskStatus::Complete;
+            return polls < 5 ? TaskStatus::Iterate : completes("poll");
         },
         {a});
-    const TaskId b = tl.addTask(
-        "b", [] { return TaskStatus::Complete; }, {a});
-    tl.addTask("join", [] { return TaskStatus::Complete; }, {poll, b});
+    const TaskId b =
+        tl.addTask("b", [&] { return completes("b"); }, {a});
+    tl.addTask("join", [&] { return completes("join"); }, {poll, b});
 
     TaskExecOptions options;
     options.space = space.get();
     tl.execute(options);
 
     EXPECT_EQ(polls, 5);
-    const auto& order = tl.completionOrder();
     ASSERT_EQ(order.size(), 4u);
     auto position = [&](const std::string& name) {
         for (std::size_t i = 0; i < order.size(); ++i)
@@ -159,10 +135,10 @@ TEST(TaskList, ThreadedExecutorCompletesGraphInTopologicalOrder)
 
 TEST(TaskList, ThreadedExecutorOverlapsIndependentTasks)
 {
-    // A polling task that only completes once an independent task has
-    // run proves the two are in flight concurrently — the serial scan
-    // would also pass (the poller iterates across passes), so pin the
-    // executor by requiring a *blocking* handshake inside one task.
+    // A task that only finishes once an independent task has run
+    // proves the two are in flight concurrently: require a *blocking*
+    // handshake inside one task run, which a single worker could
+    // never release.
     auto space = makeExecutionSpace(4);
     std::atomic<bool> flag{false};
     TaskList tl;
@@ -188,49 +164,6 @@ TEST(TaskList, ThreadedExecutorOverlapsIndependentTasks)
     EXPECT_TRUE(flag.load());
 }
 
-TEST(TaskList, ThreadedStuckPollPanicsWithNames)
-{
-    auto space = makeExecutionSpace(4);
-    TaskList tl;
-    tl.addTask("done", [] { return TaskStatus::Complete; });
-    tl.addTask("wedged", [] { return TaskStatus::Iterate; });
-    TaskExecOptions options;
-    options.space = space.get();
-    options.stall_passes = 10;
-    try {
-        tl.execute(options);
-        FAIL() << "stuck polling task not detected";
-    } catch (const PanicError& err) {
-        EXPECT_NE(std::string(err.what()).find("wedged"),
-                  std::string::npos)
-            << err.what();
-    }
-}
-
-TEST(TaskList, ThreadedMultipleStuckPollsStillPanic)
-{
-    // Regression: with several permanently-Iterate pollers in flight
-    // at once, a naive "anything in flight = progress possible" reset
-    // would livelock. Repeat-pollers must not count as progress.
-    auto space = makeExecutionSpace(4);
-    TaskList tl;
-    tl.addTask("done", [] { return TaskStatus::Complete; });
-    for (int i = 0; i < 3; ++i)
-        tl.addTask("wedged" + std::to_string(i),
-                   [] { return TaskStatus::Iterate; });
-    TaskExecOptions options;
-    options.space = space.get();
-    options.stall_passes = 10;
-    try {
-        tl.execute(options);
-        FAIL() << "stuck polling tasks not detected";
-    } catch (const PanicError& err) {
-        const std::string what = err.what();
-        EXPECT_NE(what.find("wedged0"), std::string::npos) << what;
-        EXPECT_NE(what.find("wedged2"), std::string::npos) << what;
-    }
-}
-
 TEST(TaskList, ThreadedTaskExceptionPropagates)
 {
     auto space = makeExecutionSpace(4);
@@ -254,6 +187,130 @@ TEST(TaskList, ThreadedTaskExceptionPropagates)
     again.execute(options);
     EXPECT_EQ(runs.load(), 8);
 }
+
+/**
+ * Stall and abort cases, run with no space (one worker on the calling
+ * thread) and on a 4-thread pool: the one executor must hold both.
+ */
+class TaskListExec : public ::testing::TestWithParam<int>
+{
+  protected:
+    TaskExecOptions options()
+    {
+        TaskExecOptions options;
+        if (GetParam() > 1) {
+            space_ = makeExecutionSpace(GetParam());
+            options.space = space_.get();
+        }
+        return options;
+    }
+
+  private:
+    std::shared_ptr<ExecutionSpace> space_;
+};
+
+TEST_P(TaskListExec, StuckTaskDetected)
+{
+    TaskList tl;
+    tl.addTask("stuck", [] { return TaskStatus::Iterate; });
+    EXPECT_THROW(tl.execute(options()), PanicError);
+}
+
+TEST_P(TaskListExec, StalledPollingNamesStuckTasks)
+{
+    // Regression: a permanently-blocked polling task used to count as
+    // progress ("any_ran") until a generic pass bound. The stall
+    // detector must name the stuck task.
+    TaskList tl;
+    tl.addTask("fine", [] { return TaskStatus::Complete; });
+    tl.addTask("never-arrives", [] { return TaskStatus::Iterate; });
+    try {
+        tl.execute(options());
+        FAIL() << "stuck polling task not detected";
+    } catch (const PanicError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("never-arrives"), std::string::npos) << what;
+        EXPECT_NE(what.find("no task completed"), std::string::npos)
+            << what;
+        // The healthy task must not be blamed.
+        EXPECT_EQ(what.find("fine"), std::string::npos) << what;
+    }
+}
+
+TEST_P(TaskListExec, MultipleStuckPollsStillPanic)
+{
+    // Regression: with several permanently-Iterate pollers in flight
+    // at once, a naive "anything in flight = progress possible" reset
+    // would livelock. Repeat-pollers must not count as progress.
+    TaskList tl;
+    tl.addTask("done", [] { return TaskStatus::Complete; });
+    for (int i = 0; i < 3; ++i)
+        tl.addTask("wedged" + std::to_string(i),
+                   [] { return TaskStatus::Iterate; });
+    try {
+        tl.execute(options());
+        FAIL() << "stuck polling tasks not detected";
+    } catch (const PanicError& err) {
+        const std::string what = err.what();
+        EXPECT_NE(what.find("wedged0"), std::string::npos) << what;
+        EXPECT_NE(what.find("wedged2"), std::string::npos) << what;
+    }
+}
+
+TEST_P(TaskListExec, AbortProbeCarriesPeerReason)
+{
+    TaskList tl;
+    tl.setLabel("abort-test");
+    tl.addTask("NeverReadyA", [] { return TaskStatus::Iterate; });
+    tl.addTask("NeverReadyB", [] { return TaskStatus::Iterate; });
+    TaskExecOptions opts = options();
+    opts.external_abort = [] {
+        return std::string("injected fault: rank 7 failed at cycle 9");
+    };
+    try {
+        tl.execute(opts);
+        FAIL() << "expected the abort probe to panic";
+    } catch (const PanicError& e) {
+        const std::string what = e.what();
+        EXPECT_NE(what.find("task list aborted: injected fault: "
+                            "rank 7 failed at cycle 9"),
+                  std::string::npos)
+            << what;
+        EXPECT_NE(what.find("[abort-test]"), std::string::npos) << what;
+        EXPECT_NE(what.find("NeverReadyA"), std::string::npos) << what;
+    }
+}
+
+TEST_P(TaskListExec, AbortProbeImpliesOutsideProgress)
+{
+    // A probe that reports no failure means progress may come from
+    // outside the graph: a poller released by another thread ~50 ms
+    // later must complete, long after the poll-count stall bound a
+    // graph without a probe gets.
+    std::atomic<bool> delivered{false};
+    TaskList tl;
+    tl.addTask("fine", [] { return TaskStatus::Complete; });
+    tl.addTask("awaits-peer", [&] {
+        return delivered.load() ? TaskStatus::Complete
+                                : TaskStatus::Iterate;
+    });
+    TaskExecOptions opts = options();
+    opts.external_abort = [] { return std::string(); };
+    std::thread peer([&] {
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        delivered.store(true);
+    });
+    EXPECT_NO_THROW(tl.execute(opts));
+    peer.join();
+    EXPECT_TRUE(delivered.load());
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Spaces, TaskListExec, ::testing::Values(1, 4),
+    [](const ::testing::TestParamInfo<int>& info) {
+        return info.param > 1 ? "Pool" + std::to_string(info.param)
+                              : std::string("NoSpace");
+    });
 
 // --- SphericalWaveTagger ---
 

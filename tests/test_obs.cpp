@@ -448,6 +448,10 @@ tracedEventCounts(const std::string& package, int ranks, int threads)
     spec.package = package;
     spec.numRanks = ranks;
     spec.numThreads = threads;
+    // Pinned, not left to VIBE_LB_COST: measured costs follow wall
+    // clocks, so migrations (and event counts) would legitimately
+    // differ between thread counts.
+    spec.lbCost = "uniform";
 
     TraceRecorder& recorder = TraceRecorder::instance();
     recorder.start();
