@@ -93,7 +93,7 @@ TEST(TaskList, ThreadedExecutorCompletesGraphInTopologicalOrder)
     TaskList tl;
     std::mutex order_mutex;
     std::vector<std::string> order;
-    // Each body records its own completion; the executor keeps no log.
+    // Each body records its own completion.
     auto completes = [&](const char* name) {
         std::lock_guard<std::mutex> lock(order_mutex);
         order.emplace_back(name);
