@@ -467,6 +467,8 @@ EvolutionDriver::emitHeartbeat(const CycleStats& stats,
               static_cast<double>(pool->freshAllocs()));
         m.set("pool.idle_bytes",
               static_cast<double>(pool->idleBytes()));
+        m.set("pool.live_bytes",
+              static_cast<double>(pool->liveBytes()));
     }
     const Traffic traffic = world_->traffic();
     m.set("traffic.remote_messages",

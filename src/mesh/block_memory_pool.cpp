@@ -12,6 +12,7 @@ BlockMemoryPool::acquire(std::size_t count)
 {
     const std::size_t bytes = count * sizeof(double);
     LockGuard lock(mutex_);
+    live_bytes_ += bytes;
     auto it = free_.find(count);
     if (it != free_.end() && !it->second.empty()) {
         std::vector<double> storage = std::move(it->second.back());
@@ -39,6 +40,7 @@ BlockMemoryPool::release(std::vector<double>&& storage)
     if (storage.empty())
         return;
     LockGuard lock(mutex_);
+    live_bytes_ -= storage.size() * sizeof(double);
     idle_bytes_ += storage.size() * sizeof(double);
     ++idle_buffers_;
     peak_idle_bytes_ = std::max(peak_idle_bytes_, idle_bytes_);

@@ -95,6 +95,15 @@ class BlockMemoryPool
         LockGuard lock(mutex_);
         return idle_bytes_;
     }
+    /**
+     * Bytes handed out by acquire() and not yet released: the real
+     * storage of the live blocks drawing on this pool.
+     */
+    std::size_t liveBytes() const
+    {
+        LockGuard lock(mutex_);
+        return live_bytes_;
+    }
     /** High-water mark of idleBytes(). */
     std::size_t peakIdleBytes() const
     {
@@ -116,6 +125,7 @@ class BlockMemoryPool
     std::uint64_t hits_ VIBE_GUARDED_BY(mutex_) = 0;
     std::uint64_t fresh_ VIBE_GUARDED_BY(mutex_) = 0;
     std::size_t idle_bytes_ VIBE_GUARDED_BY(mutex_) = 0;
+    std::size_t live_bytes_ VIBE_GUARDED_BY(mutex_) = 0;
     std::size_t peak_idle_bytes_ VIBE_GUARDED_BY(mutex_) = 0;
     std::size_t idle_buffers_ VIBE_GUARDED_BY(mutex_) = 0;
 };

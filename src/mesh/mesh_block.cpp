@@ -20,26 +20,10 @@ MeshBlock::MeshBlock(const LogicalLocation& loc, const BlockShape& shape,
 {
     cost_ = static_cast<double>(shape_.interiorCells());
     if (mode_ == DataMode::Shadow) {
-        // Structure only: compute the canonical byte footprint (load
-        // balancing and the memory model need it on every replica) but
-        // allocate nothing and register nothing.
-        const int ncons = registry_->ncompConserved();
-        const int nder = registry_->ncompDerived();
-        const int ni = shape_.ni(), nj = shape_.nj(), nk = shape_.nk();
-        const auto cell_bytes = [&](int nvar, int dk, int dj, int di) {
-            return static_cast<std::size_t>(nvar) * (nk + dk) *
-                   (nj + dj) * (ni + di) * sizeof(double);
-        };
-        data_bytes_ = 3 * cell_bytes(ncons, 0, 0, 0) +
-                      cell_bytes(nder, 0, 0, 0) +
-                      cell_bytes(ncons, 0, 0, 1);
-        if (shape_.ndim >= 2)
-            data_bytes_ += cell_bytes(ncons, 0, 1, 0);
-        if (shape_.ndim >= 3)
-            data_bytes_ += cell_bytes(ncons, 1, 0, 0);
-        if (account_recon_)
-            data_bytes_ += static_cast<std::size_t>(2 * shape_.ndim) *
-                           cell_bytes(ncons, 0, 0, 0);
+        // Structure only: the canonical byte footprint (load balancing
+        // and the memory model need it on every replica), but nothing
+        // allocated and nothing registered.
+        accountFootprint(nullptr);
         return;
     }
     allocateAll(ctx);
@@ -140,76 +124,83 @@ MeshBlock::deserializeState(const std::vector<double>& payload)
 }
 
 void
-MeshBlock::registerAllocation(const ExecContext& ctx,
-                              const std::string& label, std::size_t bytes)
+MeshBlock::accountFootprint(MemoryTracker* tracker)
 {
-    data_bytes_ += bytes;
-    if (ctx.tracker()) {
-        ctx.tracker()->allocate(label, bytes);
-        registered_.emplace_back(label, bytes);
+    const int ncons = registry_->ncompConserved();
+    const int nder = registry_->ncompDerived();
+    const int ni = shape_.ni(), nj = shape_.nj(), nk = shape_.nk();
+    // Every term over the ghosted box: Parthenon's device layout, the
+    // footprint the memory model and Fig. 10 describe.
+    const auto cell_bytes = [&](int nvar, int dk, int dj, int di) {
+        return static_cast<std::size_t>(nvar) * (nk + dk) * (nj + dj) *
+               (ni + di) * sizeof(double);
+    };
+    const auto account = [&](const char* label, std::size_t bytes) {
+        data_bytes_ += bytes;
+        if (tracker) {
+            tracker->allocate(label, bytes);
+            registered_.emplace_back(label, bytes);
+        }
+    };
+    account("mesh/cons", cell_bytes(ncons, 0, 0, 0));
+    account("mesh/cons0", cell_bytes(ncons, 0, 0, 0));
+    account("mesh/dudt", cell_bytes(ncons, 0, 0, 0));
+    account("mesh/derived", cell_bytes(nder, 0, 0, 0));
+    account("mesh/flux", cell_bytes(ncons, 0, 0, 1));
+    if (shape_.ndim >= 2)
+        account("mesh/flux", cell_bytes(ncons, 0, 1, 0));
+    if (shape_.ndim >= 3)
+        account("mesh/flux", cell_bytes(ncons, 1, 0, 0));
+    if (account_recon_) {
+        // The paper's auxiliary-variable term (§VIII-B): two face states
+        // per direction at full block resolution. Accounted only: the
+        // flux kernel reconstructs into per-chunk row scratch.
+        account("mesh/recon", static_cast<std::size_t>(2 * shape_.ndim) *
+                                  cell_bytes(ncons, 0, 0, 0));
     }
 }
 
 void
 MeshBlock::allocateAll(const ExecContext& ctx)
 {
-    const int ncons = registry_->ncompConserved();
-    const int nder = registry_->ncompDerived();
-    const int ni = shape_.ni();
-    const int nj = shape_.nj();
-    const int nk = shape_.nk();
-    const auto cell_bytes = [&](int nvar, int dk, int dj, int di) {
-        return static_cast<std::size_t>(nvar) * (nk + dk) * (nj + dj) *
-               (ni + di) * sizeof(double);
-    };
-
     if (mode_ == DataMode::Real) {
+        const int ncons = registry_->ncompConserved();
+        const int nder = registry_->ncompDerived();
+        const int ni = shape_.ni(), nj = shape_.nj(), nk = shape_.nk();
+        // Interior extents; RK scratch and face fluxes are never read
+        // in the ghosts, so they cover the interior only and index it
+        // from the first interior cell.
+        const int nx = shape_.ie() - shape_.is() + 1;
+        const int ny = shape_.je() - shape_.js() + 1;
+        const int nz = shape_.ke() - shape_.ks() + 1;
+        const Origin3 interior{shape_.ks(), shape_.js(), shape_.is()};
         // Pooled path: recycled storage, and buffers whose every cell
-        // is written before it is read (fluxes, dudt)
-        // skip the clearing pass — state-carrying arrays are zeroed in
-        // a single assign, so results are bit-identical to the
-        // allocate-and-zero path.
-        const auto make = [&](int nvar, int dk, int dj, int di,
-                              bool zero) {
+        // is written before it is read (fluxes, dudt) skip the
+        // clearing pass — state-carrying arrays are zeroed in a single
+        // assign, so results are bit-identical to the allocate-and-zero
+        // path.
+        const auto make = [&](int nvar, int ek, int ej, int ei,
+                              Origin3 origin, bool zero) {
             if (pool_) {
-                const std::size_t count = static_cast<std::size_t>(
-                                              nvar) *
-                                          (nk + dk) * (nj + dj) *
-                                          (ni + di);
-                return RealArray4(nvar, nk + dk, nj + dj, ni + di,
-                                  pool_->acquire(count), zero);
+                const std::size_t count =
+                    static_cast<std::size_t>(nvar) * ek * ej * ei;
+                return RealArray4(nvar, ek, ej, ei, pool_->acquire(count),
+                                  zero, origin);
             }
-            return RealArray4(nvar, nk + dk, nj + dj, ni + di);
+            return RealArray4(nvar, ek, ej, ei, origin);
         };
-        cons_ = make(ncons, 0, 0, 0, true);
-        cons0_ = make(ncons, 0, 0, 0, true);
-        dudt_ = make(ncons, 0, 0, 0, false);
-        derived_ = make(nder, 0, 0, 0, true);
-        flux_[0] = make(ncons, 0, 0, 1, false);
+        cons_ = make(ncons, nk, nj, ni, {}, true);
+        cons0_ = make(ncons, nz, ny, nx, interior, true);
+        dudt_ = make(ncons, nz, ny, nx, interior, false);
+        derived_ = make(nder, nk, nj, ni, {}, true);
+        flux_[0] = make(ncons, nz, ny, nx + 1, interior, false);
         if (shape_.ndim >= 2)
-            flux_[1] = make(ncons, 0, 1, 0, false);
+            flux_[1] = make(ncons, nz, ny + 1, nx, interior, false);
         if (shape_.ndim >= 3)
-            flux_[2] = make(ncons, 1, 0, 0, false);
+            flux_[2] = make(ncons, nz + 1, ny, nx, interior, false);
     }
 
-    registerAllocation(ctx, "mesh/cons", cell_bytes(ncons, 0, 0, 0));
-    registerAllocation(ctx, "mesh/cons0", cell_bytes(ncons, 0, 0, 0));
-    registerAllocation(ctx, "mesh/dudt", cell_bytes(ncons, 0, 0, 0));
-    registerAllocation(ctx, "mesh/derived", cell_bytes(nder, 0, 0, 0));
-    registerAllocation(ctx, "mesh/flux", cell_bytes(ncons, 0, 0, 1));
-    if (shape_.ndim >= 2)
-        registerAllocation(ctx, "mesh/flux", cell_bytes(ncons, 0, 1, 0));
-    if (shape_.ndim >= 3)
-        registerAllocation(ctx, "mesh/flux", cell_bytes(ncons, 1, 0, 0));
-    if (account_recon_) {
-        // The paper's auxiliary-variable term (§VIII-B): two face states
-        // per direction at full block resolution. Accounted only: the
-        // flux kernel reconstructs into per-chunk row scratch.
-        registerAllocation(
-            ctx, "mesh/recon",
-            static_cast<std::size_t>(2 * shape_.ndim) *
-                cell_bytes(ncons, 0, 0, 0));
-    }
+    accountFootprint(ctx.tracker());
 }
 
 } // namespace vibe

@@ -6,9 +6,18 @@
  *
  * Every block carries `num_ghost` ghost-cell layers per active dimension
  * (4 for WENO5), packed conserved variables, a step-start copy for RK2,
- * face fluxes and derived fields. It also accounts (but does not
- * allocate) the full-block face-reconstruction scratch whose footprint
- * the paper's §VIII-B optimization targets.
+ * face fluxes and derived fields.
+ *
+ * What is allocated and what is accounted differ on purpose. The
+ * MemoryTracker and dataBytes() model Parthenon's device layout: every
+ * array over the ghosted box, plus (optionally) the full-block
+ * face-reconstruction scratch whose footprint the paper's §VIII-B
+ * optimization targets. Host storage is smaller: only `cons` and
+ * `derived` are ghosted (exchange and the stencils read their ghosts);
+ * `cons0`, `dudt` and the face fluxes, whose ghosts nothing reads,
+ * cover the interior cells (resp. interior faces) and are indexed with
+ * the same ghosted (k, j, i) through an Array4 origin; the
+ * reconstruction scratch is per-chunk row scratch in the flux kernel.
  */
 #pragma once
 
@@ -88,8 +97,11 @@ struct BlockShape
  * One mesh block: structure, ownership and (optionally) data.
  *
  * Blocks are created by the Mesh; user code receives references. In
- * DataMode::Virtual no arrays are materialized, but every allocation is
- * registered with the MemoryTracker so footprints match numeric runs.
+ * DataMode::Virtual no arrays are materialized, but every array is
+ * registered with the MemoryTracker at its accounted (ghosted) size,
+ * exactly as in DataMode::Real, so footprints match numeric runs. The
+ * real storage of a Real block is the sum of its arrays' sizeBytes(),
+ * less than dataBytes() (see the file comment).
  */
 class MeshBlock
 {
@@ -105,7 +117,10 @@ class MeshBlock
      *                  tracker and dataBytes(); false models the
      *                  optimized layout. Nothing is allocated either
      *                  way: the flux kernel reconstructs into per-chunk
-     *                  row scratch.
+     *                  row scratch. Every other array is accounted
+     *                  over the ghosted box; of those only cons and
+     *                  derived are allocated over it (cons0, dudt and
+     *                  the fluxes cover the interior).
      * @param pool      Optional storage pool: array backing stores are
      *                  drawn from it and returned on destruction, and
      *                  buffers whose every cell is written before it
@@ -168,7 +183,7 @@ class MeshBlock
         auditAccess();
         return cons_;
     }
-    /** Step-start copy used by RK averaging. */
+    /** Step-start copy used by RK averaging (interior cells only). */
     RealArray4& cons0()
     {
         auditAccess();
@@ -179,7 +194,7 @@ class MeshBlock
         auditAccess();
         return cons0_;
     }
-    /** Flux-divergence accumulator. */
+    /** Flux-divergence accumulator (interior cells only). */
     RealArray4& dudt()
     {
         auditAccess();
@@ -201,7 +216,11 @@ class MeshBlock
         auditAccess();
         return derived_;
     }
-    /** Face fluxes in direction `d` (0 = x1, 1 = x2, 2 = x3). */
+    /**
+     * Face fluxes in direction `d` (0 = x1, 1 = x2, 2 = x3): the
+     * interior faces, nx + 1 along `d`, face i sitting at the low side
+     * of cell i.
+     */
     RealArray4& flux(int d)
     {
         auditAccess();
@@ -213,7 +232,10 @@ class MeshBlock
         return flux_[d];
     }
 
-    /** Bytes this block accounts for (identical in all data modes). */
+    /**
+     * Bytes this block accounts for (identical in all data modes): the
+     * ghosted device layout, not this host's smaller storage.
+     */
     std::size_t dataBytes() const { return data_bytes_; }
 
     // --- Rank-sharded storage lifecycle -------------------------------
@@ -255,10 +277,15 @@ class MeshBlock
         ownership_audit::checkAccess(rank_);
     }
 
+    /**
+     * Add the canonical footprint to dataBytes(), registering each
+     * array with `tracker` when one is given (the Shadow path passes
+     * none): the one place the accounted sizes are written down.
+     */
+    void accountFootprint(MemoryTracker* tracker);
+
     void allocateAll(const ExecContext& ctx);
     void releaseAll();
-    void registerAllocation(const ExecContext& ctx,
-                            const std::string& label, std::size_t bytes);
 
     LogicalLocation loc_;
     BlockShape shape_;

@@ -4,8 +4,11 @@
  *
  * Mirrors the layout Parthenon/Kokkos use for cell-centered variables:
  * the innermost (`i`) index is contiguous, matching the vectorization
- * and coalescing assumptions of the performance model. A lightweight
- * non-owning 3-D slice is provided for per-variable access.
+ * and coalescing assumptions of the performance model. An array that
+ * covers only part of a block (its interior cells, or the interior
+ * faces of one direction) carries an index origin, as AMReX's
+ * `Array4::begin` does, so every array of a block is indexed with the
+ * same ghosted (k, j, i).
  */
 #pragma once
 
@@ -17,49 +20,28 @@
 
 namespace vibe {
 
-/** Non-owning 3-D view into one variable of an Array4. */
-template <typename T>
-class Slice3
+/** The (k, j, i) index of an array's first element. */
+struct Origin3
 {
-  public:
-    Slice3(T* data, int nk, int nj, int ni)
-        : data_(data), nk_(nk), nj_(nj), ni_(ni)
-    {
-    }
-
-    T& operator()(int k, int j, int i)
-    {
-        return data_[(static_cast<std::size_t>(k) * nj_ + j) * ni_ + i];
-    }
-    const T& operator()(int k, int j, int i) const
-    {
-        return data_[(static_cast<std::size_t>(k) * nj_ + j) * ni_ + i];
-    }
-
-    int nk() const { return nk_; }
-    int nj() const { return nj_; }
-    int ni() const { return ni_; }
-    T* data() { return data_; }
-    const T* data() const { return data_; }
-    std::size_t size() const
-    {
-        return static_cast<std::size_t>(nk_) * nj_ * ni_;
-    }
-
-  private:
-    T* data_;
-    int nk_, nj_, ni_;
+    int k = 0, j = 0, i = 0;
 };
 
 /**
  * Owning contiguous 4-D array indexed (n, k, j, i).
  *
- * `n` is the variable/component index; (k, j, i) are cell indices
- * including ghosts. Storage is zero-initialized by the sizing
- * constructor; the storage-adopting constructor initializes at most
- * once (zeroing is a single `assign` pass over already-reserved
- * memory, never construct-then-fill), which is what lets a memory
- * pool recycle buffers without redundant clearing.
+ * `n` is the variable/component index; (k, j, i) run over
+ * [origin, origin + extent) per dimension — the block's ghosted cell
+ * (or face) indices, whatever part of the block the array covers. The
+ * origin is folded into one precomputed linear offset, so an element
+ * costs one integer subtract more than a zero-origin array. In
+ * VIBE_AUDIT_OWNERSHIP builds every element access is bounds-checked
+ * and an index outside the array panics; other builds check nothing.
+ *
+ * Storage is zero-initialized by the sizing constructor; the
+ * storage-adopting constructor initializes at most once (zeroing is a
+ * single `assign` pass over already-reserved memory, never
+ * construct-then-fill), which is what lets a memory pool recycle
+ * buffers without redundant clearing.
  */
 template <typename T>
 class Array4
@@ -67,12 +49,13 @@ class Array4
   public:
     Array4() : nn_(0), nk_(0), nj_(0), ni_(0) {}
 
-    Array4(int nn, int nk, int nj, int ni)
+    Array4(int nn, int nk, int nj, int ni, Origin3 origin = {})
         : nn_(nn), nk_(nk), nj_(nj), ni_(ni),
           data_(static_cast<std::size_t>(nn) * nk * nj * ni, T{})
     {
         require(nn >= 0 && nk >= 0 && nj >= 0 && ni >= 0,
                 "Array4 dimensions must be non-negative");
+        setOrigin(origin);
     }
 
     /**
@@ -87,7 +70,7 @@ class Array4
      * fresh path initializes each element exactly once.
      */
     Array4(int nn, int nk, int nj, int ni, std::vector<T>&& storage,
-           bool zero_init)
+           bool zero_init, Origin3 origin = {})
         : nn_(nn), nk_(nk), nj_(nj), ni_(ni), data_(std::move(storage))
     {
         require(nn >= 0 && nk >= 0 && nj >= 0 && ni >= 0,
@@ -98,6 +81,7 @@ class Array4
             data_.assign(need, T{});
         else
             data_.resize(need);
+        setOrigin(origin);
     }
 
     /**
@@ -108,6 +92,7 @@ class Array4
     std::vector<T> releaseStorage()
     {
         nn_ = nk_ = nj_ = ni_ = 0;
+        setOrigin({});
         return std::move(data_);
     }
 
@@ -120,21 +105,12 @@ class Array4
         return data_[index(n, k, j, i)];
     }
 
-    /** 3-D view of variable `n`. */
-    Slice3<T> slice(int n)
-    {
-        return Slice3<T>(data_.data() + index(n, 0, 0, 0), nk_, nj_, ni_);
-    }
-    Slice3<const T> slice(int n) const
-    {
-        return Slice3<const T>(data_.data() + index(n, 0, 0, 0), nk_, nj_,
-                               ni_);
-    }
-
     int nvar() const { return nn_; }
     int nk() const { return nk_; }
     int nj() const { return nj_; }
     int ni() const { return ni_; }
+    /** Index of the first element along (k, j, i). */
+    const Origin3& origin() const { return origin_; }
     std::size_t size() const { return data_.size(); }
     std::size_t sizeBytes() const { return data_.size() * sizeof(T); }
     bool empty() const { return data_.empty(); }
@@ -145,12 +121,35 @@ class Array4
     void fill(T value) { data_.assign(data_.size(), value); }
 
   private:
+    void setOrigin(Origin3 origin)
+    {
+        origin_ = origin;
+        offset_ = (static_cast<std::size_t>(origin.k) * nj_ + origin.j) *
+                      ni_ +
+                  origin.i;
+    }
+
     std::size_t index(int n, int k, int j, int i) const
     {
-        return ((static_cast<std::size_t>(n) * nk_ + k) * nj_ + j) * ni_ + i;
+#if defined(VIBE_AUDIT_OWNERSHIP)
+        if (n < 0 || n >= nn_ || k < origin_.k || k >= origin_.k + nk_ ||
+            j < origin_.j || j >= origin_.j + nj_ || i < origin_.i ||
+            i >= origin_.i + ni_)
+            panic("Array4 index (", n, ", ", k, ", ", j, ", ", i,
+                  ") outside [0, ", nn_, ") x [", origin_.k, ", ",
+                  origin_.k + nk_, ") x [", origin_.j, ", ",
+                  origin_.j + nj_, ") x [", origin_.i, ", ",
+                  origin_.i + ni_, ")");
+#endif
+        // Unsigned wrap-around is exact: the result is in range
+        // whenever the index is.
+        return ((static_cast<std::size_t>(n) * nk_ + k) * nj_ + j) * ni_ +
+               i - offset_;
     }
 
     int nn_, nk_, nj_, ni_;
+    Origin3 origin_;
+    std::size_t offset_ = 0;
     std::vector<T> data_;
 };
 

@@ -216,6 +216,31 @@ TEST(BlockMemoryPool, LiveBlocksNeverAliasBuffers)
     EXPECT_EQ(arrays, mesh.numBlocks() * 7u);
 }
 
+TEST(BlockMemoryPool, LiveBytesAreTheLiveBlocksStorage)
+{
+    PoolMeshBits bits;
+    ExecContext ctx(ExecMode::Execute, &bits.profiler, &bits.tracker);
+    Mesh mesh(churnConfig(true), bits.registry, ctx);
+    churnOnce(mesh);
+    churnOnce(mesh);
+    RefinementFlagMap refine;
+    refine[{0, 0, 0, 0}] = RefinementFlag::Refine;
+    mesh.applyTreeUpdate(mesh.updateTree(refine), 0);
+
+    std::size_t storage = 0;
+    for (const auto& block : mesh.blocks()) {
+        storage += block->cons().sizeBytes() + block->cons0().sizeBytes() +
+                   block->dudt().sizeBytes() + block->derived().sizeBytes();
+        for (int d = 0; d < 3; ++d)
+            storage += block->flux(d).sizeBytes();
+    }
+    EXPECT_GT(mesh.memoryPool()->idleBytes(), 0u);
+    EXPECT_EQ(mesh.memoryPool()->liveBytes(), storage);
+    // Interior-only scratch: the host holds less than the tracker's
+    // ghosted (device-layout) footprint.
+    EXPECT_LT(storage, bits.tracker.currentBytes());
+}
+
 TEST(BlockMemoryPool, FootprintAndAllocationCallsMatchUnpooled)
 {
     // The tracker records the logical footprint; recycling must not

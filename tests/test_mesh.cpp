@@ -5,6 +5,8 @@
  */
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "exec/kernel_profiler.hpp"
 #include "exec/memory_tracker.hpp"
 #include "mesh/mesh.hpp"
@@ -143,9 +145,73 @@ TEST(MeshBlock, RealModeAllocatesArrays)
     EXPECT_TRUE(block.hasData());
     EXPECT_EQ(block.cons().nvar(), 11);
     EXPECT_EQ(block.cons().ni(), 16); // 8 + 2*4 ghosts
-    EXPECT_EQ(block.flux(0).ni(), 17);
-    EXPECT_EQ(block.flux(2).nk(), 17);
+    // Fluxes cover the interior faces only: 8 + 1 along their direction.
+    EXPECT_EQ(block.flux(0).ni(), 9);
+    EXPECT_EQ(block.flux(2).nk(), 9);
     EXPECT_GT(bits.tracker.currentBytes(), 0u);
+}
+
+TEST(MeshBlock, InteriorScratchShapes)
+{
+    // cons0, dudt and the face fluxes cover the interior only, indexed
+    // from the first interior cell; cons and derived keep their ghosts.
+    // Real bytes per B16 block with 7 components, by dimension; the
+    // accounted (ghosted) footprint stays the 3-D 4,852,224 B.
+    const std::size_t real_bytes[3] = {4280u, 96000u, 2074624u};
+    for (int ndim = 1; ndim <= 3; ++ndim) {
+        KernelProfiler profiler;
+        MemoryTracker tracker;
+        const VariableRegistry registry = makeBurgersRegistry(4);
+        ExecContext ctx(ExecMode::Execute, &profiler, &tracker);
+        MeshConfig config;
+        config.ndim = ndim;
+        config.nx1 = config.nx2 = config.nx3 = 32; // 2^ndim blocks
+        config.amrLevels = 1;
+        config.optimizeAuxMemory = true;
+        Mesh mesh(config, registry, ctx);
+        ASSERT_EQ(mesh.numBlocks(), std::size_t{1} << ndim);
+        const MeshBlock& block = mesh.block(0);
+        const BlockShape s = block.shape();
+        const int nx = 16, ny = ndim >= 2 ? 16 : 1, nz = ndim >= 3 ? 16 : 1;
+        const auto expect_shape = [&](const RealArray4& a, int ek, int ej,
+                                      int ei, const char* what) {
+            SCOPED_TRACE(std::string(what) + ", " + std::to_string(ndim) +
+                         "-D");
+            EXPECT_EQ(a.nvar(), 7);
+            EXPECT_EQ(a.nk(), ek);
+            EXPECT_EQ(a.nj(), ej);
+            EXPECT_EQ(a.ni(), ei);
+            EXPECT_EQ(a.origin().k, s.ks());
+            EXPECT_EQ(a.origin().j, s.js());
+            EXPECT_EQ(a.origin().i, s.is());
+        };
+        expect_shape(block.cons0(), nz, ny, nx, "cons0");
+        expect_shape(block.dudt(), nz, ny, nx, "dudt");
+        expect_shape(block.flux(0), nz, ny, nx + 1, "flux(0)");
+        if (ndim >= 2)
+            expect_shape(block.flux(1), nz, ny + 1, nx, "flux(1)");
+        else
+            EXPECT_TRUE(block.flux(1).empty());
+        if (ndim >= 3)
+            expect_shape(block.flux(2), nz + 1, ny, nx, "flux(2)");
+        else
+            EXPECT_TRUE(block.flux(2).empty());
+        EXPECT_EQ(block.cons().ni(), s.ni());
+        EXPECT_EQ(block.cons().origin().i, 0);
+
+        std::size_t bytes = block.cons().sizeBytes() +
+                            block.cons0().sizeBytes() +
+                            block.dudt().sizeBytes() +
+                            block.derived().sizeBytes();
+        for (int d = 0; d < 3; ++d)
+            bytes += block.flux(d).sizeBytes();
+        EXPECT_EQ(bytes, real_bytes[ndim - 1]) << ndim << "-D";
+        if (ndim == 3) {
+            EXPECT_EQ(block.dataBytes(), 4852224u);
+            EXPECT_EQ(tracker.labelBytes("mesh/cons0") / mesh.numBlocks(),
+                      7u * 24u * 24u * 24u * sizeof(double));
+        }
+    }
 }
 
 TEST(MeshBlock, VirtualModeAccountsSameBytes)

@@ -90,14 +90,37 @@ TEST(Array4, InnermostIndexIsContiguous)
         EXPECT_DOUBLE_EQ(p[i], i);
 }
 
-TEST(Array4, SliceSharesStorage)
+TEST(Array4, OriginShiftsIndices)
 {
-    RealArray4 a(3, 2, 2, 2);
-    auto s = a.slice(1);
-    s(1, 1, 1) = 42.0;
-    EXPECT_DOUBLE_EQ(a(1, 1, 1, 1), 42.0);
-    EXPECT_EQ(s.size(), 8u);
+    // Covers k in [2, 4), j in [1, 4), i in [3, 5): the element at the
+    // origin is the first one stored.
+    RealArray4 a(2, 2, 3, 2, Origin3{2, 1, 3});
+    EXPECT_EQ(a.size(), 24u);
+    double v = 0;
+    for (int n = 0; n < 2; ++n)
+        for (int k = 2; k < 4; ++k)
+            for (int j = 1; j < 4; ++j)
+                for (int i = 3; i < 5; ++i)
+                    a(n, k, j, i) = v++;
+    for (std::size_t e = 0; e < a.size(); ++e)
+        EXPECT_DOUBLE_EQ(a.data()[e], static_cast<double>(e));
+    EXPECT_EQ(&a(1, 2, 1, 3), a.data() + 12);
+    EXPECT_EQ(a.origin().k, 2);
+    EXPECT_EQ(a.origin().j, 1);
+    EXPECT_EQ(a.origin().i, 3);
 }
+
+#if defined(VIBE_AUDIT_OWNERSHIP)
+TEST(Array4, AuditBuildPanicsOutsideBounds)
+{
+    RealArray4 a(2, 2, 3, 2, Origin3{2, 1, 3});
+    EXPECT_NO_THROW(a(1, 3, 3, 4));
+    EXPECT_THROW(a(0, 1, 1, 3), PanicError); // below the k origin
+    EXPECT_THROW(a(0, 2, 1, 5), PanicError); // past the i extent
+    EXPECT_THROW(a(2, 2, 1, 3), PanicError); // past the last variable
+    EXPECT_THROW(RealArray4()(0, 0, 0, 0), PanicError);
+}
+#endif
 
 TEST(Array4, SizeBytes)
 {
