@@ -1,7 +1,7 @@
 #include "comm/ghost_exchange.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <cstddef>
 
 #include "exec/par_for.hpp"
 #include "mesh/prolong_restrict.hpp"
@@ -9,22 +9,6 @@
 #include "util/logging.hpp"
 
 namespace vibe {
-
-namespace {
-
-int
-rangeStart(const Region3& r, int d)
-{
-    return d == 0 ? r.i.lo : d == 1 ? r.j.lo : r.k.lo;
-}
-
-int
-rangeCount(const Region3& r, int d)
-{
-    return d == 0 ? r.i.count() : d == 1 ? r.j.count() : r.k.count();
-}
-
-} // namespace
 
 GhostExchange::GhostExchange(Mesh& mesh, RankWorld& world,
                              BoundaryBufferCache& cache)
@@ -100,34 +84,34 @@ GhostExchange::packBoundsChannel(const BoundsChannel& ch,
     std::size_t idx = 0;
     if (ch.levelDiff == 1) {
         // Restrict on send: iterate the receiver's coarse target
-        // region; average the covering fine cells.
+        // region row by row; each coarse row averages 2^(ndim-1) fine
+        // rows, summed in (dk, dj, di) order.
         const int lo[3] = {shape.is(), shape.js(), shape.ks()};
         const double inv = 1.0 / (1 << ndim);
+        const int fi = 2 * ch.recv.i.lo - lo[0] - ch.base2[0];
+        const int ni = ch.recv.i.count();
+        const int nrows = 1 << (ndim - 1);
+        const double* rows[4];
         for (int n = 0; n < ncomp; ++n)
             for (int K = ch.recv.k.lo; K <= ch.recv.k.hi; ++K)
-                for (int J = ch.recv.j.lo; J <= ch.recv.j.hi; ++J)
-                    for (int I = ch.recv.i.lo; I <= ch.recv.i.hi;
-                         ++I) {
-                        const int fi =
-                            lo[0] + 2 * (I - lo[0]) - ch.base2[0];
-                        const int fj =
-                            ndim >= 2
-                                ? lo[1] + 2 * (J - lo[1]) - ch.base2[1]
-                                : 0;
-                        const int fk =
-                            ndim >= 3
-                                ? lo[2] + 2 * (K - lo[2]) - ch.base2[2]
-                                : 0;
+                for (int J = ch.recv.j.lo; J <= ch.recv.j.hi; ++J) {
+                    const int fj = ndim >= 2 ? 2 * J - lo[1] - ch.base2[1]
+                                             : 0;
+                    const int fk = ndim >= 3 ? 2 * K - lo[2] - ch.base2[2]
+                                             : 0;
+                    int r = 0;
+                    for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0); ++dk)
+                        for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0); ++dj)
+                            rows[r++] = &cons(n, fk + dk, fj + dj, fi);
+                    for (int I = 0; I < ni; ++I) {
                         double sum = 0.0;
-                        for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0);
-                             ++dk)
-                            for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0);
-                                 ++dj)
-                                for (int di = 0; di <= 1; ++di)
-                                    sum += cons(n, fk + dk, fj + dj,
-                                                fi + di);
+                        for (r = 0; r < nrows; ++r) {
+                            sum += rows[r][2 * I];
+                            sum += rows[r][2 * I + 1];
+                        }
                         out[idx++] = sum * inv;
                     }
+                }
     } else {
         // Same level or coarse slab: straight copy of the send box.
         for (int n = 0; n < ncomp; ++n)
@@ -171,93 +155,166 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
         return;
     }
 
-    // Coarse slab -> fine ghosts: slope-limited prolongation. Slope
-    // neighbors come from the slab where available; where the missing
-    // neighbor lies on the *receiver's* side of the interface (the
-    // innermost ghost layer), it is restricted on the fly from the
-    // receiver's own fine interior — the role of Parthenon's
-    // receiver-side coarse buffer. Elsewhere the slope clamps to zero.
+    // Coarse slab -> fine ghosts: slope-limited prolongation in two
+    // passes per component. Pass 1 visits every coarse cell the recv
+    // box covers and stores its centre and ndim minmod-limited slopes
+    // in scratch; pass 2 walks the fine rows and writes
+    // `value = centre; value += ±0.25·slope_d` in d order. A slope
+    // neighbor comes from the slab where available; where it lies on
+    // the *receiver's* side of the interface (the innermost ghost
+    // layer), it is restricted from the receiver's own fine interior —
+    // the role of Parthenon's receiver-side coarse buffer. Elsewhere
+    // the slope clamps to zero. The coarse box lies inside the slab,
+    // so only a neighbor one past a box edge can leave it, and where
+    // it comes from is decided once per edge.
     const int lo[3] = {shape.is(), shape.js(), shape.ks()};
     const int nx[3] = {shape.nx1, ndim >= 2 ? shape.nx2 : 1,
                        ndim >= 3 ? shape.nx3 : 1};
-    const int slab_lo[3] = {rangeStart(ch.send, 0), rangeStart(ch.send, 1),
-                            rangeStart(ch.send, 2)};
-    const int sc[3] = {rangeCount(ch.send, 0), rangeCount(ch.send, 1),
-                       rangeCount(ch.send, 2)};
-    const std::size_t slab_stride_n =
-        static_cast<std::size_t>(sc[2]) * sc[1] * sc[0];
-    require(count == slab_stride_n * ncomp,
+    const IndexRange fine[3] = {ch.recv.i, ch.recv.j, ch.recv.k};
+    const IndexRange slab[3] = {ch.send.i, ch.send.j, ch.send.k};
+    // Coarse box [clo, chi] in sender interior-relative indices; slab
+    // index = coarse index + off. Inactive dims are the single index 0.
+    int clo[3] = {0, 0, 0}, chi[3] = {0, 0, 0}, off[3], sc[3];
+    for (int d = 0; d < 3; ++d) {
+        if (d < ndim) {
+            const int t = fine[d].lo - lo[d] - ch.base[d];
+            require(t >= 0, "negative alignment offset");
+            clo[d] = t >> 1;
+            chi[d] = (fine[d].hi - lo[d] - ch.base[d]) >> 1;
+        }
+        off[d] = lo[d] - slab[d].lo;
+        sc[d] = slab[d].count();
+        require(clo[d] + off[d] >= 0 && chi[d] + off[d] < sc[d],
+                "ghost prolongation center missing");
+    }
+    const std::ptrdiff_t stride[3] = {1, sc[0],
+                                      std::ptrdiff_t{sc[0]} * sc[1]};
+    require(count == static_cast<std::size_t>(stride[2]) * sc[2] * ncomp,
             "slab payload size mismatch");
-    auto slab_at = [&](int n, int ck, int cj, int ci) {
-        return payload[(static_cast<std::size_t>(n) * sc[2] + ck) *
-                           sc[1] * sc[0] +
-                       static_cast<std::size_t>(cj) * sc[0] + ci];
-    };
 
-    // Coarse value at sender-local interior-relative index c_rel[3];
-    // returns false if unobtainable from slab or receiver restriction.
-    auto coarse_at = [&](int n, const int c_rel[3], double* out) {
-        int s_idx[3];
-        bool in_slab = true;
-        for (int d = 0; d < 3; ++d) {
-            s_idx[d] = c_rel[d] + lo[d] - slab_lo[d];
-            if (s_idx[d] < 0 || s_idx[d] >= sc[d])
-                in_slab = false;
+    // Where the neighbor one past each box edge comes from. A coarse
+    // cell restricts from the receiver if its 2^ndim fine cells all lie
+    // inside the receiver's interior.
+    enum class Source { Slab, Receiver, None };
+    Source edge[3][2] = {};
+    for (int d = 0; d < ndim; ++d)
+        for (int side = 0; side < 2; ++side) {
+            const int c = side == 0 ? clo[d] - 1 : chi[d] + 1;
+            if (c + off[d] >= 0 && c + off[d] < sc[d]) {
+                edge[d][side] = Source::Slab;
+                continue;
+            }
+            const int f = ch.base[d] + 2 * c;
+            bool all = f >= 0 && f + 1 < nx[d];
+            bool any = all;
+            for (int e = 0; e < ndim; ++e) {
+                if (e == d)
+                    continue;
+                const int f_lo = ch.base[e] + 2 * clo[e];
+                const int f_hi = ch.base[e] + 2 * chi[e];
+                all = all && f_lo >= 0 && f_hi + 1 < nx[e];
+                any = any && f_hi >= 0 && f_lo + 1 < nx[e];
+            }
+            require(all == any,
+                    "prolongation edge lies partly on the receiver");
+            edge[d][side] = all ? Source::Receiver : Source::None;
         }
-        if (in_slab) {
-            *out = slab_at(n, s_idx[2], s_idx[1], s_idx[0]);
-            return true;
-        }
-        // Restrict from the receiver's own interior if the coarse cell
-        // maps entirely inside it.
-        int f0[3] = {0, 0, 0};
-        for (int d = 0; d < ndim; ++d) {
-            f0[d] = ch.base[d] + 2 * c_rel[d];
-            if (f0[d] < 0 || f0[d] + 1 >= nx[d])
-                return false;
-        }
+    auto restrict_receiver = [&](int n, const int c[3]) {
+        int f[3] = {0, 0, 0};
+        for (int d = 0; d < ndim; ++d)
+            f[d] = lo[d] + ch.base[d] + 2 * c[d];
         double sum = 0.0;
         for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0); ++dk)
             for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0); ++dj)
                 for (int di = 0; di <= 1; ++di)
-                    sum += cons(n, lo[2] * (ndim >= 3) + f0[2] + dk,
-                                lo[1] * (ndim >= 2) + f0[1] + dj,
-                                lo[0] + f0[0] + di);
-        *out = sum / (1 << ndim);
-        return true;
+                    sum += cons(n, f[2] + dk, f[1] + dj, f[0] + di);
+        return sum / (1 << ndim);
     };
 
+    // Grow-only scratch of the unpacking worker: per coarse cell, the
+    // centre then the ndim slopes.
+    static thread_local std::vector<double> scratch;
+    const int per = 1 + ndim;
+    const int ncell[3] = {chi[0] - clo[0] + 1, chi[1] - clo[1] + 1,
+                          chi[2] - clo[2] + 1};
+    const std::size_t need =
+        static_cast<std::size_t>(ncell[2]) * ncell[1] * ncell[0] * per;
+    if (scratch.size() < need)
+        scratch.resize(need);
+    const int ti0 = fine[0].lo - lo[0] - ch.base[0];
+    const int nfi = fine[0].count();
+
     for (int n = 0; n < ncomp; ++n) {
-        for (int k = ch.recv.k.lo; k <= ch.recv.k.hi; ++k)
-            for (int j = ch.recv.j.lo; j <= ch.recv.j.hi; ++j)
-                for (int i = ch.recv.i.lo; i <= ch.recv.i.hi; ++i) {
-                    const int fidx[3] = {i, j, k};
-                    int c_rel[3] = {0, 0, 0}; // interior-relative coarse
-                    int p[3] = {0, 0, 0};     // fine parity in cell
+        // Pass 1: centre and limited slopes, once per coarse cell.
+        double* cell = scratch.data();
+        for (int ck = clo[2]; ck <= chi[2]; ++ck)
+            for (int cj = clo[1]; cj <= chi[1]; ++cj) {
+                // Slab value of coarse cell (ck, cj, clo[0]).
+                const double* srow =
+                    payload +
+                    ((static_cast<std::ptrdiff_t>(n) * sc[2] + ck +
+                      off[2]) *
+                         sc[1] +
+                     cj + off[1]) *
+                        sc[0] +
+                    clo[0] + off[0];
+                for (int ci = clo[0]; ci <= chi[0]; ++ci, cell += per) {
+                    const int c[3] = {ci, cj, ck};
+                    const double* centre = srow + (ci - clo[0]);
+                    cell[0] = *centre;
                     for (int d = 0; d < ndim; ++d) {
-                        const int t = fidx[d] - lo[d] - ch.base[d];
-                        require(t >= 0, "negative alignment offset");
-                        c_rel[d] = t >> 1;
-                        p[d] = t & 1;
+                        double v[2];
+                        bool have = true;
+                        for (int side = 0; side < 2; ++side) {
+                            const int step = side == 0 ? -1 : 1;
+                            const bool inner = side == 0 ? c[d] > clo[d]
+                                                         : c[d] < chi[d];
+                            const Source src =
+                                inner ? Source::Slab : edge[d][side];
+                            if (src == Source::Slab) {
+                                v[side] = centre[step * stride[d]];
+                            } else if (src == Source::Receiver) {
+                                int cn[3] = {ci, cj, ck};
+                                cn[d] += step;
+                                v[side] = restrict_receiver(n, cn);
+                            } else {
+                                have = false;
+                            }
+                        }
+                        cell[1 + d] =
+                            have ? minmod(v[1] - cell[0], cell[0] - v[0])
+                                 : 0.0;
                     }
-                    double center;
-                    require(coarse_at(n, c_rel, &center),
-                            "ghost prolongation center missing");
-                    double value = center;
-                    for (int d = 0; d < ndim; ++d) {
-                        int cm[3] = {c_rel[0], c_rel[1], c_rel[2]};
-                        int cp[3] = {c_rel[0], c_rel[1], c_rel[2]};
-                        cm[d] -= 1;
-                        cp[d] += 1;
-                        double vm, vp;
-                        double slope = 0.0;
-                        if (coarse_at(n, cm, &vm) &&
-                            coarse_at(n, cp, &vp))
-                            slope = minmod(vp - center, center - vm);
-                        value += (p[d] == 1 ? 0.25 : -0.25) * slope;
-                    }
-                    cons(n, k, j, i) = value;
                 }
+            }
+
+        // Pass 2: fine rows; parities and coarse rows are per row.
+        for (int k = fine[2].lo; k <= fine[2].hi; ++k) {
+            const int tk = ndim >= 3 ? k - lo[2] - ch.base[2] : 0;
+            const double wz = (tk & 1) == 1 ? 0.25 : -0.25;
+            for (int j = fine[1].lo; j <= fine[1].hi; ++j) {
+                const int tj = ndim >= 2 ? j - lo[1] - ch.base[1] : 0;
+                const double wy = (tj & 1) == 1 ? 0.25 : -0.25;
+                const double* crow =
+                    scratch.data() +
+                    (static_cast<std::size_t>((tk >> 1) - clo[2]) *
+                         ncell[1] +
+                     static_cast<std::size_t>((tj >> 1) - clo[1])) *
+                        ncell[0] * per;
+                double* out = &cons(n, k, j, fine[0].lo);
+                for (int i = 0; i < nfi; ++i) {
+                    const int t = ti0 + i;
+                    const double* e = crow + ((t >> 1) - clo[0]) * per;
+                    double value = e[0];
+                    value += ((t & 1) == 1 ? 0.25 : -0.25) * e[1];
+                    if (ndim >= 2)
+                        value += wy * e[2];
+                    if (ndim >= 3)
+                        value += wz * e[3];
+                    out[i] = value;
+                }
+            }
+        }
     }
 }
 
@@ -283,36 +340,40 @@ GhostExchange::packFluxChannel(const FluxChannel& ch, double* out) const
     const int lo[3] = {shape.is(), shape.js(), shape.ks()};
     const int nfine = 1 << (ndim - 1);
     const double inv = 1.0 / nfine;
+    // Fine face index of receiver face C: the sender's face layer
+    // along `dir`, 2C - lo - base2 transversely. Each coarse row
+    // averages up to two fine rows (dk, dj) and, unless the faces are
+    // x1 faces, two faces per row (di), summed in (dk, dj, di) order.
+    auto fine_start = [&](int d, int c) {
+        return d == ch.dir ? ch.sendFaceIdx
+               : d < ndim  ? 2 * c - lo[d] - ch.base2[d]
+                           : 0;
+    };
+    const int fi = fine_start(0, ch.recvFaces.i.lo);
+    const int ni = ch.recvFaces.i.count();
+    const int nk2 = ndim >= 3 && ch.dir != 2 ? 2 : 1;
+    const int nj2 = ndim >= 2 && ch.dir != 1 ? 2 : 1;
+    const int wide = ch.dir != 0 ? 2 : 1;
+    const double* rows[4];
     std::size_t idx = 0;
     for (int n = 0; n < ncomp; ++n)
         for (int K = ch.recvFaces.k.lo; K <= ch.recvFaces.k.hi; ++K)
-            for (int J = ch.recvFaces.j.lo; J <= ch.recvFaces.j.hi; ++J)
-                for (int I = ch.recvFaces.i.lo; I <= ch.recvFaces.i.hi;
-                     ++I) {
-                    const int cidx[3] = {I, J, K};
-                    int f[3];
-                    for (int d = 0; d < 3; ++d) {
-                        if (d == ch.dir) {
-                            f[d] = ch.sendFaceIdx;
-                        } else if (d < ndim) {
-                            f[d] = lo[d] + 2 * (cidx[d] - lo[d]) -
-                                   ch.base2[d];
-                        } else {
-                            f[d] = 0;
-                        }
-                    }
+            for (int J = ch.recvFaces.j.lo; J <= ch.recvFaces.j.hi;
+                 ++J) {
+                const int fj = fine_start(1, J);
+                const int fk = fine_start(2, K);
+                int nrows = 0;
+                for (int dk = 0; dk < nk2; ++dk)
+                    for (int dj = 0; dj < nj2; ++dj)
+                        rows[nrows++] = &flux(n, fk + dk, fj + dj, fi);
+                for (int I = 0; I < ni; ++I) {
                     double sum = 0.0;
-                    for (int dk = 0;
-                         dk <= (ndim >= 3 && ch.dir != 2 ? 1 : 0); ++dk)
-                        for (int dj = 0;
-                             dj <= (ndim >= 2 && ch.dir != 1 ? 1 : 0);
-                             ++dj)
-                            for (int di = 0; di <= (ch.dir != 0 ? 1 : 0);
-                                 ++di)
-                                sum += flux(n, f[2] + dk, f[1] + dj,
-                                            f[0] + di);
+                    for (int r = 0; r < nrows; ++r)
+                        for (int di = 0; di < wide; ++di)
+                            sum += rows[r][wide * I + di];
                     out[idx++] = sum * inv;
                 }
+            }
 }
 
 void

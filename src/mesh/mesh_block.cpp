@@ -175,10 +175,11 @@ MeshBlock::allocateAll(const ExecContext& ctx)
         const int nz = shape_.ke() - shape_.ks() + 1;
         const Origin3 interior{shape_.ks(), shape_.js(), shape_.is()};
         // Pooled path: recycled storage, and buffers whose every cell
-        // is written before it is read (fluxes, dudt) skip the
-        // clearing pass — state-carrying arrays are zeroed in a single
-        // assign, so results are bit-identical to the allocate-and-zero
-        // path.
+        // is written before it is read skip the clearing pass — cons0
+        // (saveStateBlock copies cons into it at the top of each step),
+        // dudt and the fluxes. State-carrying arrays are zeroed in a
+        // single assign, so results are bit-identical to the
+        // allocate-and-zero path.
         const auto make = [&](int nvar, int ek, int ej, int ei,
                               Origin3 origin, bool zero) {
             if (pool_) {
@@ -190,7 +191,7 @@ MeshBlock::allocateAll(const ExecContext& ctx)
             return RealArray4(nvar, ek, ej, ei, origin);
         };
         cons_ = make(ncons, nk, nj, ni, {}, true);
-        cons0_ = make(ncons, nz, ny, nx, interior, true);
+        cons0_ = make(ncons, nz, ny, nx, interior, false);
         dudt_ = make(ncons, nz, ny, nx, interior, false);
         derived_ = make(nder, nk, nj, ni, {}, true);
         flux_[0] = make(ncons, nz, ny, nx + 1, interior, false);

@@ -124,8 +124,8 @@ class MeshBlock
      * @param pool      Optional storage pool: array backing stores are
      *                  drawn from it and returned on destruction, and
      *                  buffers whose every cell is written before it
-     *                  is read (fluxes, dudt) skip the zero-init pass
-     *                  entirely. Must outlive the block.
+     *                  is read (cons0, dudt, fluxes) skip the zero-init
+     *                  pass entirely. Must outlive the block.
      */
     /**
      * @param shadow Create without storage or tracker registration (a

@@ -1,19 +1,9 @@
 #include "mesh/prolong_restrict.hpp"
 
-#include <cmath>
-
 #include "exec/par_for.hpp"
 #include "util/logging.hpp"
 
 namespace vibe {
-
-double
-minmod(double a, double b)
-{
-    if (a * b <= 0.0)
-        return 0.0;
-    return std::fabs(a) < std::fabs(b) ? a : b;
-}
 
 namespace {
 

@@ -10,8 +10,17 @@
  * (3) prolongation of received coarse slabs into fine ghosts
  * (SetBounds). Restriction is exactly conservative; prolongation uses
  * minmod-limited slopes and preserves the coarse mean in each cell.
+ *
+ * Prolongation computes the centre and the ndim limited slopes once
+ * per coarse cell, then writes that cell's 2^ndim fine children. On
+ * receive (GhostExchange::unpackBoundsChannel) this is two passes over
+ * each channel: pass 1 fills per-coarse-cell scratch with the centre
+ * and slopes, pass 2 walks the fine ghost rows and writes
+ * `value = centre; value += ±0.25·slope_d` in d order.
  */
 #pragma once
+
+#include <cmath>
 
 #include "exec/exec_context.hpp"
 #include "mesh/mesh_block.hpp"
@@ -19,7 +28,13 @@
 namespace vibe {
 
 /** minmod(a, b): 0 on sign disagreement, else the smaller magnitude. */
-double minmod(double a, double b);
+inline double
+minmod(double a, double b)
+{
+    if (a * b <= 0.0)
+        return 0.0;
+    return std::fabs(a) < std::fabs(b) ? a : b;
+}
 
 /**
  * Volume-average the full interior of `child` into the octant of

@@ -5,14 +5,20 @@
  * refinement levels), and flux-correction conservation. The ghost and
  * flux checks compare against values computed here from the field
  * (exact copies, restricted averages, linear prolongation), so they are
- * the independent reference for the BoundaryPlan exchange.
+ * the independent reference for the BoundaryPlan exchange. The
+ * per-cell prolongation, restrict-on-send and flux-restriction
+ * formulas the row-wise pack/unpack replaced are kept here as bitwise
+ * references.
  */
 #include "fixture_knobs.hpp"
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <string>
+#include <vector>
 
 #include "comm/boundary_buffers.hpp"
 #include "comm/ghost_exchange.hpp"
@@ -23,6 +29,7 @@
 #include "exec/memory_tracker.hpp"
 #include "mesh/mesh.hpp"
 #include "util/logging.hpp"
+#include "util/random.hpp"
 
 namespace vibe {
 namespace {
@@ -143,12 +150,13 @@ struct CommFixture
 
     CommFixture(int mesh_nx, int block_nx, int levels, ExecMode mode,
                 int nranks = 1, bool randomize = false,
-                int num_threads = fixtureNumThreads())
+                int num_threads = fixtureNumThreads(), int ndim = 3)
     {
         ctx = std::make_unique<ExecContext>(
             mode, &profiler, &tracker,
             makeExecutionSpace(num_threads));
         MeshConfig config;
+        config.ndim = ndim;
         config.nx1 = config.nx2 = config.nx3 = mesh_nx;
         config.blockNx1 = config.blockNx2 = config.blockNx3 = block_nx;
         config.amrLevels = levels;
@@ -623,6 +631,347 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
                         }
         }
     }
+}
+
+// --- Bitwise references: the per-cell pack/unpack formulas ---
+
+/** Which minmod branches and slope sources the reference took. */
+struct ReferenceHits
+{
+    int signFlip = 0;      ///< a * b < 0
+    int zeroProduct = 0;   ///< a * b == 0
+    int firstSmaller = 0;  ///< |a| < |b|
+    int secondSmaller = 0; ///< |a| >= |b|
+    int receiverSide = 0;  ///< neighbor restricted from the receiver
+    int clamped = 0;       ///< neighbor unobtainable: slope 0
+    int negativeZero = 0;  ///< prolongated ghost value is -0.0
+};
+
+double
+referenceMinmod(double a, double b, ReferenceHits& hits)
+{
+    if (a * b < 0.0) {
+        ++hits.signFlip;
+        return 0.0;
+    }
+    if (a * b == 0.0) {
+        ++hits.zeroProduct;
+        return 0.0;
+    }
+    if (std::fabs(a) < std::fabs(b)) {
+        ++hits.firstSmaller;
+        return a;
+    }
+    ++hits.secondSmaller;
+    return b;
+}
+
+/**
+ * Non-smooth field value: signed zeros and repeated values (zero
+ * differences) among noise of both signs, so the limiter sees sign
+ * disagreement, zero products and either magnitude smaller. The noise
+ * is a product of two uniforms: full mantissas at varied magnitudes,
+ * so a reordered sum rounds differently.
+ */
+double
+roughValue(Rng& rng)
+{
+    const double u = rng.uniform();
+    if (u < 0.15)
+        return u < 0.075 ? 0.0 : -0.0;
+    if (u < 0.35)
+        return u < 0.25 ? 1.0 : -0.5;
+    return rng.uniform(-1.0, 1.0) * rng.uniform(0.1, 10.0);
+}
+
+void
+fillRough(Mesh& mesh, std::uint64_t seed)
+{
+    Rng rng(seed);
+    const int ndim = mesh.config().ndim;
+    for (const auto& block : mesh.blocks()) {
+        RealArray4& cons = block->cons();
+        for (std::size_t e = 0; e < cons.size(); ++e)
+            cons.data()[e] = roughValue(rng);
+        for (int d = 0; d < ndim; ++d) {
+            RealArray4& flux = block->flux(d);
+            for (std::size_t e = 0; e < flux.size(); ++e)
+                flux.data()[e] = roughValue(rng);
+        }
+    }
+}
+
+/** Same-level copy of the send box, in (n, k, j, i) order. */
+std::vector<double>
+referenceCopy(const BoundsChannel& ch, int ncomp)
+{
+    std::vector<double> out;
+    const RealArray4& cons = ch.sender->cons();
+    for (int n = 0; n < ncomp; ++n)
+        for (int k = ch.send.k.lo; k <= ch.send.k.hi; ++k)
+            for (int j = ch.send.j.lo; j <= ch.send.j.hi; ++j)
+                for (int i = ch.send.i.lo; i <= ch.send.i.hi; ++i)
+                    out.push_back(cons(n, k, j, i));
+    return out;
+}
+
+/** Per-coarse-cell restrict on send over the receiver's recv box. */
+std::vector<double>
+referenceRestrict(const BoundsChannel& ch, const BlockShape& shape,
+                  int ncomp)
+{
+    const int ndim = shape.ndim;
+    const RealArray4& cons = ch.sender->cons();
+    const int lo[3] = {shape.is(), shape.js(), shape.ks()};
+    const double inv = 1.0 / (1 << ndim);
+    std::vector<double> out;
+    for (int n = 0; n < ncomp; ++n)
+        for (int K = ch.recv.k.lo; K <= ch.recv.k.hi; ++K)
+            for (int J = ch.recv.j.lo; J <= ch.recv.j.hi; ++J)
+                for (int I = ch.recv.i.lo; I <= ch.recv.i.hi; ++I) {
+                    const int fi = lo[0] + 2 * (I - lo[0]) - ch.base2[0];
+                    const int fj =
+                        ndim >= 2 ? lo[1] + 2 * (J - lo[1]) - ch.base2[1]
+                                  : 0;
+                    const int fk =
+                        ndim >= 3 ? lo[2] + 2 * (K - lo[2]) - ch.base2[2]
+                                  : 0;
+                    double sum = 0.0;
+                    for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0); ++dk)
+                        for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0); ++dj)
+                            for (int di = 0; di <= 1; ++di)
+                                sum += cons(n, fk + dk, fj + dj, fi + di);
+                    out.push_back(sum * inv);
+                }
+    return out;
+}
+
+/**
+ * Per-fine-cell prolongation of the coarse slab over the recv box:
+ * every fine cell looks up its centre and up to 2·ndim neighbors,
+ * slab first, then restriction from the receiver's interior, else the
+ * slope is 0.
+ */
+std::vector<double>
+referenceProlong(const BoundsChannel& ch, const BlockShape& shape,
+                 int ncomp, ReferenceHits& hits)
+{
+    const int ndim = shape.ndim;
+    const std::vector<double> slab = referenceCopy(ch, ncomp);
+    const RealArray4& cons = ch.receiver->cons();
+    const int lo[3] = {shape.is(), shape.js(), shape.ks()};
+    const int nx[3] = {shape.nx1, ndim >= 2 ? shape.nx2 : 1,
+                       ndim >= 3 ? shape.nx3 : 1};
+    const int slab_lo[3] = {ch.send.i.lo, ch.send.j.lo, ch.send.k.lo};
+    const int sc[3] = {ch.send.i.count(), ch.send.j.count(),
+                       ch.send.k.count()};
+    auto coarse_at = [&](int n, const int c_rel[3], double* out,
+                         bool count) {
+        int s_idx[3];
+        bool in_slab = true;
+        for (int d = 0; d < 3; ++d) {
+            s_idx[d] = c_rel[d] + lo[d] - slab_lo[d];
+            if (s_idx[d] < 0 || s_idx[d] >= sc[d])
+                in_slab = false;
+        }
+        if (in_slab) {
+            *out = slab[(static_cast<std::size_t>(n) * sc[2] + s_idx[2]) *
+                            sc[1] * sc[0] +
+                        static_cast<std::size_t>(s_idx[1]) * sc[0] +
+                        s_idx[0]];
+            return true;
+        }
+        int f0[3] = {0, 0, 0};
+        for (int d = 0; d < ndim; ++d) {
+            f0[d] = ch.base[d] + 2 * c_rel[d];
+            if (f0[d] < 0 || f0[d] + 1 >= nx[d]) {
+                hits.clamped += count;
+                return false;
+            }
+        }
+        hits.receiverSide += count;
+        double sum = 0.0;
+        for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0); ++dk)
+            for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0); ++dj)
+                for (int di = 0; di <= 1; ++di)
+                    sum += cons(n, lo[2] * (ndim >= 3) + f0[2] + dk,
+                                lo[1] * (ndim >= 2) + f0[1] + dj,
+                                lo[0] + f0[0] + di);
+        *out = sum / (1 << ndim);
+        return true;
+    };
+
+    std::vector<double> out;
+    for (int n = 0; n < ncomp; ++n)
+        for (int k = ch.recv.k.lo; k <= ch.recv.k.hi; ++k)
+            for (int j = ch.recv.j.lo; j <= ch.recv.j.hi; ++j)
+                for (int i = ch.recv.i.lo; i <= ch.recv.i.hi; ++i) {
+                    const int fidx[3] = {i, j, k};
+                    int c_rel[3] = {0, 0, 0};
+                    int p[3] = {0, 0, 0};
+                    for (int d = 0; d < ndim; ++d) {
+                        const int t = fidx[d] - lo[d] - ch.base[d];
+                        c_rel[d] = t >> 1;
+                        p[d] = t & 1;
+                    }
+                    double center = 0.0;
+                    EXPECT_TRUE(coarse_at(n, c_rel, &center, false));
+                    double value = center;
+                    for (int d = 0; d < ndim; ++d) {
+                        int cm[3] = {c_rel[0], c_rel[1], c_rel[2]};
+                        int cp[3] = {c_rel[0], c_rel[1], c_rel[2]};
+                        cm[d] -= 1;
+                        cp[d] += 1;
+                        double vm, vp;
+                        double slope = 0.0;
+                        if (coarse_at(n, cm, &vm, true) &&
+                            coarse_at(n, cp, &vp, true))
+                            slope = referenceMinmod(vp - center,
+                                                    center - vm, hits);
+                        value += (p[d] == 1 ? 0.25 : -0.25) * slope;
+                    }
+                    hits.negativeZero +=
+                        value == 0.0 && std::signbit(value);
+                    out.push_back(value);
+                }
+    return out;
+}
+
+/** Per-face flux restriction over the receiver's coarse faces. */
+std::vector<double>
+referenceFluxRestrict(const FluxChannel& ch, const BlockShape& shape,
+                      int ncomp)
+{
+    const int ndim = shape.ndim;
+    const RealArray4& flux = ch.sender->flux(ch.dir);
+    const int lo[3] = {shape.is(), shape.js(), shape.ks()};
+    const double inv = 1.0 / (1 << (ndim - 1));
+    std::vector<double> out;
+    for (int n = 0; n < ncomp; ++n)
+        for (int K = ch.recvFaces.k.lo; K <= ch.recvFaces.k.hi; ++K)
+            for (int J = ch.recvFaces.j.lo; J <= ch.recvFaces.j.hi; ++J)
+                for (int I = ch.recvFaces.i.lo; I <= ch.recvFaces.i.hi;
+                     ++I) {
+                    const int cidx[3] = {I, J, K};
+                    int f[3] = {0, 0, 0};
+                    for (int d = 0; d < ndim; ++d)
+                        f[d] = d == ch.dir ? ch.sendFaceIdx
+                                           : lo[d] + 2 * (cidx[d] - lo[d]) -
+                                                 ch.base2[d];
+                    double sum = 0.0;
+                    for (int dk = 0;
+                         dk <= (ndim >= 3 && ch.dir != 2 ? 1 : 0); ++dk)
+                        for (int dj = 0;
+                             dj <= (ndim >= 2 && ch.dir != 1 ? 1 : 0); ++dj)
+                            for (int di = 0; di <= (ch.dir != 0 ? 1 : 0);
+                                 ++di)
+                                sum += flux(n, f[2] + dk, f[1] + dj,
+                                            f[0] + di);
+                    out.push_back(sum * inv);
+                }
+    return out;
+}
+
+/** Values of `a` over `box`, in (n, k, j, i) order. */
+std::vector<double>
+valuesIn(const RealArray4& a, const Region3& box, int ncomp)
+{
+    std::vector<double> out;
+    for (int n = 0; n < ncomp; ++n)
+        for (int k = box.k.lo; k <= box.k.hi; ++k)
+            for (int j = box.j.lo; j <= box.j.hi; ++j)
+                for (int i = box.i.lo; i <= box.i.hi; ++i)
+                    out.push_back(a(n, k, j, i));
+    return out;
+}
+
+/** Index of the first bitwise difference, or -1. */
+long
+firstBitDifference(const std::vector<double>& got,
+                   const std::vector<double>& want)
+{
+    if (got.size() != want.size())
+        return 0;
+    for (std::size_t e = 0; e < got.size(); ++e)
+        if (std::bit_cast<std::uint64_t>(got[e]) !=
+            std::bit_cast<std::uint64_t>(want[e]))
+            return static_cast<long>(e);
+    return -1;
+}
+
+TEST(GhostExchange, PackUnpackMatchPerCellReferenceBitwise)
+{
+    // One refined block in a periodic mesh: every fine block receives
+    // coarse slabs across faces, edges and corners (receiver-side
+    // fallbacks and clamped slopes), every coarse neighbor receives
+    // restricted ghosts and flux corrections.
+    ReferenceHits hits;
+    int prolonged = 0, restricted = 0;
+    for (int ndim = 1; ndim <= 3; ++ndim)
+        for (int threads : {1, 4}) {
+            CommFixture f(ndim == 3 ? 16 : 32, 8, 2, ExecMode::Execute, 1,
+                          false, threads, ndim);
+            f.refineAt(ndim == 1   ? LogicalLocation{0, 1, 0, 0}
+                       : ndim == 2 ? LogicalLocation{0, 1, 1, 0}
+                                   : LogicalLocation{0, 0, 0, 0});
+            fillRough(*f.mesh, 0x5eed + ndim);
+            const BlockShape s = f.mesh->config().blockShape();
+            const int ncomp = f.registry.ncompConserved();
+
+            const auto& bounds = f.cache->bounds();
+            std::vector<std::vector<double>> want(bounds.size());
+            for (std::size_t c = 0; c < bounds.size(); ++c) {
+                const BoundsChannel& ch = bounds[c];
+                if (ch.levelDiff == 0)
+                    want[c] = referenceCopy(ch, ncomp);
+                else if (ch.levelDiff == 1)
+                    want[c] = referenceRestrict(ch, s, ncomp);
+                else
+                    want[c] = referenceProlong(ch, s, ncomp, hits);
+                prolonged += ch.levelDiff == -1;
+                restricted += ch.levelDiff == 1;
+            }
+            const auto& fluxes = f.cache->flux();
+            std::vector<std::vector<double>> want_flux(fluxes.size());
+            for (std::size_t c = 0; c < fluxes.size(); ++c)
+                want_flux[c] = referenceFluxRestrict(fluxes[c], s, ncomp);
+            ASSERT_FALSE(fluxes.empty());
+
+            f.exchange->exchangeBounds();
+            f.exchange->exchangeFluxCorrections();
+
+            for (std::size_t c = 0; c < bounds.size(); ++c) {
+                const BoundsChannel& ch = bounds[c];
+                EXPECT_EQ(firstBitDifference(
+                              valuesIn(ch.receiver->cons(), ch.recv, ncomp),
+                              want[c]),
+                          -1)
+                    << ndim << "-D, " << threads << " threads, "
+                    << ch.sender->loc().str() << " -> "
+                    << ch.receiver->loc().str() << " levelDiff "
+                    << ch.levelDiff;
+            }
+            for (std::size_t c = 0; c < fluxes.size(); ++c) {
+                const FluxChannel& ch = fluxes[c];
+                EXPECT_EQ(
+                    firstBitDifference(valuesIn(ch.receiver->flux(ch.dir),
+                                                ch.recvFaces, ncomp),
+                                       want_flux[c]),
+                    -1)
+                    << ndim << "-D, " << threads << " threads, flux dir "
+                    << ch.dir << " " << ch.sender->loc().str() << " -> "
+                    << ch.receiver->loc().str();
+            }
+        }
+    EXPECT_GT(prolonged, 0);
+    EXPECT_GT(restricted, 0);
+    EXPECT_GT(hits.signFlip, 0);
+    EXPECT_GT(hits.zeroProduct, 0);
+    EXPECT_GT(hits.firstSmaller, 0);
+    EXPECT_GT(hits.secondSmaller, 0);
+    EXPECT_GT(hits.receiverSide, 0);
+    EXPECT_GT(hits.clamped, 0);
+    EXPECT_GT(hits.negativeZero, 0);
 }
 
 TEST(GhostExchange, ProfilerSeesFourPhases)

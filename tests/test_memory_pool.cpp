@@ -3,11 +3,14 @@
  * Block memory pool: Array4 storage adoption without redundant
  * clearing, steady-state refine/derefine churn running entirely on
  * recycled buffers, no aliasing between live blocks, and footprint /
- * state parity with the allocate-and-zero path.
+ * state parity with the allocate-and-zero path, also when the pool
+ * starts out full of NaN buffers.
  */
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstring>
+#include <limits>
 #include <set>
 #include <vector>
 
@@ -278,8 +281,15 @@ TEST(BlockMemoryPool, CountingModeAllocatesNoPool)
 
 // --- Numerical invisibility -------------------------------------------
 
+/**
+ * Final conserved state of a short numeric AMR run. With `poison` the
+ * pool is first seeded with NaN-filled buffers of every block-array
+ * size, which the run's refinements then draw on; `fresh_allocs`
+ * receives the pool's allocator fall-throughs.
+ */
 RealArray4
-runRippleCons(bool use_pool)
+runRippleCons(bool use_pool, bool poison = false,
+              std::uint64_t* fresh_allocs = nullptr)
 {
     KernelProfiler profiler;
     MemoryTracker tracker;
@@ -294,6 +304,19 @@ runRippleCons(bool use_pool)
     mesh_config.useMemoryPool = use_pool;
     Mesh mesh(mesh_config, registry, ctx);
     RankWorld world(2);
+    if (poison) {
+        // A skip-clear array (cons0, dudt, fluxes) with a cell read
+        // before it is written would carry a NaN into cons.
+        const MeshBlock& block = mesh.block(0);
+        std::vector<const RealArray4*> arrays = {
+            &block.cons(), &block.cons0(), &block.dudt(), &block.derived()};
+        for (int d = 0; d < 3; ++d)
+            arrays.push_back(&block.flux(d));
+        for (const RealArray4* a : arrays)
+            for (int copy = 0; copy < 16; ++copy)
+                mesh.memoryPool()->release(std::vector<double>(
+                    a->size(), std::numeric_limits<double>::quiet_NaN()));
+    }
 
     BurgersConfig burgers_config;
     burgers_config.numScalars = 4;
@@ -319,6 +342,8 @@ runRippleCons(bool use_pool)
         std::memcpy(all.data() + b * cons.size(), cons.data(),
                     cons.sizeBytes());
     }
+    if (fresh_allocs)
+        *fresh_allocs = mesh.memoryPool()->freshAllocs();
     return all;
 }
 
@@ -329,6 +354,20 @@ TEST(BlockMemoryPool, PooledRunIsBitwiseIdenticalToUnpooled)
     ASSERT_EQ(pooled.size(), plain.size());
     EXPECT_EQ(std::memcmp(pooled.data(), plain.data(),
                           pooled.sizeBytes()),
+              0);
+}
+
+TEST(BlockMemoryPool, PoisonedPoolRunMatchesUnpooled)
+{
+    std::uint64_t poisoned_fresh = 0, pooled_fresh = 0;
+    const RealArray4 poisoned = runRippleCons(true, true, &poisoned_fresh);
+    runRippleCons(true, false, &pooled_fresh);
+    const RealArray4 plain = runRippleCons(false);
+    // The run drew on the NaN buffers instead of the allocator.
+    EXPECT_LT(poisoned_fresh, pooled_fresh);
+    ASSERT_EQ(poisoned.size(), plain.size());
+    EXPECT_EQ(std::memcmp(poisoned.data(), plain.data(),
+                          poisoned.sizeBytes()),
               0);
 }
 
