@@ -236,22 +236,14 @@ BoundaryBufferCache::rebuild()
             std::swap(bounds_[i - 1], bounds_[rng_.uniformInt(i)]);
     }
 
-    send_index_.assign(mesh_->numBlocks(), {});
     recv_index_.assign(mesh_->numBlocks(), {});
-    for (std::size_t c = 0; c < bounds_.size(); ++c) {
-        send_index_[bounds_[c].sender->gid()].push_back(
-            static_cast<int>(c));
+    for (std::size_t c = 0; c < bounds_.size(); ++c)
         recv_index_[bounds_[c].receiver->gid()].push_back(
             static_cast<int>(c));
-    }
-    flux_send_index_.assign(mesh_->numBlocks(), {});
     flux_recv_index_.assign(mesh_->numBlocks(), {});
-    for (std::size_t c = 0; c < flux_.size(); ++c) {
-        flux_send_index_[flux_[c].sender->gid()].push_back(
-            static_cast<int>(c));
+    for (std::size_t c = 0; c < flux_.size(); ++c)
         flux_recv_index_[flux_[c].receiver->gid()].push_back(
             static_cast<int>(c));
-    }
 
     // Serial cost drivers: one key per channel for the sort/shuffle,
     // one metadata record per channel for the ViewOfViews fill +

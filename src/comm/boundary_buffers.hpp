@@ -115,21 +115,13 @@ class BoundaryBufferCache
     const std::vector<BoundsChannel>& bounds() const { return bounds_; }
     const std::vector<FluxChannel>& flux() const { return flux_; }
 
-    /** Indices into bounds() sent by / received by block `gid`. */
-    const std::vector<int>& sendIndex(int gid) const
-    {
-        return send_index_.at(gid);
-    }
+    /** Indices into bounds() received by block `gid`. */
     const std::vector<int>& recvIndex(int gid) const
     {
         return recv_index_.at(gid);
     }
 
-    /** Indices into flux() sent by / received by block `gid`. */
-    const std::vector<int>& fluxSendIndex(int gid) const
-    {
-        return flux_send_index_.at(gid);
-    }
+    /** Indices into flux() received by block `gid`. */
     const std::vector<int>& fluxRecvIndex(int gid) const
     {
         return flux_recv_index_.at(gid);
@@ -179,9 +171,7 @@ class BoundaryBufferCache
     Rng rng_;
     std::vector<BoundsChannel> bounds_;
     std::vector<FluxChannel> flux_;
-    std::vector<std::vector<int>> send_index_;
     std::vector<std::vector<int>> recv_index_;
-    std::vector<std::vector<int>> flux_send_index_;
     std::vector<std::vector<int>> flux_recv_index_;
     std::uint64_t rebuild_count_ = 0;
     /**

@@ -102,7 +102,8 @@ GhostExchange::packBoundsChannel(const BoundsChannel& ch,
                     int r = 0;
                     for (int dk = 0; dk <= (ndim >= 3 ? 1 : 0); ++dk)
                         for (int dj = 0; dj <= (ndim >= 2 ? 1 : 0); ++dj)
-                            rows[r++] = &cons(n, fk + dk, fj + dj, fi);
+                            rows[r++] =
+                                cons.row(n, fk + dk, fj + dj, fi, 2 * ni);
                     for (int I = 0; I < ni; ++I) {
                         double sum = 0.0;
                         for (r = 0; r < nrows; ++r) {
@@ -301,7 +302,7 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
                          ncell[1] +
                      static_cast<std::size_t>((tj >> 1) - clo[1])) *
                         ncell[0] * per;
-                double* out = &cons(n, k, j, fine[0].lo);
+                double* out = cons.row(n, k, j, fine[0].lo, nfi);
                 for (int i = 0; i < nfi; ++i) {
                     const int t = ti0 + i;
                     const double* e = crow + ((t >> 1) - clo[0]) * per;
@@ -365,7 +366,8 @@ GhostExchange::packFluxChannel(const FluxChannel& ch, double* out) const
                 int nrows = 0;
                 for (int dk = 0; dk < nk2; ++dk)
                     for (int dj = 0; dj < nj2; ++dj)
-                        rows[nrows++] = &flux(n, fk + dk, fj + dj, fi);
+                        rows[nrows++] = flux.row(n, fk + dk, fj + dj, fi,
+                                                 wide * ni);
                 for (int I = 0; I < ni; ++I) {
                     double sum = 0.0;
                     for (int r = 0; r < nrows; ++r)

@@ -81,8 +81,8 @@ class GhostExchange
 
     /**
      * Run one flux-correction exchange, like exchangeBounds(). Must be
-     * called after fluxes are computed and before FluxDivergence
-     * consumes them.
+     * called after fluxes are computed and before the stage update
+     * (rk2StageBlock) consumes them.
      */
     void exchangeFluxCorrections();
 

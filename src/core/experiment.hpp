@@ -36,8 +36,8 @@ struct ExperimentSpec
     int ncycles = 10;     ///< Evolution cycles to simulate.
     /**
      * Physics package (PackageRegistry name, the `<job> package`
-     * knob): "burgers" (the VIBE workload) or "advection". The
-     * harness itself is package-agnostic.
+     * knob): "burgers" (the VIBE workload), "advection" or
+     * "reaction". The harness itself is package-agnostic.
      */
     std::string package = "burgers";
     /**

@@ -576,9 +576,8 @@ EvolutionDriver::step()
 {
     const bool fc = mesh_->config().amrLevels > 1;
 
-    forEachOwnedBlock(*mesh_, [this](MeshBlock& block, std::size_t) {
-        saveStateBlock(*mesh_, block);
-    });
+    // Stage tasks record with explicit ranks, so the serial records
+    // after step() keep the ambient rank the estimate sweep set.
     for (int stage = 1; stage <= 2; ++stage) {
         TaskList tl = buildStageGraphFused(stage, fc);
         runGraph(tl, stageExecOptions());
@@ -592,9 +591,6 @@ EvolutionDriver::step()
                                      mesh_->shardRank())
                                : cache_.totalWireFaces();
     }
-    forEachOwnedBlock(*mesh_, [this](MeshBlock& block, std::size_t) {
-        package_->fillDerivedBlock(*mesh_, block);
-    });
 }
 
 EvolutionDriver::FusedBoundsIds
@@ -729,10 +725,11 @@ EvolutionDriver::addFusedFluxCorrTasks(
  * One RK stage over the boundary plan: the comm side of the graph
  * collapses from O(blocks x faces) tasks to O(rank pairs + sub-packs)
  * — one send and one set task per sub-pack, one poll per inbound
- * coalesced message — while the per-block compute chain is unchanged.
- * Each block's compute waits only on its own sub-pack's set, and its
- * update only on its own sub-pack's send, so comm and compute of
- * different sub-packs overlap.
+ * coalesced message. Each owned block's fluxes and stage update run as
+ * one task after its sub-pack's set and send (the update rewrites the
+ * interior the send reads); a block receiving flux corrections runs
+ * its update as a second task, after its sub-pack's applies. Comm and
+ * compute of different sub-packs overlap.
  */
 TaskList
 EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
@@ -745,53 +742,44 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
     tl.setLabel("plan:bounds+flux stage " + std::to_string(stage));
     const FusedBoundsIds bounds = addFusedBoundsTasks(tl);
 
-    const std::vector<MeshBlock*>& owned = mesh_->ownedBlocks();
-    std::vector<int> pack_of(owned.size());
-    std::vector<TaskId> flux_tasks;
+    std::vector<MeshBlock*> corrected;
     std::vector<std::vector<TaskId>> pack_fluxes(plan.subPacks().size());
-    flux_tasks.reserve(owned.size());
-    for (std::size_t b = 0; b < owned.size(); ++b) {
-        MeshBlock* block = owned[b];
-        pack_of[b] = plan.subPackOf(block->gid());
-        const auto p = static_cast<std::size_t>(pack_of[b]);
-        const TaskId t_flux = tl.addTask(
+    for (MeshBlock* block : mesh_->ownedBlocks()) {
+        const auto p =
+            static_cast<std::size_t>(plan.subPackOf(block->gid()));
+        const bool split = flux_correction &&
+                           !cache_.fluxRecvIndex(block->gid()).empty();
+        if (split)
+            corrected.push_back(block);
+        pack_fluxes[p].push_back(tl.addTask(
             "CalculateFluxes:" + std::to_string(block->gid()),
-            [this, block] {
+            [this, block, split, stage] {
                 package_->calculateFluxesBlock(*mesh_, *block);
+                if (!split)
+                    package_->rk2StageBlock(*mesh_, *block, stage, dt_);
                 return TaskStatus::Complete;
             },
-            {bounds.set[p]}, TaskCategory::Compute, block->gid());
-        flux_tasks.push_back(t_flux);
-        pack_fluxes[p].push_back(t_flux);
+            split ? std::vector<TaskId>{bounds.set[p]}
+                  : std::vector<TaskId>{bounds.set[p], bounds.send[p]},
+            TaskCategory::Compute, block->gid()));
     }
+    if (!flux_correction)
+        return tl;
 
-    // A sub-pack's corrections flow once its own blocks' fluxes exist:
-    // a block's send must trail its own flux task.
-    std::vector<TaskId> applies;
-    if (flux_correction)
-        applies = addFusedFluxCorrTasks(tl, std::move(pack_fluxes));
-
-    for (std::size_t b = 0; b < owned.size(); ++b) {
-        MeshBlock* block = owned[b];
-        const auto p = static_cast<std::size_t>(pack_of[b]);
-        const std::string gid = std::to_string(block->gid());
-        const TaskId t_div = tl.addTask(
-            "FluxDivergence:" + gid,
-            [this, block] {
-                package_->fluxDivergenceBlock(*mesh_, *block);
-                return TaskStatus::Complete;
-            },
-            {flux_correction ? applies[p] : flux_tasks[b]},
-            TaskCategory::Compute, block->gid());
-        // The update rewrites the interior the sub-pack's send reads,
-        // so it must trail that send task.
+    // A sub-pack's corrections flow once its own blocks' fluxes exist.
+    const std::vector<TaskId> applies =
+        addFusedFluxCorrTasks(tl, std::move(pack_fluxes));
+    for (MeshBlock* block : corrected) {
+        const auto p =
+            static_cast<std::size_t>(plan.subPackOf(block->gid()));
         tl.addTask(
-            "WeightedSumData:" + gid,
+            "WeightedSumData:" + std::to_string(block->gid()),
             [this, block, stage] {
-                stageUpdateBlock(*mesh_, *block, stage, dt_);
+                package_->rk2StageBlock(*mesh_, *block, stage, dt_);
                 return TaskStatus::Complete;
             },
-            {t_div, bounds.send[p]}, TaskCategory::Compute, block->gid());
+            {applies[p], bounds.send[p]}, TaskCategory::Compute,
+            block->gid());
     }
     return tl;
 }

@@ -2,22 +2,22 @@
  * @file evolution_driver.hpp
  * The Parthenon timestep loop (paper Fig. 3): each cycle runs
  * Step (two RK2 stages of ghost exchange -> CalculateFluxes ->
- * flux correction -> FluxDivergence -> WeightedSumData, then
- * FillDerived), LoadBalancingAndAMR (Refinement::Tag ->
- * UpdateMeshBlockTree -> RedistributeAndRefineMeshBlocks), and
- * EstimateTimeStep, plus the per-cycle history reduction.
+ * flux correction -> FluxDivergence -> WeightedSumData, with
+ * FillDerived after the second), LoadBalancingAndAMR
+ * (Refinement::Tag -> UpdateMeshBlockTree ->
+ * RedistributeAndRefineMeshBlocks), and EstimateTimeStep, plus the
+ * per-cycle history reduction.
  *
  * One RK stage is one task graph: boundary traffic rides the fused
  * BoundaryPlan as sub-pack tasks (send, one poll per inbound coalesced
- * message, set), and each owned block contributes its own compute
- * chain (CalculateFluxes -> FluxDivergence -> WeightedSumData) gated
- * on its sub-pack's tasks, so comm and compute of different sub-packs
- * overlap. The phases outside the graph — the state save before the
- * first stage, the derived fill after the second, and the timestep
- * estimate — each run as ONE launch over the owned blocks
+ * message, set), and each owned block contributes one compute task,
+ * its fluxes then the package's one-pass stage update (which still
+ * records Parthenon's separate kernels), gated on its sub-pack's
+ * tasks, so comm and compute of different sub-packs overlap. The
+ * timestep estimate runs as ONE launch over the owned blocks
  * (parForEach), every block's kernel inline on the worker that took
- * it. That launches a phase once instead of once per block, which is
- * the small-block cost the paper traces; every block still records
+ * it: the phase launches once instead of once per block, the
+ * small-block cost the paper traces, and every block still records
  * its own profiler row on its own rank.
  *
  * The driver accumulates the workload counters (zone-cycles,
@@ -39,7 +39,6 @@
 #include "driver/task_list.hpp"
 #include "mesh/mesh.hpp"
 #include "pkg/package_descriptor.hpp"
-#include "solver/rk2.hpp"
 #include "util/parameter_input.hpp"
 
 namespace vibe {

@@ -373,6 +373,23 @@ parForExecRows(const ExecContext& ctx, int kl, int ku, int jl, int ju,
         &launch);
 }
 
+/** parForAt for a row body(chunk, k, j) that loops `ni` cells itself. */
+template <typename F>
+void
+parForRowsAt(const ExecContext& ctx, std::string_view phase, int rank,
+             std::string_view name, const KernelCosts& costs, int kl,
+             int ku, int jl, int ju, int ni, F&& body)
+{
+    const double items = (ku >= kl ? ku - kl + 1.0 : 0.0) *
+                         (ju >= jl ? ju - jl + 1.0 : 0.0) * ni;
+    if (ctx.profiler())
+        ctx.profiler()->record({name, phase, rank, 1, items,
+                                items * costs.flopsPerItem,
+                                items * costs.bytesPerItem, 1.0 * ni});
+    TraceSpan trace(name, TraceCat::Kernel, rank, -1, phase);
+    parForExecRows(ctx, kl, ku, jl, ju, static_cast<F&&>(body));
+}
+
 /**
  * Run fn(0) .. fn(n - 1) as ONE launch over the space: items are
  * chunked contiguously across the workers and each item's nested

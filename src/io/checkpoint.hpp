@@ -7,7 +7,7 @@
  * cycle and time, per-block creation cycles, and every block's
  * conserved + derived arrays (ghosts included) via the same
  * MeshBlock::serializeState payload block migration uses. Scratch
- * (cons0/dudt/flux/recon) is rebuilt every stage and never travels;
+ * (cons0/flux) is rebuilt every stage and never travels;
  * dt is re-estimated at the top of every cycle; the taggers are
  * stateless given (time, cycle) — so the image is closed under restart
  * and RNG-free at checkpoint boundaries.

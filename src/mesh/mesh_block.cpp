@@ -40,7 +40,6 @@ MeshBlock::releaseAll()
     if (pool_ && mode_ == DataMode::Real) {
         pool_->release(cons_.releaseStorage());
         pool_->release(cons0_.releaseStorage());
-        pool_->release(dudt_.releaseStorage());
         pool_->release(derived_.releaseStorage());
         for (int d = 0; d < 3; ++d)
             pool_->release(flux_[d].releaseStorage());
@@ -74,7 +73,6 @@ MeshBlock::dematerialize()
         // their extents cleared so any stale view faults loudly.
         cons_ = RealArray4();
         cons0_ = RealArray4();
-        dudt_ = RealArray4();
         derived_ = RealArray4();
         for (int d = 0; d < 3; ++d)
             flux_[d] = RealArray4();
@@ -176,10 +174,9 @@ MeshBlock::allocateAll(const ExecContext& ctx)
         const Origin3 interior{shape_.ks(), shape_.js(), shape_.is()};
         // Pooled path: recycled storage, and buffers whose every cell
         // is written before it is read skip the clearing pass — cons0
-        // (saveStateBlock copies cons into it at the top of each step),
-        // dudt and the fluxes. State-carrying arrays are zeroed in a
-        // single assign, so results are bit-identical to the
-        // allocate-and-zero path.
+        // (the stage-1 update copies cons into it) and the fluxes.
+        // State-carrying arrays are zeroed in a single assign, so
+        // results are bit-identical to the allocate-and-zero path.
         const auto make = [&](int nvar, int ek, int ej, int ei,
                               Origin3 origin, bool zero) {
             if (pool_) {
@@ -192,7 +189,6 @@ MeshBlock::allocateAll(const ExecContext& ctx)
         };
         cons_ = make(ncons, nk, nj, ni, {}, true);
         cons0_ = make(ncons, nz, ny, nx, interior, false);
-        dudt_ = make(ncons, nz, ny, nx, interior, false);
         derived_ = make(nder, nk, nj, ni, {}, true);
         flux_[0] = make(ncons, nz, ny, nx + 1, interior, false);
         if (shape_.ndim >= 2)

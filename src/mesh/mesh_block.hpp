@@ -12,12 +12,14 @@
  * MemoryTracker and dataBytes() model Parthenon's device layout: every
  * array over the ghosted box, plus (optionally) the full-block
  * face-reconstruction scratch whose footprint the paper's §VIII-B
- * optimization targets. Host storage is smaller: only `cons` and
- * `derived` are ghosted (exchange and the stencils read their ghosts);
- * `cons0`, `dudt` and the face fluxes, whose ghosts nothing reads,
- * cover the interior cells (resp. interior faces) and are indexed with
- * the same ghosted (k, j, i) through an Array4 origin; the
- * reconstruction scratch is per-chunk row scratch in the flux kernel.
+ * optimization targets, and the RK `dudt` register. Host storage is
+ * smaller: only `cons` and `derived` are ghosted (exchange and the
+ * stencils read their ghosts); `cons0` and the face fluxes, whose
+ * ghosts nothing reads, cover the interior cells (resp. interior
+ * faces) and are indexed with the same ghosted (k, j, i) through an
+ * Array4 origin; the reconstruction scratch is per-chunk row scratch
+ * in the flux kernel, and `dudt` is per-chunk row scratch in the
+ * stage update.
  */
 #pragma once
 
@@ -119,12 +121,13 @@ class MeshBlock
      *                  way: the flux kernel reconstructs into per-chunk
      *                  row scratch. Every other array is accounted
      *                  over the ghosted box; of those only cons and
-     *                  derived are allocated over it (cons0, dudt and
-     *                  the fluxes cover the interior).
+     *                  derived are allocated over it (cons0 and the
+     *                  fluxes cover the interior; dudt is accounted
+     *                  only).
      * @param pool      Optional storage pool: array backing stores are
      *                  drawn from it and returned on destruction, and
      *                  buffers whose every cell is written before it
-     *                  is read (cons0, dudt, fluxes) skip the zero-init
+     *                  is read (cons0, fluxes) skip the zero-init
      *                  pass entirely. Must outlive the block.
      */
     /**
@@ -194,17 +197,6 @@ class MeshBlock
         auditAccess();
         return cons0_;
     }
-    /** Flux-divergence accumulator (interior cells only). */
-    RealArray4& dudt()
-    {
-        auditAccess();
-        return dudt_;
-    }
-    const RealArray4& dudt() const
-    {
-        auditAccess();
-        return dudt_;
-    }
     /** Derived variables. */
     RealArray4& derived()
     {
@@ -260,7 +252,7 @@ class MeshBlock
      * Serialize the state that must survive a migration — the full
      * conserved and derived arrays, ghosts included — into a flat
      * payload (bitwise copies, so a migrated block is indistinguishable
-     * from one that never moved). Scratch (cons0/dudt/flux) is
+     * from one that never moved). Scratch (cons0/flux) is
      * rebuilt every stage and does not travel.
      */
     std::vector<double> serializeState() const;
@@ -302,7 +294,7 @@ class MeshBlock
     std::int64_t created_cycle_ = 0;
     RefinementFlag tag_ = RefinementFlag::None;
 
-    RealArray4 cons_, cons0_, dudt_, derived_;
+    RealArray4 cons_, cons0_, derived_;
     RealArray4 flux_[3];
 
     std::size_t data_bytes_ = 0;

@@ -14,6 +14,13 @@ constexpr double kTwoPi = 6.283185307179586;
 constexpr double kBlobSigma = 0.08;
 constexpr double kBlobFloor = 1e-3;
 
+/** e = 0.5 phi^2: 1 read, 1 write, 2 flops per cell. */
+constexpr KernelCosts kDerivedCosts{2.0, 2.0 * sizeof(double)};
+constexpr auto phiEnergy = [](const RealArray4& cons, int k, int j, int i) {
+    const double phi = cons(0, k, j, i);
+    return 0.5 * phi * phi;
+};
+
 /** Periodic distance from `x` in [0, 1) to the domain center. */
 inline double
 centerDist(double x)
@@ -100,14 +107,17 @@ AdvectionPackage::initializeBlock(const ExecContext& ctx,
 }
 
 void
+AdvectionPackage::rk2StageBlock(Mesh& mesh, MeshBlock& block, int stage,
+                                double dt) const
+{
+    fvRk2StageBlock(mesh, block, stage, dt, kNoSource, kDerivedCosts,
+                    phiEnergy);
+}
+
+void
 AdvectionPackage::fillDerivedBlock(Mesh& mesh, MeshBlock& block) const
 {
-    // e = 0.5 phi^2: 1 read, 1 write, 2 flops per cell.
-    fvFillDerivedBlock(mesh, block, KernelCosts{2.0, 2.0 * sizeof(double)},
-                       [](const RealArray4& cons, int k, int j, int i) {
-                           const double phi = cons(0, k, j, i);
-                           return 0.5 * phi * phi;
-                       });
+    fvFillDerivedBlock(mesh, block, kDerivedCosts, phiEnergy);
 }
 
 double

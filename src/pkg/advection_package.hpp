@@ -93,6 +93,9 @@ class AdvectionPackage : public PackageDescriptor
         transportFluxesBlock(mesh, block, config_);
     }
 
+    void rk2StageBlock(Mesh& mesh, MeshBlock& block, int stage,
+                       double dt) const override;
+
     /** e = 0.5 phi^2. */
     void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;
 

@@ -8,6 +8,21 @@
 
 namespace vibe {
 
+namespace {
+
+/** d = 0.5 q0 (u.u): 5 reads, 1 write, ~6 flops per cell. */
+constexpr KernelCosts kDerivedCosts{6.0, 6.0 * sizeof(double)};
+constexpr auto kineticEnergy = [](const RealArray4& cons, int k, int j,
+                                  int i) {
+    const double u1 = cons(0, k, j, i);
+    const double u2 = cons(1, k, j, i);
+    const double u3 = cons(2, k, j, i);
+    const double q0 = cons(3, k, j, i);
+    return 0.5 * q0 * (u1 * u1 + u2 * u2 + u3 * u3);
+};
+
+} // namespace
+
 BurgersConfig
 BurgersConfig::fromParams(const ParameterInput& pin)
 {
@@ -139,17 +154,17 @@ BurgersPackage::calculateFluxesBlock(Mesh& mesh, MeshBlock& block) const
 }
 
 void
+BurgersPackage::rk2StageBlock(Mesh& mesh, MeshBlock& block, int stage,
+                              double dt) const
+{
+    fvRk2StageBlock(mesh, block, stage, dt, kNoSource, kDerivedCosts,
+                    kineticEnergy);
+}
+
+void
 BurgersPackage::fillDerivedBlock(Mesh& mesh, MeshBlock& block) const
 {
-    // d = 0.5 q0 (u.u): 5 reads, 1 write, ~6 flops per cell.
-    fvFillDerivedBlock(mesh, block, KernelCosts{6.0, 6.0 * sizeof(double)},
-                       [](const RealArray4& cons, int k, int j, int i) {
-                           const double u1 = cons(0, k, j, i);
-                           const double u2 = cons(1, k, j, i);
-                           const double u3 = cons(2, k, j, i);
-                           const double q0 = cons(3, k, j, i);
-                           return 0.5 * q0 * (u1 * u1 + u2 * u2 + u3 * u3);
-                       });
+    fvFillDerivedBlock(mesh, block, kDerivedCosts, kineticEnergy);
 }
 
 double

@@ -93,6 +93,9 @@ class BurgersPackage : public PackageDescriptor
     void calculateFluxesBlock(Mesh& mesh,
                               MeshBlock& block) const override;
 
+    void rk2StageBlock(Mesh& mesh, MeshBlock& block, int stage,
+                       double dt) const override;
+
     /** d = 0.5 q0 u.u. */
     void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;
 

@@ -116,6 +116,11 @@ fvCalculateFluxesBlock(Mesh& mesh, MeshBlock& block, ReconMethod recon,
     // The scheme is a template argument of the row, so the stencil
     // branch is resolved once per block, not once per face.
     const auto sweep = [&](auto method) {
+        // Stencil reach along d: face f reads cells f-3 .. f+2 (WENO5)
+        // or f-2 .. f+1 (PLM).
+        constexpr bool weno =
+            decltype(method)::value == ReconMethod::Weno5;
+        constexpr int reach_lo = weno ? -3 : -2, reach_hi = weno ? 2 : 1;
         for (int d = 0; d < ndim; ++d) {
             RealArray4& flux = block.flux(d);
             const int di = d == 0 ? 1 : 0;
@@ -137,7 +142,9 @@ fvCalculateFluxesBlock(Mesh& mesh, MeshBlock& block, ReconMethod recon,
                     double* const r = l + states;
                     for (int n = 0; n < ncomp; ++n)
                         reconRow<decltype(method)::value>(
-                            &cons(n, k, j, fis), step, nfaces,
+                            cons.row(n, k, j, fis, nfaces, d, reach_lo,
+                                     reach_hi),
+                            step, nfaces,
                             l + static_cast<std::size_t>(n) * stride,
                             r + static_cast<std::size_t>(n) * stride);
                     row(l, r, stride, flux, d, ncomp, k, j, fis, fie,
@@ -149,40 +156,6 @@ fvCalculateFluxesBlock(Mesh& mesh, MeshBlock& block, ReconMethod recon,
         sweep(std::integral_constant<ReconMethod, ReconMethod::Weno5>{});
     else
         sweep(std::integral_constant<ReconMethod, ReconMethod::Plm>{});
-}
-
-/** dudt = -div(flux) for one block (kernel "FluxDivergence"). */
-inline void
-fvFluxDivergenceBlock(Mesh& mesh, MeshBlock& block)
-{
-    const ExecContext& ctx = mesh.ctx();
-    const BlockShape s = mesh.config().blockShape();
-    const int ncomp = mesh.registry().ncompConserved();
-    const int ndim = s.ndim;
-    const KernelCosts costs{ncomp * ndim * 3.0,
-                            ncomp * (2.0 * ndim + 1.0) * sizeof(double)};
-
-    const BlockGeometry& g = block.geom();
-    const double inv_dx[3] = {1.0 / g.dx1, 1.0 / g.dx2, 1.0 / g.dx3};
-    RealArray4& dudt = block.dudt();
-    parForAt(ctx, "FluxDivergence", block.rank(), "FluxDivergence",
-             costs, s.ks(), s.ke(), s.js(), s.je(), s.is(), s.ie(),
-             [&](int k, int j, int i) {
-                 for (int n = 0; n < ncomp; ++n) {
-                     double div = (block.flux(0)(n, k, j, i + 1) -
-                                   block.flux(0)(n, k, j, i)) *
-                                  inv_dx[0];
-                     if (ndim >= 2)
-                         div += (block.flux(1)(n, k, j + 1, i) -
-                                 block.flux(1)(n, k, j, i)) *
-                                inv_dx[1];
-                     if (ndim >= 3)
-                         div += (block.flux(2)(n, k + 1, j, i) -
-                                 block.flux(2)(n, k, j, i)) *
-                                inv_dx[2];
-                     dudt(n, k, j, i) = -div;
-                 }
-             });
 }
 
 /** derived(0) = formula(cons, k, j, i) (kernel "CalculateDerived"). */
@@ -204,6 +177,108 @@ fvFillDerivedBlock(Mesh& mesh, MeshBlock& block, const KernelCosts& costs,
              [&](int k, int j, int i) {
                  derived(0, k, j, i) = formula(cons, k, j, i);
              });
+}
+
+/** The source term of a package without one. */
+inline constexpr auto kNoSource = [](const RealArray4&, int, int, int,
+                                     double*, int) {};
+
+/**
+ * RK2 (Heun) stage `stage` of one block as ONE row pass. Per (k, j)
+ * row, into chunk-private scratch d (cell i, component n at
+ * d[n * nx + i - is]): d = -div(flux); `source(cons, k, j, i,
+ * &d[i - is], nx)` adds the source term from the pre-update state;
+ * stage 1 saves cons0 = cons; cons = wa * cons0 + wb * cons +
+ * wc * dt * d (stage 1: u0 + dt L(u0), stage 2: (u0 + u + dt L(u)) /
+ * 2); stage 2 sets derived(0) = formula(cons, k, j, i). Each cell's
+ * arithmetic is that of the separate kernels, in their order, so no
+ * bit moves; the profiler rows are theirs too ("FluxDivergence",
+ * "WeightedSumData" for the save and the update, "CalculateDerived"),
+ * modelling Parthenon's launches, not this one.
+ */
+template <typename CellSource, typename CellFormula>
+inline void
+fvRk2StageBlock(Mesh& mesh, MeshBlock& block, int stage, double dt,
+                CellSource&& source, const KernelCosts& derived_costs,
+                CellFormula&& formula)
+{
+    const ExecContext& ctx = mesh.ctx();
+    const BlockShape s = mesh.config().blockShape();
+    const int ncomp = mesh.registry().ncompConserved();
+    const int ndim = s.ndim, rank = block.rank(), is = s.is(), nx = s.nx1;
+    const double cells = static_cast<double>(s.interiorCells());
+    const double nvars = static_cast<double>(mesh.registry().all().size());
+    constexpr double w = sizeof(double);
+    recordKernelAt(ctx, "FluxDivergence", rank, "FluxDivergence", cells,
+                   {ncomp * ndim * 3.0, ncomp * (2 * ndim + 1) * w}, nx);
+    if (stage == 1)
+        recordKernelAt(ctx, "WeightedSumData", rank, "WeightedSumData",
+                       cells, {0.0, ncomp * 2 * w}, nx);
+    recordSerialAt(ctx, "WeightedSumData", rank, "string_lookup", nvars);
+    if (stage == 2) {
+        recordSerialAt(ctx, "FillDerived", rank, "string_lookup", nvars);
+        recordKernelAt(ctx, "FillDerived", rank, "CalculateDerived", cells,
+                       derived_costs, nx);
+    }
+
+    // Grow-only row scratch, one slice per chunk (as the flux kernel).
+    static thread_local std::vector<double> row_scratch;
+    const std::size_t per_chunk = static_cast<std::size_t>(ncomp) * nx;
+    const auto need = ctx.space().concurrency() * per_chunk;
+    if (row_scratch.size() < need)
+        row_scratch.resize(need);
+    double* const scratch = row_scratch.data();
+
+    const BlockGeometry& g = block.geom();
+    const double inv_dx[3] = {1.0 / g.dx1, 1.0 / g.dx2, 1.0 / g.dx3};
+    const double wa = stage == 1 ? 1.0 : 0.5, wb = 1.0 - wa, wc = wa;
+    RealArray4& cons = block.cons();
+    RealArray4& cons0 = block.cons0();
+    RealArray4& derived = block.derived();
+    const RealArray4 &fx = block.flux(0), &fy = block.flux(1),
+                     &fz = block.flux(2);
+    // The pass is the update's launch: ncomp multiply-adds per cell.
+    parForRowsAt(
+        ctx, "WeightedSumData", rank, "WeightedSumData",
+        {ncomp * 5.0, ncomp * 4 * w}, s.ks(), s.ke(), s.js(), s.je(), nx,
+        [&](int chunk, int k, int j) {
+            double* const d = scratch + chunk * per_chunk;
+            for (int n = 0; n < ncomp; ++n) {
+                // Faces i, i + 1 along x; the upper y, z faces are rows.
+                const double* x = fx.row(n, k, j, is, nx + 1);
+                const double* y0 = ndim < 2 ? x : fy.row(n, k, j, is, nx);
+                const double* y1 =
+                    ndim < 2 ? x : fy.row(n, k, j + 1, is, nx);
+                const double* z0 = ndim < 3 ? x : fz.row(n, k, j, is, nx);
+                const double* z1 =
+                    ndim < 3 ? x : fz.row(n, k + 1, j, is, nx);
+                double* dn = d + n * nx;
+                for (int i = 0; i < nx; ++i) {
+                    double div = (x[i + 1] - x[i]) * inv_dx[0];
+                    if (ndim >= 2)
+                        div += (y1[i] - y0[i]) * inv_dx[1];
+                    if (ndim >= 3)
+                        div += (z1[i] - z0[i]) * inv_dx[2];
+                    dn[i] = -div;
+                }
+            }
+            for (int i = 0; i < nx; ++i)
+                source(cons, k, j, is + i, d + i, nx);
+            for (int n = 0; n < ncomp; ++n) {
+                double* u = cons.row(n, k, j, is, nx);
+                double* u0 = cons0.row(n, k, j, is, nx);
+                const double* dn = d + n * nx;
+                if (stage == 1)
+                    std::copy(u, u + nx, u0);
+                for (int i = 0; i < nx; ++i)
+                    u[i] = wa * u0[i] + wb * u[i] + wc * dt * dn[i];
+            }
+            if (stage == 2) {
+                double* e = derived.row(0, k, j, is, nx);
+                for (int i = 0; i < nx; ++i)
+                    e[i] = formula(cons, k, j, is + i);
+            }
+        });
 }
 
 /**

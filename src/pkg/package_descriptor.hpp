@@ -15,19 +15,21 @@
  * pkg/advection_package.* and pkg/reaction_package.*.
  *
  * A package implements each operator by handing its per-cell physics
- * (initial condition, Riemann row, cell speed, derived formula, mass
- * summand, gradient components) to the matching skeleton in
- * pkg/fv_ops.hpp. The skeletons own the launches, the profiler records,
- * the face ranges and the gid-ordered history fold, so packages never
- * touch them; advection and reaction also share the constant-velocity
- * transport in pkg/transport.hpp.
+ * (initial condition, Riemann row, source term, cell speed, derived
+ * formula, mass summand, gradient components) to the matching
+ * skeleton in pkg/fv_ops.hpp. The skeletons own the launches, the
+ * profiler records, the face ranges and the gid-ordered history fold,
+ * so packages never touch them; advection and reaction also share the
+ * constant-velocity transport in pkg/transport.hpp. A package's
+ * derived formula is one function, used by both fillDerivedBlock and
+ * the stage-2 pass of rk2StageBlock.
  *
  * Every operator works on one block; the driver decides how blocks
- * are scheduled (stage-graph tasks for fluxes, divergence and update;
- * one launch over the owned blocks for derived fields and the
- * timestep). Contract notes, enforced by the equivalence tests (the
- * fv_ops.hpp skeletons satisfy them; a package adding its own kernel,
- * like reaction's source term, must too):
+ * are scheduled (stage-graph tasks for fluxes and the stage update;
+ * one launch over the owned blocks for the timestep and the initial
+ * derived fill). Contract notes, enforced by the equivalence tests
+ * (the fv_ops.hpp skeletons satisfy them; a package recording its own
+ * kernel row, like reaction's source term, must too):
  * - Block operators may run concurrently for distinct blocks and must
  *   touch only that block's data, so the task-graph executor can
  *   interleave them with ghost exchange.
@@ -81,16 +83,11 @@ class PackageDescriptor
     virtual void calculateFluxesBlock(Mesh& mesh,
                                       MeshBlock& block) const = 0;
 
-    /**
-     * dudt = -div(flux) for one block (stage-graph task). A package
-     * with a source term overrides this and adds it after the shared
-     * divergence.
-     */
-    virtual void
-    fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
-    {
-        fvFluxDivergenceBlock(mesh, block);
-    }
+    /** RK2 stage 1 or 2 of one block once its fluxes are final
+     *  (stage-graph task): fvRk2StageBlock with the package's
+     *  source term and derived formula. */
+    virtual void rk2StageBlock(Mesh& mesh, MeshBlock& block, int stage,
+                               double dt) const = 0;
 
     /** Recompute one block's Derived fields from its conserved state. */
     virtual void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const = 0;

@@ -70,30 +70,18 @@ equilibriumValue(const ReactionConfig& config, double a, int* iters_out)
 }
 
 /**
- * Stiff source for one (k, j) row of interior cells: T = rate *
- * (a - c_eq(a)) moves reservoir into product; antisymmetric, so each
- * cell conserves a + b exactly. Pure function of local state — no
- * cross-cell accumulation — so any loop chunking is bitwise identical.
- */
-inline void
-sourceRow(const ReactionConfig& config, const RealArray4& cons,
-          RealArray4& dudt, int k, int j, int is, int ie)
-{
-    for (int i = is; i <= ie; ++i) {
-        const double a = cons(0, k, j, i);
-        const double transfer =
-            config.rate * (a - equilibriumValue(config, a, nullptr));
-        dudt(0, k, j, i) -= transfer;
-        dudt(1, k, j, i) += transfer;
-    }
-}
-
-/**
  * Nominal per-cell source cost for counting mode: the real iteration
  * count is state-dependent (that is the point), so the model charges
  * a representative mid-range count.
  */
 constexpr KernelCosts kSourceCosts{120.0, 4.0 * sizeof(double)};
+
+/** chem_rate = a * b: 2 reads, 1 write, 1 flop per cell. */
+constexpr KernelCosts kDerivedCosts{1.0, 3.0 * sizeof(double)};
+constexpr auto interactionDensity = [](const RealArray4& cons, int k, int j,
+                                       int i) {
+    return cons(0, k, j, i) * cons(1, k, j, i);
+};
 
 } // namespace
 
@@ -154,36 +142,32 @@ ReactionPackage::initializeBlock(const ExecContext& ctx,
 }
 
 void
-ReactionPackage::fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const
+ReactionPackage::rk2StageBlock(Mesh& mesh, MeshBlock& block, int stage,
+                               double dt) const
 {
-    fvFluxDivergenceBlock(mesh, block);
-
-    const ExecContext& ctx = mesh.ctx();
     const BlockShape s = mesh.config().blockShape();
-    recordKernelAt(ctx, "FluxDivergence", block.rank(),
+    recordKernelAt(mesh.ctx(), "FluxDivergence", block.rank(),
                    "ReactionSource",
                    static_cast<double>(s.interiorCells()), kSourceCosts,
                    static_cast<double>(s.nx1));
-    if (!ctx.executing())
-        return;
-
-    const RealArray4& cons = block.cons();
-    RealArray4& dudt = block.dudt();
-    parForExecRows(ctx, s.ks(), s.ke(), s.js(), s.je(),
-                   [&](int, int k, int j) {
-                       sourceRow(config_, cons, dudt, k, j, s.is(),
-                                 s.ie());
-                   });
+    // T = rate * (a - c_eq(a)) moves reservoir into product: each
+    // cell conserves a + b, and chunking cannot change a bit.
+    const auto source = [this](const RealArray4& cons, int k, int j, int i,
+                               double* d, int stride) {
+        const double a = cons(0, k, j, i);
+        const double transfer =
+            config_.rate * (a - equilibriumValue(config_, a, nullptr));
+        d[0] -= transfer;
+        d[stride] += transfer;
+    };
+    fvRk2StageBlock(mesh, block, stage, dt, source, kDerivedCosts,
+                    interactionDensity);
 }
 
 void
 ReactionPackage::fillDerivedBlock(Mesh& mesh, MeshBlock& block) const
 {
-    // chem_rate = a * b: 2 reads, 1 write, 1 flop per cell.
-    fvFillDerivedBlock(mesh, block, KernelCosts{1.0, 3.0 * sizeof(double)},
-                       [](const RealArray4& cons, int k, int j, int i) {
-                           return cons(0, k, j, i) * cons(1, k, j, i);
-                       });
+    fvFillDerivedBlock(mesh, block, kDerivedCosts, interactionDensity);
 }
 
 double

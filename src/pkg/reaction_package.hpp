@@ -107,13 +107,13 @@ class ReactionPackage : public PackageDescriptor
     }
 
     /**
-     * dudt = -div(flux) plus the stiff source (kernels
-     * "FluxDivergence" + "ReactionSource"): the per-cell equilibrium
-     * solve runs here, inside the per-block task, so its wall clock is
-     * attributed to the block — the signal the measured cost model
-     * feeds on.
+     * Stage update with the stiff source (kernel "ReactionSource"):
+     * the per-cell equilibrium solve runs in the per-block task, so
+     * its wall clock is attributed to the block — the signal the
+     * measured cost model feeds on.
      */
-    void fluxDivergenceBlock(Mesh& mesh, MeshBlock& block) const override;
+    void rk2StageBlock(Mesh& mesh, MeshBlock& block, int stage,
+                       double dt) const override;
 
     /** chem_rate = a * b. */
     void fillDerivedBlock(Mesh& mesh, MeshBlock& block) const override;

@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <utility>
 #include <vector>
 
 #include "util/logging.hpp"
@@ -34,8 +35,9 @@ struct Origin3
  * (or face) indices, whatever part of the block the array covers. The
  * origin is folded into one precomputed linear offset, so an element
  * costs one integer subtract more than a zero-origin array. In
- * VIBE_AUDIT_OWNERSHIP builds every element access is bounds-checked
- * and an index outside the array panics; other builds check nothing.
+ * VIBE_AUDIT_OWNERSHIP builds every element access and every row()
+ * reach is bounds-checked and an index outside the array panics;
+ * other builds check nothing.
  *
  * Storage is zero-initialized by the sizing constructor; the
  * storage-adopting constructor initializes at most once (zeroing is a
@@ -64,7 +66,7 @@ class Array4
      * With `zero_init` the contents are cleared in one pass; without
      * it, recycled contents are kept as-is — callers use this for
      * buffers every cell of which is written before it is read
-     * (fluxes, dudt), skipping the clear entirely on a pool hit. The
+     * (fluxes, cons0), skipping the clear entirely on a pool hit. The
      * vector is resized to the exact element count; a pool-fresh
      * vector arrives with reserved capacity and zero size, so even the
      * fresh path initializes each element exactly once.
@@ -103,6 +105,31 @@ class Array4
     const T& operator()(int n, int k, int j, int i) const
     {
         return data_[index(n, k, j, i)];
+    }
+
+    /**
+     * Pointer to element (n, k, j, i) for a row kernel that indexes
+     * past it: the row runs `len` elements along i, and a stencil
+     * around each may reach `lo` to `hi` cells along `axis` (0 = i,
+     * 1 = j, 2 = k). Audit builds check the first and the last element
+     * the row reaches, which bounds the box between them.
+     */
+    const T* row(int n, int k, int j, int i, [[maybe_unused]] int len,
+                 [[maybe_unused]] int axis = 0, [[maybe_unused]] int lo = 0,
+                 [[maybe_unused]] int hi = 0) const
+    {
+#if defined(VIBE_AUDIT_OWNERSHIP)
+        const int dk = axis == 2, dj = axis == 1, di = axis == 0;
+        index(n, k + lo * dk, j + lo * dj, i + lo * di);
+        index(n, k + hi * dk, j + hi * dj, i + len - 1 + hi * di);
+#endif
+        return data_.data() + index(n, k, j, i);
+    }
+    T* row(int n, int k, int j, int i, int len, int axis = 0, int lo = 0,
+           int hi = 0)
+    {
+        return const_cast<T*>(
+            std::as_const(*this).row(n, k, j, i, len, axis, lo, hi));
     }
 
     int nvar() const { return nn_; }

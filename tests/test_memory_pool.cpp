@@ -209,14 +209,13 @@ TEST(BlockMemoryPool, LiveBlocksNeverAliasBuffers)
     for (const auto& block : mesh.blocks()) {
         check(block->cons());
         check(block->cons0());
-        check(block->dudt());
         check(block->derived());
         for (int d = 0; d < 3; ++d)
             check(block->flux(d));
     }
-    // Every block contributes cons/cons0/dudt/derived + 3 flux arrays
-    // in 3-D (reconstruction uses row scratch, not block arrays).
-    EXPECT_EQ(arrays, mesh.numBlocks() * 7u);
+    // Every block contributes cons/cons0/derived + 3 flux arrays in
+    // 3-D (reconstruction and dudt use row scratch, not block arrays).
+    EXPECT_EQ(arrays, mesh.numBlocks() * 6u);
 }
 
 TEST(BlockMemoryPool, LiveBytesAreTheLiveBlocksStorage)
@@ -233,7 +232,7 @@ TEST(BlockMemoryPool, LiveBytesAreTheLiveBlocksStorage)
     std::size_t storage = 0;
     for (const auto& block : mesh.blocks()) {
         storage += block->cons().sizeBytes() + block->cons0().sizeBytes() +
-                   block->dudt().sizeBytes() + block->derived().sizeBytes();
+                   block->derived().sizeBytes();
         for (int d = 0; d < 3; ++d)
             storage += block->flux(d).sizeBytes();
     }
@@ -305,11 +304,11 @@ runRippleCons(bool use_pool, bool poison = false,
     Mesh mesh(mesh_config, registry, ctx);
     RankWorld world(2);
     if (poison) {
-        // A skip-clear array (cons0, dudt, fluxes) with a cell read
-        // before it is written would carry a NaN into cons.
+        // A skip-clear array (cons0, fluxes) with a cell read before
+        // it is written would carry a NaN into cons.
         const MeshBlock& block = mesh.block(0);
         std::vector<const RealArray4*> arrays = {
-            &block.cons(), &block.cons0(), &block.dudt(), &block.derived()};
+            &block.cons(), &block.cons0(), &block.derived()};
         for (int d = 0; d < 3; ++d)
             arrays.push_back(&block.flux(d));
         for (const RealArray4* a : arrays)

@@ -153,11 +153,12 @@ TEST(MeshBlock, RealModeAllocatesArrays)
 
 TEST(MeshBlock, InteriorScratchShapes)
 {
-    // cons0, dudt and the face fluxes cover the interior only, indexed
-    // from the first interior cell; cons and derived keep their ghosts.
-    // Real bytes per B16 block with 7 components, by dimension; the
-    // accounted (ghosted) footprint stays the 3-D 4,852,224 B.
-    const std::size_t real_bytes[3] = {4280u, 96000u, 2074624u};
+    // cons0 and the face fluxes cover the interior only, indexed from
+    // the first interior cell; cons and derived keep their ghosts, and
+    // dudt is accounted but not allocated. Real bytes per B16 block
+    // with 7 components, by dimension; the accounted (ghosted)
+    // footprint stays the 3-D 4,852,224 B.
+    const std::size_t real_bytes[3] = {3384u, 81664u, 1845248u};
     for (int ndim = 1; ndim <= 3; ++ndim) {
         KernelProfiler profiler;
         MemoryTracker tracker;
@@ -186,7 +187,6 @@ TEST(MeshBlock, InteriorScratchShapes)
             EXPECT_EQ(a.origin().i, s.is());
         };
         expect_shape(block.cons0(), nz, ny, nx, "cons0");
-        expect_shape(block.dudt(), nz, ny, nx, "dudt");
         expect_shape(block.flux(0), nz, ny, nx + 1, "flux(0)");
         if (ndim >= 2)
             expect_shape(block.flux(1), nz, ny + 1, nx, "flux(1)");
@@ -201,7 +201,6 @@ TEST(MeshBlock, InteriorScratchShapes)
 
         std::size_t bytes = block.cons().sizeBytes() +
                             block.cons0().sizeBytes() +
-                            block.dudt().sizeBytes() +
                             block.derived().sizeBytes();
         for (int d = 0; d < 3; ++d)
             bytes += block.flux(d).sizeBytes();
@@ -209,6 +208,8 @@ TEST(MeshBlock, InteriorScratchShapes)
         if (ndim == 3) {
             EXPECT_EQ(block.dataBytes(), 4852224u);
             EXPECT_EQ(tracker.labelBytes("mesh/cons0") / mesh.numBlocks(),
+                      7u * 24u * 24u * 24u * sizeof(double));
+            EXPECT_EQ(tracker.labelBytes("mesh/dudt") / mesh.numBlocks(),
                       7u * 24u * 24u * 24u * sizeof(double));
         }
     }

@@ -8,7 +8,9 @@
  * refine/derefine, and the same bitwise serial-vs-threaded
  * equivalence the Burgers package proves. The shared row-fused flux
  * kernel is checked bitwise against the two-pass (full-block face
- * array) kernel it replaced, for every package and dimensionality.
+ * array) kernel it replaced, and the fused stage update against the
+ * separate divergence, source, save, update and derived passes, for
+ * every package and dimensionality.
  */
 #include "fixture_knobs.hpp"
 
@@ -16,7 +18,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -588,6 +592,202 @@ TEST(FvOps, RowFusedFluxesMatchTwoPassReference)
     ASSERT_EQ(reaction.recon, ReconMethod::Plm);
     expectFusedMatchesTwoPass(ReactionPackage(reaction), reaction.recon,
                               upwind(reaction), "reaction (PLM)");
+}
+
+// --- Fused stage update ---------------------------------------------
+
+/**
+ * Fill every element of `a` from a seeded stream: full-mantissa values
+ * of both signs, with exact zeros of both signs mixed in, so a
+ * reordered, contracted or dropped term shows in the bits.
+ */
+void
+fillSeeded(RealArray4& a, std::uint64_t seed)
+{
+    std::mt19937_64 rng(seed);
+    std::uniform_real_distribution<double> value(-1.0, 1.0);
+    double* p = a.data();
+    for (std::size_t e = 0; e < a.size(); ++e) {
+        const std::uint64_t pick = rng() % 16;
+        p[e] = pick == 0   ? 0.0
+               : pick == 1 ? -0.0
+                           : value(rng) * (1.0 + 0.25 * pick);
+    }
+}
+
+/**
+ * Test-local copy of the separate passes the fused stage update
+ * replaced, on copies of the block's arrays: -div(flux) into a
+ * full-block dudt, the package's `source(cons, dudt, k, j, i)` added
+ * to it, the stage-1 state save, the weighted sum, and the stage-2
+ * derived fill `formula(cons, k, j, i)`.
+ */
+template <typename Source, typename Formula>
+void
+threePassStage(const MeshBlock& block, int stage, double dt,
+               Source&& source, Formula&& formula, RealArray4& cons,
+               RealArray4& cons0, RealArray4& derived)
+{
+    const BlockShape s = block.shape();
+    const int ncomp = cons.nvar();
+    const BlockGeometry& g = block.geom();
+    const double inv_dx[3] = {1.0 / g.dx1, 1.0 / g.dx2, 1.0 / g.dx3};
+    const auto interior = [&](auto&& fn) {
+        for (int k = s.ks(); k <= s.ke(); ++k)
+            for (int j = s.js(); j <= s.je(); ++j)
+                for (int i = s.is(); i <= s.ie(); ++i)
+                    fn(k, j, i);
+    };
+    RealArray4 dudt(ncomp, s.nk(), s.nj(), s.ni());
+    interior([&](int k, int j, int i) {
+        for (int n = 0; n < ncomp; ++n) {
+            double div = (block.flux(0)(n, k, j, i + 1) -
+                          block.flux(0)(n, k, j, i)) *
+                         inv_dx[0];
+            if (s.ndim >= 2)
+                div += (block.flux(1)(n, k, j + 1, i) -
+                        block.flux(1)(n, k, j, i)) *
+                       inv_dx[1];
+            if (s.ndim >= 3)
+                div += (block.flux(2)(n, k + 1, j, i) -
+                        block.flux(2)(n, k, j, i)) *
+                       inv_dx[2];
+            dudt(n, k, j, i) = -div;
+        }
+    });
+    interior([&](int k, int j, int i) { source(cons, dudt, k, j, i); });
+    if (stage == 1)
+        interior([&](int k, int j, int i) {
+            for (int n = 0; n < ncomp; ++n)
+                cons0(n, k, j, i) = cons(n, k, j, i);
+        });
+    const double wa = stage == 1 ? 1.0 : 0.5;
+    const double wb = stage == 1 ? 0.0 : 0.5;
+    const double wc = stage == 1 ? 1.0 : 0.5;
+    interior([&](int k, int j, int i) {
+        for (int n = 0; n < ncomp; ++n)
+            cons(n, k, j, i) = wa * cons0(n, k, j, i) +
+                               wb * cons(n, k, j, i) +
+                               wc * dt * dudt(n, k, j, i);
+    });
+    if (stage == 2)
+        interior([&](int k, int j, int i) {
+            derived(0, k, j, i) = formula(cons, k, j, i);
+        });
+}
+
+void
+expectBitwiseEqual(const RealArray4& got, const RealArray4& want,
+                   const std::string& what)
+{
+    ASSERT_EQ(got.size(), want.size()) << what;
+    for (std::size_t e = 0; e < got.size(); ++e)
+        ASSERT_EQ(std::memcmp(got.data() + e, want.data() + e,
+                              sizeof(double)),
+                  0)
+            << what << ", element " << e << ": " << got.data()[e]
+            << " vs " << want.data()[e];
+}
+
+/**
+ * Run `package`'s fused stage update on an 8x4x2 block (cut to its
+ * first ndim dimensions) whose state, step-start state, derived field
+ * and fluxes are seeded rough fields, for both stages at 1 and 4
+ * threads, and compare cons, cons0 and derived bitwise against the
+ * three-pass reference.
+ */
+template <typename Source, typename Formula>
+void
+expectFusedStageMatchesThreePass(const PackageDescriptor& package,
+                                 Source&& source, Formula&& formula,
+                                 const std::string& what)
+{
+    const VariableRegistry registry = package.buildRegistry();
+    std::uint64_t seed = 25;
+    for (int ndim = 1; ndim <= 3; ++ndim)
+        for (int threads : {1, 4})
+            for (int stage = 1; stage <= 2; ++stage) {
+                ExecContext ctx(ExecMode::Execute, nullptr, nullptr,
+                                makeExecutionSpace(threads));
+                MeshConfig config;
+                config.ndim = ndim;
+                config.nx1 = 16;
+                config.nx2 = 8;
+                config.nx3 = 4;
+                config.blockNx1 = 8;
+                config.blockNx2 = 4;
+                config.blockNx3 = 2;
+                config.amrLevels = 1;
+                config.numThreads = threads;
+                Mesh mesh(config, registry, ctx);
+                MeshBlock& block = mesh.block(0);
+                fillSeeded(block.cons(), ++seed);
+                fillSeeded(block.cons0(), ++seed);
+                fillSeeded(block.derived(), ++seed);
+                for (int d = 0; d < ndim; ++d)
+                    fillSeeded(block.flux(d), ++seed);
+
+                RealArray4 cons = block.cons();
+                RealArray4 cons0 = block.cons0();
+                RealArray4 derived = block.derived();
+                const double dt = 0.0371;
+                threePassStage(block, stage, dt, source, formula, cons,
+                               cons0, derived);
+                package.rk2StageBlock(mesh, block, stage, dt);
+
+                const std::string where =
+                    what + ", " + std::to_string(ndim) + "-D, " +
+                    std::to_string(threads) + " threads, stage " +
+                    std::to_string(stage);
+                expectBitwiseEqual(block.cons(), cons, where + ", cons");
+                expectBitwiseEqual(block.cons0(), cons0, where + ", cons0");
+                expectBitwiseEqual(block.derived(), derived,
+                                   where + ", derived");
+            }
+}
+
+TEST(FvOps, FusedStageUpdateMatchesThreePassReference)
+{
+    const auto no_source = [](const RealArray4&, RealArray4&, int, int,
+                              int) {};
+
+    BurgersConfig burgers;
+    burgers.numScalars = 2;
+    expectFusedStageMatchesThreePass(
+        BurgersPackage(burgers), no_source,
+        [](const RealArray4& cons, int k, int j, int i) {
+            const double u1 = cons(0, k, j, i);
+            const double u2 = cons(1, k, j, i);
+            const double u3 = cons(2, k, j, i);
+            return 0.5 * cons(3, k, j, i) *
+                   (u1 * u1 + u2 * u2 + u3 * u3);
+        },
+        "burgers");
+
+    expectFusedStageMatchesThreePass(
+        AdvectionPackage(AdvectionConfig{}), no_source,
+        [](const RealArray4& cons, int k, int j, int i) {
+            return 0.5 * cons(0, k, j, i) * cons(0, k, j, i);
+        },
+        "advection");
+
+    ReactionConfig config;
+    config.rate = 1.7;
+    const ReactionPackage reaction(config);
+    expectFusedStageMatchesThreePass(
+        reaction,
+        [&](const RealArray4& cons, RealArray4& dudt, int k, int j,
+            int i) {
+            const double a = cons(0, k, j, i);
+            const double transfer =
+                config.rate * (a - reaction.equilibrium(a));
+            dudt(0, k, j, i) -= transfer;
+            dudt(1, k, j, i) += transfer;
+        },
+        [](const RealArray4& cons, int k, int j, int i) {
+            return cons(0, k, j, i) * cons(1, k, j, i);
+        },
+        "reaction");
 }
 
 } // namespace

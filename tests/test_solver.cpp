@@ -15,7 +15,6 @@
 #include "pkg/burgers_package.hpp"
 #include "solver/reconstruct.hpp"
 #include "solver/riemann.hpp"
-#include "solver/rk2.hpp"
 
 namespace vibe {
 namespace {
@@ -249,10 +248,11 @@ TEST(Burgers, MassHistorySumsScalar)
     EXPECT_NEAR(mass, 2.0, 1e-12); // unit domain, q0 = 2 everywhere
 }
 
-TEST(Burgers, UniformFlowHasZeroDivergence)
+TEST(Burgers, UniformStateIsUnchangedByBothStages)
 {
-    // A spatially constant state is a steady solution: after fluxes
-    // and divergence, dudt must vanish identically.
+    // A spatially constant state is a steady solution: every face
+    // carries the same flux, so the divergence is exactly zero and
+    // both stage updates leave the state bitwise as it was.
     SolverFixture f;
     for (const auto& block : f.mesh->blocks()) {
         const BlockShape s = block->shape();
@@ -262,18 +262,21 @@ TEST(Burgers, UniformFlowHasZeroDivergence)
                     for (int i = 0; i < s.ni(); ++i)
                         block->cons()(n, k, j, i) = 0.3 + 0.1 * n;
     }
-    for (const auto& block : f.mesh->blocks()) {
-        f.package.calculateFluxesBlock(*f.mesh, *block);
-        f.package.fluxDivergenceBlock(*f.mesh, *block);
-    }
     const BlockShape s = f.mesh->config().blockShape();
-    for (const auto& block : f.mesh->blocks())
-        for (int n = 0; n < f.registry.ncompConserved(); ++n)
-            for (int k = s.ks(); k <= s.ke(); ++k)
-                for (int j = s.js(); j <= s.je(); ++j)
-                    for (int i = s.is(); i <= s.ie(); ++i)
-                        ASSERT_NEAR(block->dudt()(n, k, j, i), 0.0,
-                                    1e-12);
+    for (int stage = 1; stage <= 2; ++stage) {
+        for (const auto& block : f.mesh->blocks()) {
+            f.package.calculateFluxesBlock(*f.mesh, *block);
+            f.package.rk2StageBlock(*f.mesh, *block, stage, 0.01);
+        }
+        for (const auto& block : f.mesh->blocks())
+            for (int n = 0; n < f.registry.ncompConserved(); ++n)
+                for (int k = s.ks(); k <= s.ke(); ++k)
+                    for (int j = s.js(); j <= s.je(); ++j)
+                        for (int i = s.is(); i <= s.ie(); ++i)
+                            ASSERT_EQ(block->cons()(n, k, j, i),
+                                      0.3 + 0.1 * n)
+                                << "stage " << stage;
+    }
 }
 
 TEST(Burgers, TagBlockFlagsSteepGradients)
@@ -313,19 +316,35 @@ recon = plm
 
 TEST(Rk2, StageAlgebra)
 {
+    // x1 fluxes -c * x_face and zero elsewhere: -div(flux) = c exactly
+    // (dx = 1/16), so each stage's weights show in the new state.
     SolverFixture f;
     MeshBlock& block = f.mesh->block(0);
     const BlockShape s = block.shape();
+    const auto set_divergence = [&](double c) {
+        for (int d = 0; d < 3; ++d)
+            block.flux(d).fill(0.0);
+        for (int n = 0; n < block.flux(0).nvar(); ++n)
+            for (int k = s.ks(); k <= s.ke(); ++k)
+                for (int j = s.js(); j <= s.je(); ++j)
+                    for (int i = s.is(); i <= s.ie() + 1; ++i)
+                        block.flux(0)(n, k, j, i) =
+                            -c * (i - s.is()) / 16.0;
+    };
     block.cons().fill(2.0);
-    saveStateBlock(*f.mesh, block); // cons0 = 2
-    block.cons().fill(5.0);
-    block.dudt().fill(1.0);
-    stageUpdateBlock(*f.mesh, block, 1, 0.1); // u = u0 + dt*dudt = 2.1
+    set_divergence(1.0);
+    f.package.rk2StageBlock(*f.mesh, block, 1, 0.1);
+    // Stage 1 saves u0 = 2, then u = u0 + dt * 1 = 2.1.
+    EXPECT_EQ(block.cons0()(0, s.ks(), s.js(), s.is()), 2.0);
     EXPECT_NEAR(block.cons()(0, s.ks(), s.js(), s.is()), 2.1, 1e-14);
-    block.dudt().fill(2.0);
-    // u = 0.5*2 + 0.5*2.1 + 0.05*2 = 2.15
-    stageUpdateBlock(*f.mesh, block, 2, 0.1);
+    set_divergence(2.0);
+    // u = 0.5*2 + 0.5*2.1 + 0.05*2 = 2.15; stage 2 also refreshes the
+    // derived d = 0.5 q0 u.u from it.
+    f.package.rk2StageBlock(*f.mesh, block, 2, 0.1);
+    EXPECT_EQ(block.cons0()(0, s.ks(), s.js(), s.is()), 2.0);
     EXPECT_NEAR(block.cons()(0, s.ks(), s.js(), s.is()), 2.15, 1e-14);
+    EXPECT_NEAR(block.derived()(0, s.ke(), s.je(), s.ie()),
+                0.5 * 2.15 * 3 * 2.15 * 2.15, 1e-13);
 }
 
 TEST(Rk2, HeunIsSecondOrderOnScalarOde)

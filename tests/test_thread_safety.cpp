@@ -175,7 +175,7 @@ TEST(OwnershipAudit, WrongRankAccessPanics)
             EXPECT_NO_THROW(block.cons());
         }
         // Scope closed: the backstop is armed again.
-        EXPECT_THROW(block.dudt(), PanicError);
+        EXPECT_THROW(block.cons0(), PanicError);
     }
     // ScopedRank restored the undeclared state on the way out.
     EXPECT_NO_THROW(block.cons());

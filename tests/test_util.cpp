@@ -120,7 +120,32 @@ TEST(Array4, AuditBuildPanicsOutsideBounds)
     EXPECT_THROW(a(2, 2, 1, 3), PanicError); // past the last variable
     EXPECT_THROW(RealArray4()(0, 0, 0, 0), PanicError);
 }
+
+TEST(Array4, AuditBuildPanicsOnRowPastBounds)
+{
+    // Valid indices: n in [0, 2), k in [2, 4), j in [1, 4), i in [3, 5).
+    RealArray4 a(2, 2, 3, 2, Origin3{2, 1, 3});
+    EXPECT_NO_THROW(a.row(1, 3, 3, 3, 2));
+    EXPECT_THROW(a.row(1, 3, 3, 3, 3), PanicError); // one element too long
+    EXPECT_THROW(a.row(1, 3, 3, 2, 2), PanicError); // starts below i
+    // A stencil reaching one row down and one up along j fits; one
+    // more either way does not.
+    EXPECT_NO_THROW(a.row(0, 2, 2, 3, 2, 1, -1, 1));
+    EXPECT_THROW(a.row(0, 2, 2, 3, 2, 1, -2, 1), PanicError);
+    EXPECT_THROW(a.row(0, 2, 2, 3, 2, 1, -1, 2), PanicError);
+    EXPECT_THROW(a.row(0, 2, 2, 3, 2, 2, 0, 2), PanicError); // along k
+}
 #endif
+
+TEST(Array4, RowPointsAtItsFirstElement)
+{
+    RealArray4 a(2, 2, 3, 2, Origin3{2, 1, 3});
+    a(1, 3, 2, 4) = 7.0;
+    EXPECT_EQ(a.row(1, 3, 2, 3, 2), &a(1, 3, 2, 3));
+    EXPECT_EQ(a.row(1, 3, 2, 3, 2)[1], 7.0);
+    const RealArray4& c = a;
+    EXPECT_EQ(c.row(1, 3, 2, 3, 2, 1, -1, 1), &a(1, 3, 2, 3));
+}
 
 TEST(Array4, SizeBytes)
 {
