@@ -252,10 +252,6 @@ BoundaryBufferCache::rebuild()
                  static_cast<double>(bounds_.size()));
     recordSerial(mesh_->ctx(), "buffer_cache_metadata",
                  static_cast<double>(bounds_.size() + flux_.size()));
-
-    LockGuard lock(hook_mutex_);
-    if (rebuild_hook_)
-        rebuild_hook_();
 }
 
 std::int64_t
@@ -284,16 +280,6 @@ BoundaryBufferCache::totalWireFacesFor(int rank) const
         if (ch.sender->rank() == rank)
             faces += ch.wireFaces();
     return faces;
-}
-
-std::size_t
-BoundaryBufferCache::recvChannelCountFor(int rank) const
-{
-    std::size_t count = 0;
-    for (const auto& ch : bounds_)
-        if (ch.receiver->rank() == rank)
-            ++count;
-    return count;
 }
 
 std::size_t

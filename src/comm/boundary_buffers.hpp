@@ -14,7 +14,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <utility>
 #include <vector>
 
@@ -137,28 +136,19 @@ class BoundaryBufferCache
      * totalWireFaces across a team).
      */
     std::int64_t totalWireFacesFor(int rank) const;
-    /** Bounds channels whose receiver is owned by `rank`. */
-    std::size_t recvChannelCountFor(int rank) const;
     /** Channels whose endpoints live on different ranks. */
     std::size_t remoteChannelCount() const;
     /** Wire bytes crossing ranks in one exchange (all components). */
     double remoteWireBytes() const;
 
-    /** Number of cache rebuilds performed (serial-cost driver). */
-    std::uint64_t rebuildCount() const { return rebuild_count_; }
-
     /**
-     * Invoked at the end of every rebuild(). The cache is rebuilt on
-     * exactly the events that invalidate per-mesh block tables
-     * (restructure, load-balance moves), so dependents — the
-     * exchange's BoundaryPlan — hook here to invalidate in lockstep
+     * Number of cache rebuilds performed (serial-cost driver). The
+     * cache is rebuilt on exactly the events that stale per-mesh block
+     * tables (restructure, load-balance moves), so dependents — the
+     * exchange's BoundaryPlan — stamp themselves with this count
      * instead of tracking remesh events themselves.
      */
-    void setRebuildHook(std::function<void()> hook)
-    {
-        LockGuard lock(hook_mutex_);
-        rebuild_hook_ = std::move(hook);
-    }
+    std::uint64_t rebuildCount() const { return rebuild_count_; }
 
   private:
     BoundsChannel makeBoundsChannel(MeshBlock& receiver,
@@ -174,17 +164,6 @@ class BoundaryBufferCache
     std::vector<std::vector<int>> recv_index_;
     std::vector<std::vector<int>> flux_recv_index_;
     std::uint64_t rebuild_count_ = 0;
-    /**
-     * Guards hook (re)registration against the rebuild path invoking
-     * it: the driver installs the plan-invalidation hook after
-     * construction, and under rank sharding each replica's cache lives
-     * on its own rank thread — the mutex makes installation safe even
-     * if a future caller registers from outside that thread. The hook
-     * itself runs under the lock; hooks must not call back into the
-     * cache.
-     */
-    Mutex hook_mutex_;
-    std::function<void()> rebuild_hook_ VIBE_GUARDED_BY(hook_mutex_);
 };
 
 } // namespace vibe

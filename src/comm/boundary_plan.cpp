@@ -40,21 +40,14 @@ BoundaryPlan::BoundaryPlan(Mesh& mesh, const BoundaryBufferCache& cache,
 {
 }
 
-void
-BoundaryPlan::invalidate()
-{
-    LockGuard lock(mutex_);
-    built_ = false;
-    ++invalidate_count_;
-}
-
-void
+bool
 BoundaryPlan::ensureBuilt()
 {
     LockGuard lock(mutex_);
     if (built_ && generation_ == cache_->rebuildCount())
-        return;
+        return false;
     rebuild();
+    return true;
 }
 
 bool
@@ -62,13 +55,6 @@ BoundaryPlan::current() const
 {
     LockGuard lock(mutex_);
     return built_ && generation_ == cache_->rebuildCount();
-}
-
-std::uint64_t
-BoundaryPlan::invalidateCount() const
-{
-    LockGuard lock(mutex_);
-    return invalidate_count_;
 }
 
 std::uint64_t
@@ -86,7 +72,7 @@ BoundaryPlan::requireCurrent() const
     require(generation_ == cache_->rebuildCount(),
             "stale BoundaryPlan: built at cache generation ",
             generation_, " but the cache is at ", cache_->rebuildCount(),
-            " (was invalidate() chained into the rebuild hook?)");
+            " (ensureBuilt() was not called at the last serial point)");
 }
 
 const std::vector<PlanMessage>&

@@ -26,28 +26,27 @@
  * elided, never sent.
  *
  * Lifecycle: the plan is generation-stamped against
- * BoundaryBufferCache::rebuildCount(). The driver chains invalidate()
- * into the cache's rebuild hook (which fires on every restructure and
- * load-balance move); ensureBuilt() lazily rebuilds at a serial point
- * before graph construction. Every accessor asserts the generation
- * still matches, so a stale plan is structurally unusable rather than
- * quietly wrong.
+ * BoundaryBufferCache::rebuildCount(), which moves on every restructure
+ * and load-balance move. That stamp is the only staleness check:
+ * ensureBuilt() rebuilds lazily at a serial point (GhostExchange's
+ * task builders call it before adding a phase's tasks), and every
+ * accessor asserts the generation still matches, so a stale plan is
+ * structurally unusable rather than quietly wrong.
  *
  * Sub-packs (Parthenon's pack_size): the replica's owned blocks are
  * cut into contiguous Z-order ranges balanced by bounds payload
  * doubles, one range per sub-pack. Each sub-pack lists the plan
- * entries its blocks send and receive, so the driver schedules one
- * pack task and one unpack task per sub-pack and every worker takes a
- * share of each phase. The sub-pack count follows the space's
- * concurrency: 1 on a
- * serial space, kSubPacksPerThread per thread otherwise, so the task
- * executor's ready queue can even out uneven sub-packs.
+ * entries its blocks send and receive, so GhostExchange adds one pack
+ * task and one unpack task per sub-pack and every worker takes a share
+ * of each phase. The sub-pack count follows the space's concurrency: 1
+ * on a serial space, kSubPacksPerThread per thread otherwise, so the
+ * task executor's ready queue can even out uneven sub-packs.
  *
  * Thread safety: the rebuild state (built_/generation_/counters) is
  * guarded by mutex_ and annotated for clang's thread-safety analysis.
- * The message tables themselves are written only inside
- * ensureBuilt()/invalidate() — called at serial points on the owning
- * rank's driver thread — and are read lock-free by the sub-pack tasks.
+ * The message tables themselves are written only inside ensureBuilt()
+ * — called at serial points on the owning rank's driver thread — and
+ * are read lock-free by the sub-pack tasks.
  */
 #pragma once
 
@@ -158,26 +157,20 @@ class BoundaryPlan
                  const RankWorld& world);
 
     /**
-     * Mark the plan stale. Chained into the cache's rebuild hook by
-     * the driver, so it fires exactly once per cache rebuild
-     * (restructure, migration); must not call back into the cache
-     * (the hook runs under the cache's hook lock).
+     * Rebuild if unbuilt or stale; returns whether it rebuilt. Must be
+     * called from the owning rank's driver thread at a serial point
+     * (no phase of the plan in flight) — GhostExchange's task builders
+     * do so.
      */
-    void invalidate();
-
-    /**
-     * Rebuild if stale. Must be called from the owning rank's driver
-     * thread at a serial point (no phase of the plan in flight) — the
-     * driver does so while constructing each stage's task graph.
-     */
-    void ensureBuilt();
+    bool ensureBuilt();
 
     /** True when the plan matches the cache's current structure. */
     bool current() const;
 
-    /** invalidate() calls so far (lifecycle tests). */
-    std::uint64_t invalidateCount() const;
-    /** Rebuilds actually performed (lazy: <= invalidateCount + 1). */
+    /**
+     * Rebuilds actually performed. Lazy: at most one per cache
+     * rebuild, so never more than the cache's rebuildCount().
+     */
     std::uint64_t buildCount() const;
 
     /** All messages for `phase`, sorted by (src, dst). */
@@ -243,7 +236,6 @@ class BoundaryPlan
     bool built_ VIBE_GUARDED_BY(mutex_) = false;
     /** cache_->rebuildCount() the tables were built against. */
     std::uint64_t generation_ VIBE_GUARDED_BY(mutex_) = 0;
-    std::uint64_t invalidate_count_ VIBE_GUARDED_BY(mutex_) = 0;
     std::uint64_t build_count_ VIBE_GUARDED_BY(mutex_) = 0;
 
     /** Per-phase tables; written only under mutex_ at serial points. */

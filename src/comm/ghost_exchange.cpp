@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <optional>
+#include <string>
 
 #include "exec/par_for.hpp"
 #include "mesh/prolong_restrict.hpp"
@@ -34,15 +36,34 @@ GhostExchange::GhostExchange(Mesh& mesh, RankWorld& world,
 void
 GhostExchange::exchangeBounds()
 {
-    // Monolithic (non-graph) path: initialization and direct tests.
-    // In-cycle exchanges run as task graphs and get per-task spans.
+    // Outside a stage graph (initialization, direct tests, the
+    // micro-bench): the same tasks in a graph of their own.
     TraceSpan span("ExchangeBounds", TraceCat::Comm,
                    mesh_->collectiveRank());
-    // Monolithic callers are serial points, so the lazy rebuild may
-    // happen right here.
-    plan_.ensureBuilt();
-    startReceiveBoundBufs();
-    runFusedPhase(PlanPhase::Bounds);
+    TaskList tl;
+    tl.setLabel("plan:bounds exchange");
+    addBoundsTasks(tl);
+    runGraph(tl);
+}
+
+void
+GhostExchange::exchangeFluxCorrections()
+{
+    TraceSpan span("ExchangeFluxCorrections", TraceCat::Comm,
+                   mesh_->collectiveRank());
+    TaskList tl;
+    tl.setLabel("plan:flux exchange");
+    addFluxCorrTasks(tl);
+    runGraph(tl);
+}
+
+void
+GhostExchange::runGraph(TaskList& tl)
+{
+    // No cycle stamp: these graphs run outside the evolution loop's
+    // per-cycle task accounting.
+    tl.setTrace(mesh_->collectiveRank(), -1);
+    tl.execute(rankExecOptions(mesh_->ctx().space(), *world_));
 }
 
 void
@@ -114,12 +135,16 @@ GhostExchange::packBoundsChannel(const BoundsChannel& ch,
                     }
                 }
     } else {
-        // Same level or coarse slab: straight copy of the send box.
+        // Same level or coarse slab: straight copy of the send box,
+        // one row per (n, k, j).
+        const int ni = ch.send.i.count();
         for (int n = 0; n < ncomp; ++n)
             for (int k = ch.send.k.lo; k <= ch.send.k.hi; ++k)
-                for (int j = ch.send.j.lo; j <= ch.send.j.hi; ++j)
-                    for (int i = ch.send.i.lo; i <= ch.send.i.hi; ++i)
-                        out[idx++] = cons(n, k, j, i);
+                for (int j = ch.send.j.lo; j <= ch.send.j.hi; ++j) {
+                    const double* row = cons.row(n, k, j, ch.send.i.lo, ni);
+                    for (int i = 0; i < ni; ++i)
+                        out[idx++] = row[i];
+                }
     }
 }
 
@@ -141,18 +166,20 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
     RealArray4& cons = ch.receiver->cons();
 
     if (ch.levelDiff >= 0) {
-        // Same level or pre-restricted: straight copy into recv box.
-        // One size check up front, then unchecked indexing in the
-        // per-cell loop (matching the slab branch below).
+        // Same level or pre-restricted: straight copy into the recv
+        // box, one row per (n, k, j) after one size check up front.
         require(count ==
                     static_cast<std::size_t>(ch.recv.cells()) * ncomp,
                 "bounds payload size mismatch");
-        std::size_t idx = 0;
+        const int ni = ch.recv.i.count();
         for (int n = 0; n < ncomp; ++n)
             for (int k = ch.recv.k.lo; k <= ch.recv.k.hi; ++k)
-                for (int j = ch.recv.j.lo; j <= ch.recv.j.hi; ++j)
-                    for (int i = ch.recv.i.lo; i <= ch.recv.i.hi; ++i)
-                        cons(n, k, j, i) = payload[idx++];
+                for (int j = ch.recv.j.lo; j <= ch.recv.j.hi; ++j) {
+                    double* row = cons.row(n, k, j, ch.recv.i.lo, ni);
+                    for (int i = 0; i < ni; ++i)
+                        row[i] = payload[i];
+                    payload += ni;
+                }
         return;
     }
 
@@ -320,16 +347,6 @@ GhostExchange::unpackBoundsChannel(const BoundsChannel& ch,
 }
 
 void
-GhostExchange::exchangeFluxCorrections()
-{
-    TraceSpan span("ExchangeFluxCorrections", TraceCat::Comm,
-                   mesh_->collectiveRank());
-    // Serial point for monolithic callers; see exchangeBounds().
-    plan_.ensureBuilt();
-    runFusedPhase(PlanPhase::Flux);
-}
-
-void
 GhostExchange::packFluxChannel(const FluxChannel& ch, double* out) const
 {
     require(ch.sender->hasData(), "flux pack from a storage-less block ",
@@ -384,29 +401,24 @@ GhostExchange::unpackFluxChannel(const FluxChannel& ch,
                                  std::size_t count) const
 {
     const int ncomp = mesh_->registry().ncompConserved();
-    // One size check up front, then unchecked indexing in the
-    // per-face loop — the same hoist the bounds unpack has.
+    // One size check up front, then one row per (n, K, J) — the same
+    // hoist the bounds unpack has.
     require(count == static_cast<std::size_t>(ch.wireFaces()) * ncomp,
             "flux-correction payload size mismatch");
     RealArray4& flux = ch.receiver->flux(ch.dir);
-    std::size_t idx = 0;
+    const int ni = ch.recvFaces.i.count();
     for (int n = 0; n < ncomp; ++n)
         for (int K = ch.recvFaces.k.lo; K <= ch.recvFaces.k.hi; ++K)
-            for (int J = ch.recvFaces.j.lo; J <= ch.recvFaces.j.hi; ++J)
-                for (int I = ch.recvFaces.i.lo; I <= ch.recvFaces.i.hi;
-                     ++I)
-                    flux(n, K, J, I) = payload[idx++];
+            for (int J = ch.recvFaces.j.lo; J <= ch.recvFaces.j.hi; ++J) {
+                double* row = flux.row(n, K, J, ch.recvFaces.i.lo, ni);
+                for (int i = 0; i < ni; ++i)
+                    row[i] = payload[i];
+                payload += ni;
+            }
 }
 
 void
-GhostExchange::applyPhysicalBoundaries()
-{
-    for (MeshBlock* block : mesh_->ownedBlocks())
-        applyPhysicalBoundariesBlock(*block);
-}
-
-void
-GhostExchange::applyPhysicalBoundariesBlock(MeshBlock& block)
+GhostExchange::applyPhysicalBoundariesBlock(MeshBlock& block) const
 {
     const ExecContext& ctx = mesh_->ctx();
     if (mesh_->config().periodic || !ctx.executing())
@@ -459,12 +471,12 @@ GhostExchange::applyPhysicalBoundariesBlock(MeshBlock& block)
 // ---------------------------------------------------------------------
 // BoundaryPlan phases.
 //
-// Every function below requires a current plan: the driver's graph
-// builder (and the monolithic exchange entry points) call
-// plan_.ensureBuilt() at a serial point first, and the accessors
-// themselves panic on a stale generation. ensureBuilt() is NEVER
-// called from in here — a rebuild racing a sub-pack task would be a
-// data race on the plan tables.
+// The task builders are the serial points: they make the plan current
+// (ensurePlan) before any task of theirs can run, and every task body
+// below requires a current plan — the accessors panic on a stale
+// generation. ensureBuilt() is NEVER called from a task body: a
+// rebuild racing a sub-pack task would be a data race on the plan
+// tables.
 //
 // Concurrency: sub-pack tasks of one phase write disjoint payload
 // slices (send) or disjoint receiver regions (set); each poll task
@@ -473,9 +485,10 @@ GhostExchange::applyPhysicalBoundariesBlock(MeshBlock& block)
 // ---------------------------------------------------------------------
 
 void
-GhostExchange::invalidatePlan()
+GhostExchange::ensurePlan()
 {
-    plan_.invalidate();
+    if (!plan_.ensureBuilt())
+        return;
     for (FusedPhaseState& st : fused_) {
         st.out.clear();
         st.inbox.clear();
@@ -483,6 +496,134 @@ GhostExchange::invalidatePlan()
     LockGuard lock(pool_mutex_);
     for (auto& pool : pool_)
         pool.clear();
+}
+
+GhostExchange::BoundsTaskIds
+GhostExchange::addBoundsTasks(TaskList& tl)
+{
+    ensurePlan();
+    beginFusedPhase(PlanPhase::Bounds);
+    const int ph = static_cast<int>(PlanPhase::Bounds);
+    const auto& packs = plan_.subPacks();
+    const int npacks = static_cast<int>(packs.size());
+    const TaskId t_start = tl.addTask(
+        "StartReceiveBoundBufs",
+        [this] {
+            startReceiveBoundBufs();
+            return TaskStatus::Complete;
+        },
+        {}, TaskCategory::Comm);
+    BoundsTaskIds ids;
+    for (int p = 0; p < npacks; ++p)
+        ids.send.push_back(tl.addTask(
+            "SendBoundBufs:plan:bounds:p" + std::to_string(p),
+            [this, p] {
+                sendSubPackEntries(PlanPhase::Bounds, p);
+                return TaskStatus::Complete;
+            },
+            {t_start}, TaskCategory::Comm));
+    // One poll per inbound coalesced message — O(rank pairs), not
+    // O(blocks x faces). A message this graph sends itself is polled
+    // once its writers finished; a peer's message is polled from the
+    // start of the phase.
+    const std::vector<TaskId> polls = addPollTasks(
+        tl, PlanPhase::Bounds, "ReceiveBoundBufs", ids.send, {t_start});
+    for (int p = 0; p < npacks; ++p) {
+        const PlanSubPack& pack = packs[static_cast<std::size_t>(p)];
+        std::vector<TaskId> deps;
+        for (int slot : pack.recvSlots[ph])
+            deps.push_back(polls[static_cast<std::size_t>(slot)]);
+        if (deps.empty())
+            deps.push_back(t_start);
+        ids.set.push_back(tl.addTask(
+            "SetBounds:plan:bounds:p" + std::to_string(p),
+            [this, blocks = &pack.blocks, p] {
+                setSubPackEntries(PlanPhase::Bounds, p);
+                // Each block's physical fill follows its own unpacks.
+                for (MeshBlock* block : *blocks)
+                    applyPhysicalBoundariesBlock(*block);
+                return TaskStatus::Complete;
+            },
+            std::move(deps), TaskCategory::Comm));
+    }
+    return ids;
+}
+
+std::vector<TaskId>
+GhostExchange::addFluxCorrTasks(TaskList& tl,
+                                std::vector<std::vector<TaskId>> send_deps)
+{
+    ensurePlan();
+    beginFusedPhase(PlanPhase::Flux);
+    const int ph = static_cast<int>(PlanPhase::Flux);
+    const auto& packs = plan_.subPacks();
+    const int npacks = static_cast<int>(packs.size());
+    require(send_deps.size() <= packs.size(),
+            "flux-correction send deps for ", send_deps.size(),
+            " sub-packs, the plan has ", packs.size());
+    send_deps.resize(packs.size());
+    std::vector<TaskId> sends;
+    for (int p = 0; p < npacks; ++p)
+        sends.push_back(tl.addTask(
+            "FluxCorrSend:plan:flux:p" + std::to_string(p),
+            [this, p] {
+                sendSubPackEntries(PlanPhase::Flux, p);
+                return TaskStatus::Complete;
+            },
+            std::move(send_deps[static_cast<std::size_t>(p)]),
+            TaskCategory::Comm));
+    // A peer's corrections are polled once this rank's own are out.
+    const std::vector<TaskId> polls =
+        addPollTasks(tl, PlanPhase::Flux, "FluxCorrRecv", sends, sends);
+    std::vector<TaskId> applies;
+    for (int p = 0; p < npacks; ++p) {
+        // Apply after the corrections p's own blocks send: a block
+        // both sends (fine side) and receives (coarse side) fluxes.
+        std::vector<TaskId> deps{sends[static_cast<std::size_t>(p)]};
+        for (int slot : packs[static_cast<std::size_t>(p)].recvSlots[ph])
+            deps.push_back(polls[static_cast<std::size_t>(slot)]);
+        applies.push_back(tl.addTask(
+            "FluxCorrApply:plan:flux:p" + std::to_string(p),
+            [this, p] {
+                setSubPackEntries(PlanPhase::Flux, p);
+                return TaskStatus::Complete;
+            },
+            std::move(deps), TaskCategory::Comm));
+    }
+    return applies;
+}
+
+std::vector<TaskId>
+GhostExchange::addPollTasks(TaskList& tl, PlanPhase phase,
+                            const char* label,
+                            const std::vector<TaskId>& sends,
+                            const std::vector<TaskId>& peer_deps)
+{
+    const auto& msgs = plan_.messages(phase);
+    const auto& recv = plan_.localRecvIds(phase);
+    const auto& writers = plan_.slotWriters(phase);
+    const auto& send_slot = plan_.recvSendSlot(phase);
+    std::vector<TaskId> polls;
+    polls.reserve(recv.size());
+    for (std::size_t r = 0; r < recv.size(); ++r) {
+        const PlanMessage& m = msgs[static_cast<std::size_t>(recv[r])];
+        std::vector<TaskId> deps = peer_deps;
+        if (send_slot[r] >= 0) {
+            deps.clear();
+            for (int p : writers[static_cast<std::size_t>(send_slot[r])])
+                deps.push_back(sends[static_cast<std::size_t>(p)]);
+        }
+        const int slot = static_cast<int>(r);
+        polls.push_back(tl.addTask(
+            std::string(label) + ":plan:" + planPhaseName(phase) + ":r" +
+                std::to_string(m.src) + ">r" + std::to_string(m.dst),
+            [this, phase, slot] {
+                return pollFusedMessage(phase, slot) ? TaskStatus::Complete
+                                                     : TaskStatus::Iterate;
+            },
+            std::move(deps), TaskCategory::Comm));
+    }
+    return polls;
 }
 
 std::uint64_t
@@ -687,23 +828,6 @@ GhostExchange::sendFusedMessage(PlanPhase phase, int slot)
                   m.bytes);
 }
 
-void
-GhostExchange::acceptFusedMessage(PlanPhase phase, int slot, Message msg)
-{
-    const PlanMessage& m = plan_.messages(phase)[static_cast<std::size_t>(
-        plan_.localRecvIds(phase)[static_cast<std::size_t>(slot)])];
-    require(msg.src == m.src && msg.dst == m.dst, "coalesced ",
-            planPhaseName(phase), " message rank mismatch: carried ",
-            msg.src, " -> ", msg.dst, ", expected ", m.src, " -> ",
-            m.dst);
-    require(!mesh_->ctx().executing() || msg.payload.size() == m.doubles,
-            "coalesced ", planPhaseName(phase),
-            " payload size mismatch: ", msg.payload.size(),
-            " doubles, directory says ", m.doubles);
-    fused_[static_cast<int>(phase)].inbox[static_cast<std::size_t>(slot)] =
-        std::move(msg);
-}
-
 bool
 GhostExchange::pollFusedMessage(PlanPhase phase, int slot)
 {
@@ -712,32 +836,20 @@ GhostExchange::pollFusedMessage(PlanPhase phase, int slot)
     std::optional<Message> msg = world_->receive(m.id);
     if (!msg)
         return false;
-    acceptFusedMessage(phase, slot, std::move(*msg));
+    require(msg->src == m.src && msg->dst == m.dst, "coalesced ",
+            planPhaseName(phase), " message rank mismatch: carried ",
+            msg->src, " -> ", msg->dst, ", expected ", m.src, " -> ",
+            m.dst);
+    require(!mesh_->ctx().executing() || msg->payload.size() == m.doubles,
+            "coalesced ", planPhaseName(phase),
+            " payload size mismatch: ", msg->payload.size(),
+            " doubles, directory says ", m.doubles);
+    fused_[static_cast<int>(phase)].inbox[static_cast<std::size_t>(slot)] =
+        std::move(*msg);
     // One probe per rank pair, recorded on completion.
     recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs", m.dst, "recv_poll",
                    1.0);
     return true;
-}
-
-void
-GhostExchange::receiveFusedPhase(PlanPhase phase)
-{
-    const auto& msgs = plan_.messages(phase);
-    const auto& ids = plan_.localRecvIds(phase);
-    for (std::size_t r = 0; r < ids.size(); ++r) {
-        const PlanMessage& m = msgs[static_cast<std::size_t>(ids[r])];
-        acceptFusedMessage(
-            phase, static_cast<int>(r),
-            world_->receiveWait(m.id, "fused ghost exchange", [&] {
-                return "the coalesced " +
-                       std::string(planPhaseName(phase)) +
-                       " message from rank " + std::to_string(m.src) +
-                       " on rank " + std::to_string(m.dst);
-            }));
-    }
-    recordSerialAt(mesh_->ctx(), "ReceiveBoundBufs",
-                   mesh_->collectiveRank(), "recv_poll",
-                   static_cast<double>(ids.size()));
 }
 
 void
@@ -768,19 +880,6 @@ GhostExchange::setSubPackEntries(PlanPhase phase, int p)
         else
             unpackFluxChannel(cache_->flux()[e.channel], payload, e.count);
     }
-}
-
-void
-GhostExchange::runFusedPhase(PlanPhase phase)
-{
-    const ExecContext& ctx = mesh_->ctx();
-    const int npacks = static_cast<int>(plan_.subPacks().size());
-    // Outside a task graph the sub-packs are spread over the space as
-    // one launch; counting mode executes no rows but still sends.
-    beginFusedPhase(phase);
-    parForEach(ctx, npacks, [&](int p) { sendSubPackEntries(phase, p); });
-    receiveFusedPhase(phase);
-    parForEach(ctx, npacks, [&](int p) { setSubPackEntries(phase, p); });
 }
 
 } // namespace vibe

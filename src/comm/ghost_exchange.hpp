@@ -19,46 +19,49 @@
  * All boundary traffic rides the BoundaryPlan. Every (src rank, dst
  * rank) pair exchanges ONE coalesced mailbox message per phase, and
  * the pack (or unpack) work of a phase is split into the plan's
- * sub-packs — contiguous Z-order block ranges — which the driver runs
- * as concurrent stage-graph tasks, so every worker packs and unpacks.
- * A message is sent by whichever sub-pack finishes writing it last; a
- * poll task moves each arrival into a per-message inbox slot that
- * several unpack sub-packs then read. Payload buffers are recycled
- * through a small pool instead of allocated (and zero-filled) per
- * phase. Every channel writes a disjoint payload slice or receiver
- * region, and prolongation's interior fallback reads cells no unpack
- * writes, so results are bitwise identical at any thread or rank
- * count and any sub-pack interleaving.
+ * sub-packs — contiguous Z-order block ranges — which run as
+ * concurrent tasks, so every worker packs and unpacks. A message is
+ * sent by whichever sub-pack finishes writing it last; a poll task
+ * moves each arrival into a per-message inbox slot that several
+ * unpack sub-packs then read. Payload buffers are recycled through a
+ * small pool instead of allocated (and zero-filled) per phase. Every
+ * channel writes a disjoint payload slice or receiver region, and
+ * prolongation's interior fallback reads cells no unpack writes, so
+ * results are bitwise identical at any thread or rank count and any
+ * sub-pack interleaving.
  *
- * Two granularities run the same sub-pack bodies:
+ * A phase runs one way: as the tasks addBoundsTasks() and
+ * addFluxCorrTasks() add to a TaskList. The stage graph adds them next
+ * to its compute tasks; exchangeBounds() and exchangeFluxCorrections()
+ * add them to a graph of their own and execute it. This class is the
+ * one place that knows the plan's task protocol (send slots, writer
+ * sub-packs, recv slots).
  *
- * - The monolithic phase functions (exchangeBounds(),
- *   exchangeFluxCorrections()) run a whole phase as one launch over
- *   the sub-packs. Driver initialization and direct tests use them.
- * - The sub-pack task bodies (beginFusedPhase, sendSubPackEntries,
- *   pollFusedMessage, setSubPackEntries) are the stage-graph nodes.
- *
- * The plan must be current (BoundaryPlan::ensureBuilt() at a serial
- * point — the driver's graph builder and the monolithic functions do
- * this) before any phase runs, and beginFusedPhase() opens each phase
- * at a serial point: it hands out the pooled payloads and records the
- * phase's profiler rows once, so profiler tables do not depend on how
- * sub-packs interleave. All profiler records carry explicit phase and
- * rank attribution instead of touching shared ambient state.
+ * Both builders are serial points (no task of either phase running):
+ * they make the plan current (BoundaryPlan::ensureBuilt(), which
+ * rebuilds a plan whose cache moved on and drops the payload pool with
+ * it, since message sizes change with the structure) and open the
+ * phase: hand out the pooled payloads and record the phase's profiler
+ * rows once, so profiler tables do not depend on how sub-packs
+ * interleave. All profiler records carry explicit phase and rank
+ * attribution instead of touching shared ambient state.
  *
  * Per-cycle state (wire-cell and message counters, stale mailbox
- * entries from a cycle that threw) is reset at the top of
- * startReceiveBoundBufs(), so an exchange aborted mid-cycle can never
- * leave the next one waiting on phantom messages.
+ * entries from a cycle that threw) is reset by the
+ * StartReceiveBoundBufs task at the head of the bounds phase, so an
+ * exchange aborted mid-cycle can never leave the next one waiting on
+ * phantom messages.
  */
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <vector>
 
 #include "comm/boundary_buffers.hpp"
 #include "comm/boundary_plan.hpp"
 #include "comm/rank_world.hpp"
+#include "driver/task_list.hpp"
 #include "mesh/mesh.hpp"
 #include "util/thread_safety.hpp"
 
@@ -72,10 +75,8 @@ class GhostExchange
                   BoundaryBufferCache& cache);
 
     /**
-     * Run one complete ghost exchange (the four phases, in order) on
-     * the calling thread, the sub-packs spread over the space as one
-     * launch per pack/unpack step. A serial point: rebuilds a stale
-     * plan first.
+     * Run one complete ghost exchange: the addBoundsTasks() graph,
+     * executed on the mesh's space. A serial point.
      */
     void exchangeBounds();
 
@@ -86,50 +87,33 @@ class GhostExchange
      */
     void exchangeFluxCorrections();
 
-    /**
-     * Fill ghost zones at non-periodic physical boundaries with
-     * zero-gradient (outflow) data. No-op for periodic domains.
-     */
-    void applyPhysicalBoundaries();
-    /** Physical-boundary fill for one block (task-graph node). */
-    void applyPhysicalBoundariesBlock(MeshBlock& block);
+    /** Per-sub-pack task ids of the bounds phase. */
+    struct BoundsTaskIds
+    {
+        std::vector<TaskId> send, set;
+    };
 
-    /** The plan (lazily rebuilt; see BoundaryPlan's lifecycle). */
-    BoundaryPlan& plan() { return plan_; }
+    /**
+     * Add one ghost exchange to `tl`: StartReceiveBoundBufs -> one
+     * send per plan sub-pack -> one poll per inbound coalesced message
+     * -> one set per sub-pack, which unpacks its blocks' entries and
+     * then fills their physical (outflow) ghosts. A set waits only on
+     * the polls of the messages its blocks receive. A serial point;
+     * see the file comment.
+     */
+    BoundsTaskIds addBoundsTasks(TaskList& tl);
+
+    /**
+     * Add one flux-correction exchange to `tl`: sub-pack p's send
+     * waits on `send_deps[p]` (none where absent), then one poll per
+     * inbound message, then one apply per sub-pack. A serial point.
+     * Returns the per-sub-pack apply task ids.
+     */
+    std::vector<TaskId> addFluxCorrTasks(
+        TaskList& tl, std::vector<std::vector<TaskId>> send_deps = {});
+
+    /** The plan; current once a builder has run at this structure. */
     const BoundaryPlan& plan() const { return plan_; }
-
-    /**
-     * Mark the plan stale and drop the payload pool and inbox with it
-     * (message sizes change with the structure). The driver chains
-     * this into the cache's rebuild hook; a serial point.
-     */
-    void invalidatePlan();
-
-    /**
-     * Reset the per-cycle counters and prepare one coalesced receive
-     * per inbound rank pair (the StartReceiveBoundBufs node).
-     */
-    void startReceiveBoundBufs();
-    /**
-     * Open one phase at a serial point (no task of the phase running):
-     * recycle the phase's previous inbox into the payload pool, hand
-     * each outbound message a pooled payload, arm the per-message
-     * writer counts, and record the phase's pack/unpack kernels and
-     * per-message bookkeeping in the profiler.
-     */
-    void beginFusedPhase(PlanPhase phase);
-    /**
-     * Pack sub-pack `p`'s outbound entries into their payload slices;
-     * send each message this sub-pack was the last writer of.
-     */
-    void sendSubPackEntries(PlanPhase phase, int p);
-    /**
-     * Probe the message in recv slot `slot` (task-graph poll node); on
-     * arrival move it into the inbox slot and record the polling cost.
-     */
-    bool pollFusedMessage(PlanPhase phase, int slot);
-    /** Unpack (and prolongate) sub-pack `p`'s inbound entries. */
-    void setSubPackEntries(PlanPhase phase, int p);
 
     /**
      * Payload buffers the exchange allocated because the pool held
@@ -147,7 +131,7 @@ class GhostExchange
 
     /**
      * Boundary messages sent / modeled bytes since the last
-     * startReceiveBoundBufs (bounds + flux). The driver folds these
+     * StartReceiveBoundBufs (bounds + flux). The driver folds these
      * into CycleStats so benches can report messages per cycle next to
      * the buffer cache's uncoalesced channel count.
      */
@@ -169,13 +153,46 @@ class GhostExchange
     void packFluxChannel(const FluxChannel& ch, double* out) const;
     void unpackFluxChannel(const FluxChannel& ch, const double* payload,
                            std::size_t count) const;
+    /** Outflow fill of one block's ghosts at non-periodic edges. */
+    void applyPhysicalBoundariesBlock(MeshBlock& block) const;
 
-    /** One whole fused phase on the calling thread (monolithic). */
-    void runFusedPhase(PlanPhase phase);
-    /** Blocking poll for every inbound message of a phase. */
-    void receiveFusedPhase(PlanPhase phase);
-    /** Move a received message into its inbox slot, validating it. */
-    void acceptFusedMessage(PlanPhase phase, int slot, Message msg);
+    /** Execute a graph of this exchange's tasks on the mesh's space. */
+    void runGraph(TaskList& tl);
+    /**
+     * Make the plan current; on a rebuild drop the payload pool,
+     * outbound buffers and inbox (message sizes changed).
+     */
+    void ensurePlan();
+    /**
+     * Open one phase: recycle the phase's previous inbox into the
+     * payload pool, hand each outbound message a pooled payload, arm
+     * the per-message writer counts, and record the phase's
+     * pack/unpack kernels and per-message bookkeeping in the profiler.
+     */
+    void beginFusedPhase(PlanPhase phase);
+    /**
+     * Add one poll task per inbound message of `phase` (recv slot
+     * order). A message this replica sends itself waits on its writer
+     * sub-packs among `sends`; a peer's message waits on `peer_deps`.
+     */
+    std::vector<TaskId> addPollTasks(TaskList& tl, PlanPhase phase,
+                                     const char* label,
+                                     const std::vector<TaskId>& sends,
+                                     const std::vector<TaskId>& peer_deps);
+
+    // Task bodies.
+    /** Reset the per-cycle counters and prepare one coalesced receive
+     *  per inbound rank pair (the StartReceiveBoundBufs node). */
+    void startReceiveBoundBufs();
+    /** Pack sub-pack `p`'s outbound entries into their payload slices;
+     *  send each message this sub-pack was the last writer of. */
+    void sendSubPackEntries(PlanPhase phase, int p);
+    /** Probe the message of recv slot `slot`; on arrival validate it,
+     *  move it into the inbox slot and record the polling cost. */
+    bool pollFusedMessage(PlanPhase phase, int slot);
+    /** Unpack (and prolongate) sub-pack `p`'s inbound entries. */
+    void setSubPackEntries(PlanPhase phase, int p);
+
     /** isend the finished payload of send slot `slot`. */
     void sendFusedMessage(PlanPhase phase, int slot);
     /** Best-fit pooled payload of `count` doubles (or a fresh one). */
@@ -200,7 +217,7 @@ class GhostExchange
     BoundaryBufferCache* cache_;
     BoundaryPlan plan_;
 
-    /** Per-phase fused state; slots index the plan's local id lists. */
+    /** Per-phase state; slots index the plan's local id lists. */
     struct FusedPhaseState
     {
         /** Outbound payloads; the last writer moves each into isend. */

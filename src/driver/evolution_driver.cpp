@@ -76,12 +76,6 @@ EvolutionDriver::EvolutionDriver(Mesh& mesh,
       exchange_(mesh, world, cache_)
 {
     dt_ = config_.fixedDt;
-    // The buffer cache is rebuilt on exactly the events that stale the
-    // boundary plan's message directory (restructure, load-balance
-    // moves); ride that hook instead of tracking remesh events
-    // separately. The invalidation is a cheap flag flip — the rebuild
-    // happens lazily at the next serial point.
-    cache_.setRebuildHook([this] { exchange_.invalidatePlan(); });
 }
 
 void
@@ -128,8 +122,8 @@ EvolutionDriver::initialize()
 
     loadBalance(*mesh_, *world_, lbOptions());
     cache_.rebuild();
+    // The set tasks fill physical ghosts after each block's unpacks.
     exchange_.exchangeBounds();
-    exchange_.applyPhysicalBoundaries();
     forEachOwnedBlock(*mesh_, [this](MeshBlock& block, std::size_t) {
         package_->fillDerivedBlock(*mesh_, block);
     });
@@ -481,27 +475,6 @@ EvolutionDriver::emitHeartbeat(const CycleStats& stats,
     metrics_writer_->writeCycle(m);
 }
 
-TaskExecOptions
-EvolutionDriver::stageExecOptions() const
-{
-    TaskExecOptions options;
-    options.space = &mesh_->ctx().space();
-    // On a rank team, this graph's polls wait on messages produced by
-    // OTHER ranks' driver threads: the abort probe marks that progress
-    // and lets a peer failure abort promptly rather than burning the
-    // peer-wait deadline.
-    if (world_->concurrent()) {
-        RankWorld* world = world_;
-        options.external_abort = [world]() -> std::string {
-            // failed() is a lock-free fast path; the reason (one lock)
-            // is only fetched on the failure path itself.
-            return world->failed() ? world->failureReason()
-                                   : std::string();
-        };
-    }
-    return options;
-}
-
 void
 EvolutionDriver::maybeWriteCheckpoint(CycleStats& stats)
 {
@@ -532,7 +505,7 @@ EvolutionDriver::maybeWriteCheckpoint(CycleStats& stats)
             return TaskStatus::Complete;
         },
         {}, TaskCategory::Comm);
-    runGraph(tl, stageExecOptions());
+    runGraph(tl, rankExecOptions(mesh_->ctx().space(), *world_));
     // Only the rank holding the writer (rank 0 on a team) touches
     // disk; the image every other rank assembled is identical and is
     // simply dropped.
@@ -580,7 +553,7 @@ EvolutionDriver::step()
     // after step() keep the ambient rank the estimate sweep set.
     for (int stage = 1; stage <= 2; ++stage) {
         TaskList tl = buildStageGraphFused(stage, fc);
-        runGraph(tl, stageExecOptions());
+        runGraph(tl, rankExecOptions(mesh_->ctx().space(), *world_));
 
         comm_cells_ += exchange_.lastWireCells();
         boundary_messages_ += exchange_.lastBoundaryMessages();
@@ -593,157 +566,28 @@ EvolutionDriver::step()
     }
 }
 
-EvolutionDriver::FusedBoundsIds
-EvolutionDriver::addFusedBoundsTasks(TaskList& tl)
-{
-    // Serial point: payloads and profiler rows for the whole phase.
-    exchange_.beginFusedPhase(PlanPhase::Bounds);
-    const BoundaryPlan& plan = exchange_.plan();
-    const int npacks = static_cast<int>(plan.subPacks().size());
-    const TaskId t_start = tl.addTask(
-        "StartReceiveBoundBufs",
-        [this] {
-            exchange_.startReceiveBoundBufs();
-            return TaskStatus::Complete;
-        },
-        {}, TaskCategory::Comm);
-    FusedBoundsIds ids;
-    for (int p = 0; p < npacks; ++p)
-        ids.send.push_back(tl.addTask(
-            "SendBoundBufs:plan:bounds:p" + std::to_string(p),
-            [this, p] {
-                exchange_.sendSubPackEntries(PlanPhase::Bounds, p);
-                return TaskStatus::Complete;
-            },
-            {t_start}, TaskCategory::Comm));
-    // One poll per inbound coalesced message — O(rank pairs), not
-    // O(blocks x faces). A message this graph sends
-    // itself is polled once its writers finished; a peer's message is
-    // polled from the start of the phase.
-    const std::vector<TaskId> polls =
-        addFusedPollTasks(tl, PlanPhase::Bounds, "ReceiveBoundBufs",
-                          ids.send, {t_start});
-    for (int p = 0; p < npacks; ++p) {
-        const PlanSubPack& pack =
-            plan.subPacks()[static_cast<std::size_t>(p)];
-        std::vector<TaskId> deps;
-        for (int slot : pack.recvSlots[static_cast<int>(PlanPhase::Bounds)])
-            deps.push_back(polls[static_cast<std::size_t>(slot)]);
-        if (deps.empty())
-            deps.push_back(t_start);
-        ids.set.push_back(tl.addTask(
-            "SetBounds:plan:bounds:p" + std::to_string(p),
-            [this, blocks = &pack.blocks, p] {
-                exchange_.setSubPackEntries(PlanPhase::Bounds, p);
-                // Each block's physical fill follows its own unpacks
-                // (unpack, then fill).
-                for (MeshBlock* block : *blocks)
-                    exchange_.applyPhysicalBoundariesBlock(*block);
-                return TaskStatus::Complete;
-            },
-            std::move(deps), TaskCategory::Comm));
-    }
-    return ids;
-}
-
-std::vector<TaskId>
-EvolutionDriver::addFusedPollTasks(TaskList& tl, PlanPhase phase,
-                                   const char* label,
-                                   const std::vector<TaskId>& sends,
-                                   const std::vector<TaskId>& peer_deps)
-{
-    const BoundaryPlan& plan = exchange_.plan();
-    const auto& msgs = plan.messages(phase);
-    const auto& recv = plan.localRecvIds(phase);
-    const auto& writers = plan.slotWriters(phase);
-    const auto& send_slot = plan.recvSendSlot(phase);
-    std::vector<TaskId> polls;
-    polls.reserve(recv.size());
-    for (std::size_t r = 0; r < recv.size(); ++r) {
-        const PlanMessage& m = msgs[static_cast<std::size_t>(recv[r])];
-        std::vector<TaskId> deps = peer_deps;
-        if (send_slot[r] >= 0) {
-            deps.clear();
-            for (int p : writers[static_cast<std::size_t>(send_slot[r])])
-                deps.push_back(sends[static_cast<std::size_t>(p)]);
-        }
-        const int slot = static_cast<int>(r);
-        polls.push_back(tl.addTask(
-            std::string(label) + ":plan:" + planPhaseName(phase) + ":r" +
-                std::to_string(m.src) + ">r" + std::to_string(m.dst),
-            [this, phase, slot] {
-                return exchange_.pollFusedMessage(phase, slot)
-                           ? TaskStatus::Complete
-                           : TaskStatus::Iterate;
-            },
-            std::move(deps), TaskCategory::Comm));
-    }
-    return polls;
-}
-
-std::vector<TaskId>
-EvolutionDriver::addFusedFluxCorrTasks(
-    TaskList& tl, std::vector<std::vector<TaskId>> send_deps)
-{
-    exchange_.beginFusedPhase(PlanPhase::Flux);
-    const BoundaryPlan& plan = exchange_.plan();
-    const int npacks = static_cast<int>(plan.subPacks().size());
-    std::vector<TaskId> sends;
-    for (int p = 0; p < npacks; ++p)
-        sends.push_back(tl.addTask(
-            "FluxCorrSend:plan:flux:p" + std::to_string(p),
-            [this, p] {
-                exchange_.sendSubPackEntries(PlanPhase::Flux, p);
-                return TaskStatus::Complete;
-            },
-            std::move(send_deps[static_cast<std::size_t>(p)]),
-            TaskCategory::Comm));
-    // A peer's corrections are polled once this rank's own are out,
-    // as the single fused send used to gate them.
-    const std::vector<TaskId> polls = addFusedPollTasks(
-        tl, PlanPhase::Flux, "FluxCorrRecv", sends, sends);
-    std::vector<TaskId> applies;
-    for (int p = 0; p < npacks; ++p) {
-        // Apply after the corrections p's own blocks send: a block
-        // both sends (fine side) and receives (coarse side) fluxes.
-        std::vector<TaskId> deps{sends[static_cast<std::size_t>(p)]};
-        for (int slot : plan.subPacks()[static_cast<std::size_t>(p)]
-                            .recvSlots[static_cast<int>(PlanPhase::Flux)])
-            deps.push_back(polls[static_cast<std::size_t>(slot)]);
-        applies.push_back(tl.addTask(
-            "FluxCorrApply:plan:flux:p" + std::to_string(p),
-            [this, p] {
-                exchange_.setSubPackEntries(PlanPhase::Flux, p);
-                return TaskStatus::Complete;
-            },
-            std::move(deps), TaskCategory::Comm));
-    }
-    return applies;
-}
-
 /**
  * One RK stage over the boundary plan: the comm side of the graph
  * collapses from O(blocks x faces) tasks to O(rank pairs + sub-packs)
- * — one send and one set task per sub-pack, one poll per inbound
- * coalesced message. Each owned block's fluxes and stage update run as
- * one task after its sub-pack's set and send (the update rewrites the
- * interior the send reads); a block receiving flux corrections runs
- * its update as a second task, after its sub-pack's applies. Comm and
- * compute of different sub-packs overlap.
+ * — GhostExchange adds one send and one set task per sub-pack and one
+ * poll per inbound coalesced message. Each owned block's fluxes and
+ * stage update run as one task after its sub-pack's set and send (the
+ * update rewrites the interior the send reads); a block receiving flux
+ * corrections runs its update as a second task, after its sub-pack's
+ * applies. Comm and compute of different sub-packs overlap.
  */
 TaskList
 EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
 {
-    // Serial point: if the rebuild hook fired, the plan rebuild
-    // happens here, before any task can read the tables.
-    exchange_.plan().ensureBuilt();
-    const BoundaryPlan& plan = exchange_.plan();
     TaskList tl;
     tl.setLabel("plan:bounds+flux stage " + std::to_string(stage));
-    const FusedBoundsIds bounds = addFusedBoundsTasks(tl);
+    // Serial point: the exchange rebuilds a stale plan here, before
+    // any task can read the tables.
+    const GhostExchange::BoundsTaskIds bounds = exchange_.addBoundsTasks(tl);
+    const BoundaryPlan& plan = exchange_.plan();
 
     std::vector<MeshBlock*> corrected;
-    std::vector<std::vector<TaskId>> pack_fluxes(plan.subPacks().size());
+    std::vector<std::vector<TaskId>> pack_fluxes(bounds.send.size());
     for (MeshBlock* block : mesh_->ownedBlocks()) {
         const auto p =
             static_cast<std::size_t>(plan.subPackOf(block->gid()));
@@ -768,7 +612,7 @@ EvolutionDriver::buildStageGraphFused(int stage, bool flux_correction)
 
     // A sub-pack's corrections flow once its own blocks' fluxes exist.
     const std::vector<TaskId> applies =
-        addFusedFluxCorrTasks(tl, std::move(pack_fluxes));
+        exchange_.addFluxCorrTasks(tl, std::move(pack_fluxes));
     for (MeshBlock* block : corrected) {
         const auto p =
             static_cast<std::size_t>(plan.subPackOf(block->gid()));

@@ -8,12 +8,14 @@
  * RedistributeAndRefineMeshBlocks), and EstimateTimeStep, plus the
  * per-cycle history reduction.
  *
- * One RK stage is one task graph: boundary traffic rides the fused
- * BoundaryPlan as sub-pack tasks (send, one poll per inbound coalesced
- * message, set), and each owned block contributes one compute task,
- * its fluxes then the package's one-pass stage update (which still
- * records Parthenon's separate kernels), gated on its sub-pack's
- * tasks, so comm and compute of different sub-packs overlap. The
+ * One RK stage is one task graph: GhostExchange adds the boundary
+ * traffic as BoundaryPlan sub-pack tasks (send, one poll per inbound
+ * coalesced message, set) and returns their ids per sub-pack; each
+ * owned block contributes one compute task, its fluxes then the
+ * package's one-pass stage update (which still records Parthenon's
+ * separate kernels), gated on its sub-pack's tasks, so comm and
+ * compute of different sub-packs overlap. The driver knows the plan
+ * only through those ids and BoundaryPlan::subPackOf(). The
  * timestep estimate runs as ONE launch over the owned blocks
  * (parForEach), every block's kernel inline on the worker that took
  * it: the phase launches once instead of once per block, the
@@ -281,39 +283,12 @@ class EvolutionDriver
      * blocks, their min, and the rank AllReduce.
      */
     double estimateTimestep();
-    /** Per-sub-pack task ids of the fused ghost-bounds chain. */
-    struct FusedBoundsIds
-    {
-        std::vector<TaskId> send, set;
-    };
     /**
-     * Add the fused bounds chain: start -> one send per plan sub-pack
-     * -> one poll per inbound coalesced message -> one set per
-     * sub-pack, each set gated only on the polls of the messages its
-     * blocks receive from. Opens the phase (beginFusedPhase), so it
-     * must be called at a serial point with a current plan (the fused
-     * builders call ensureBuilt() first).
+     * One RK stage: the exchange's sub-pack comm tasks plus per-block
+     * compute, wired through the returned task ids and the plan's
+     * subPackOf() alone.
      */
-    FusedBoundsIds addFusedBoundsTasks(TaskList& tl);
-    /**
-     * Add one poll task per inbound message of `phase` (recv slot
-     * order). A message this replica sends itself waits on its writer
-     * sub-packs among `sends`; a peer's message waits on `peer_deps`.
-     */
-    std::vector<TaskId> addFusedPollTasks(
-        TaskList& tl, PlanPhase phase, const char* label,
-        const std::vector<TaskId>& sends,
-        const std::vector<TaskId>& peer_deps);
-    /**
-     * Add the fused flux-correction chain; sub-pack p's send waits on
-     * `send_deps[p]`. Returns the per-sub-pack apply task ids.
-     */
-    std::vector<TaskId> addFusedFluxCorrTasks(
-        TaskList& tl, std::vector<std::vector<TaskId>> send_deps);
-    /** One RK stage: plan sub-pack comm tasks + per-block compute. */
     TaskList buildStageGraphFused(int stage, bool flux_correction);
-    /** Stage-graph options: the space, plus the abort probe on a team. */
-    TaskExecOptions stageExecOptions() const;
     /**
      * Execute one task graph and fold its timings into the run totals
      * AND the current cycle's attribution accumulators (wall, busy,

@@ -54,6 +54,23 @@ traceAttempt(const std::string& name, TaskCategory category, int rank,
 
 } // namespace
 
+TaskExecOptions
+rankExecOptions(ExecutionSpace& space, const RankWorld& world)
+{
+    TaskExecOptions options;
+    options.space = &space;
+    if (world.concurrent()) {
+        const RankWorld* peers = &world;
+        options.external_abort = [peers]() -> std::string {
+            // failed() is a lock-free fast path; the reason (one lock)
+            // is only fetched on the failure path itself.
+            return peers->failed() ? peers->failureReason()
+                                   : std::string();
+        };
+    }
+    return options;
+}
+
 TaskId
 TaskList::addTask(std::string name, TaskFn fn, std::vector<TaskId> deps,
                   TaskCategory category, int gid)

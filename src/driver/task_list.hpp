@@ -32,6 +32,7 @@
 namespace vibe {
 
 class ExecutionSpace;
+class RankWorld;
 
 /** Result of running one task once. */
 enum class TaskStatus
@@ -72,6 +73,17 @@ struct TaskExecOptions
      */
     std::function<std::string()> external_abort;
 };
+
+/**
+ * Options for a graph one rank runs on `space`: the space, plus, on a
+ * concurrent world (a rank team), the abort probe. There the graph's
+ * polls wait on messages other ranks' driver threads produce, and the
+ * probe lets a peer failure abort promptly instead of burning the
+ * peer-wait deadline. Every stage, exchange and checkpoint graph runs
+ * with these options.
+ */
+TaskExecOptions rankExecOptions(ExecutionSpace& space,
+                                const RankWorld& world);
 
 /**
  * A task graph executor with Parthenon-style semantics. Tasks are

@@ -2,12 +2,13 @@
  * @file test_boundary_plan.cpp
  * BoundaryPlan lifecycle, sub-packs, payload pool and equivalence.
  *
- * - Lifecycle: the cache rebuild hook invalidates the plan exactly
- *   once per rebuild (refine/derefine/migration all route through the
- *   cache), rebuilds are lazy, and a driver run keeps the chained
- *   counters in lockstep.
- * - Staleness: a plan whose cache moved on without the chained hook is
- *   structurally unusable — every accessor throws.
+ * - Lifecycle: the plan's generation stamp against the cache's
+ *   rebuild count is its only staleness check (refine/derefine/
+ *   migration all route through the cache); rebuilds are lazy, so a
+ *   driver run builds the plan at most once per cache rebuild and ends
+ *   with it current.
+ * - Staleness: a plan whose cache moved on is structurally unusable
+ *   until the next ensureBuilt() — every accessor throws.
  * - Elision: rank pairs that share no boundary get no PlanMessage at
  *   all; the offset directory of a real message tiles its payload
  *   exactly.
@@ -75,39 +76,12 @@ struct PlanFixture
 
 // --- Lifecycle --------------------------------------------------------
 
-TEST(BoundaryPlanLifecycle, HookInvalidatesOncePerRebuild)
-{
-    PlanFixture fx(shardMeshConfig(1, 1), 1);
-    fx.cache.setRebuildHook([&] { fx.plan.invalidate(); });
-
-    fx.plan.ensureBuilt();
-    EXPECT_TRUE(fx.plan.current());
-    EXPECT_EQ(fx.plan.buildCount(), 1u);
-    EXPECT_EQ(fx.plan.invalidateCount(), 0u);
-
-    for (int i = 1; i <= 3; ++i) {
-        fx.cache.rebuild();
-        EXPECT_FALSE(fx.plan.current());
-        EXPECT_EQ(fx.plan.invalidateCount(),
-                  static_cast<std::uint64_t>(i));
-    }
-    // Rebuilds are lazy: three invalidations, still one build.
-    EXPECT_EQ(fx.plan.buildCount(), 1u);
-    fx.plan.ensureBuilt();
-    EXPECT_TRUE(fx.plan.current());
-    EXPECT_EQ(fx.plan.buildCount(), 2u);
-    // ensureBuilt on a current plan is a no-op.
-    fx.plan.ensureBuilt();
-    EXPECT_EQ(fx.plan.buildCount(), 2u);
-}
-
 TEST(BoundaryPlanLifecycle, DriverKeepsPlanInLockstepThroughRemesh)
 {
-    // The shard workload refines, derefines, and migrates mid-run; the
-    // driver chains plan invalidation into the cache hook, so after
-    // the run the plan has been invalidated once per cache rebuild —
-    // minus the cache's construction-time rebuild, which precedes the
-    // hook installation.
+    // The shard workload refines, derefines, and migrates mid-run.
+    // Every stage graph makes the plan current from the cache's
+    // rebuild count alone, and rebuilds lazily: at most once per cache
+    // rebuild.
     auto package = makePackage("advection");
     VariableRegistry registry = package->buildRegistry();
     KernelProfiler profiler;
@@ -126,10 +100,9 @@ TEST(BoundaryPlanLifecycle, DriverKeepsPlanInLockstepThroughRemesh)
     const BoundaryPlan& plan = driver.exchange().plan();
     const std::uint64_t rebuilds = driver.bufferCache().rebuildCount();
     EXPECT_GT(rebuilds, 1u) << "workload must remesh mid-run";
-    EXPECT_EQ(plan.invalidateCount(), rebuilds - 1);
     EXPECT_TRUE(plan.current());
     EXPECT_GE(plan.buildCount(), 1u);
-    EXPECT_LE(plan.buildCount(), plan.invalidateCount() + 1);
+    EXPECT_LE(plan.buildCount(), rebuilds);
 }
 
 TEST(BoundaryPlanLifecycle, StalePlanIsStructurallyUnusable)

@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -150,7 +151,8 @@ struct CommFixture
 
     CommFixture(int mesh_nx, int block_nx, int levels, ExecMode mode,
                 int nranks = 1, bool randomize = false,
-                int num_threads = fixtureNumThreads(), int ndim = 3)
+                int num_threads = fixtureNumThreads(), int ndim = 3,
+                bool periodic = true)
     {
         ctx = std::make_unique<ExecContext>(
             mode, &profiler, &tracker,
@@ -160,6 +162,7 @@ struct CommFixture
         config.nx1 = config.nx2 = config.nx3 = mesh_nx;
         config.blockNx1 = config.blockNx2 = config.blockNx3 = block_nx;
         config.amrLevels = levels;
+        config.periodic = periodic;
         mesh = std::make_unique<Mesh>(config, registry, *ctx);
         world = std::make_unique<RankWorld>(nranks);
         cache = std::make_unique<BoundaryBufferCache>(*mesh, randomize);
@@ -502,23 +505,34 @@ TEST(FluxCorrection, CoarseFaceFluxBecomesFineAverage)
     }
 }
 
+/**
+ * Leave one undelivered coalesced self message of `phase` in the
+ * mailbox, as a cycle that threw between send and receive does. Its
+ * payload is garbage, so a stale delivery cannot pass for a fresh one.
+ */
+void
+sendStaleMessage(const GhostExchange& exchange, RankWorld& world,
+                 PlanPhase phase)
+{
+    const PlanMessage* m = exchange.plan().messageFor(phase, 0, 0);
+    ASSERT_NE(m, nullptr);
+    world.isend(m->id, 0, 0, std::vector<double>(m->doubles, -1e30),
+                m->bytes);
+}
+
 TEST(GhostExchange, AbandonedCycleDoesNotLeavePhantomMessages)
 {
     // Regression: per-cycle state (pending receives, wire counter,
     // undelivered mailbox entries) is reset at the top of
-    // StartReceiveBoundBufs. Abandon a cycle right after its sends —
-    // exactly the state an exception thrown mid-cycle leaves behind —
-    // and the next full exchange must neither wait on phantom
-    // messages nor deliver the stale ones.
+    // StartReceiveBoundBufs. Leave an undelivered coalesced message in
+    // the mailbox — exactly the state a cycle that threw after its
+    // sends leaves behind — and the next full exchange must neither
+    // wait on phantom messages nor deliver the stale one.
     CommFixture f(16, 8, 1, ExecMode::Execute);
     fillInterior(*f.mesh);
-
-    f.exchange->plan().ensureBuilt();
-    f.exchange->startReceiveBoundBufs();
-    f.exchange->beginFusedPhase(PlanPhase::Bounds);
-    for (std::size_t p = 0; p < f.exchange->plan().subPacks().size(); ++p)
-        f.exchange->sendSubPackEntries(PlanPhase::Bounds, static_cast<int>(p));
-    ASSERT_GT(f.world->pendingCount(), 0u); // the abandoned deliveries
+    f.exchange->exchangeBounds();
+    sendStaleMessage(*f.exchange, *f.world, PlanPhase::Bounds);
+    ASSERT_GT(f.world->pendingCount(), 0u); // the abandoned delivery
 
     // Perturb the field so stale buffers are distinguishable from
     // freshly packed ones.
@@ -566,16 +580,12 @@ TEST(FluxCorrection, ConservationHoldsOnSerialAndThreadPoolSpaces)
         for (const auto& block : f.mesh->blocks())
             package.calculateFluxesBlock(*f.mesh, *block);
 
-        // Regression: abandon a flux-correction send mid-cycle; the
-        // next cycle's reset must also drop stale *flux* messages, not
-        // just bounds buffers.
-        f.exchange->beginFusedPhase(PlanPhase::Flux);
-        for (std::size_t p = 0; p < f.exchange->plan().subPacks().size();
-             ++p)
-            f.exchange->sendSubPackEntries(PlanPhase::Flux,
-                                         static_cast<int>(p));
+        // Regression: an undelivered flux-correction message from an
+        // abandoned cycle; the next cycle's reset must also drop stale
+        // *flux* messages, not just bounds buffers.
+        sendStaleMessage(*f.exchange, *f.world, PlanPhase::Flux);
         ASSERT_GT(f.world->pendingCount(), 0u);
-        f.exchange->startReceiveBoundBufs();
+        f.exchange->exchangeBounds();
         ASSERT_EQ(f.world->pendingCount(), 0u);
 
         f.exchange->exchangeFluxCorrections();
@@ -972,6 +982,69 @@ TEST(GhostExchange, PackUnpackMatchPerCellReferenceBitwise)
     EXPECT_GT(hits.receiverSide, 0);
     EXPECT_GT(hits.clamped, 0);
     EXPECT_GT(hits.negativeZero, 0);
+}
+
+TEST(GhostExchange, OutflowGhostsEqualClampedInterior)
+{
+    // Non-periodic mesh with one refined corner block: blocks of both
+    // levels touch the domain edge. Every ghost cell outside the
+    // domain — faces, edges and corners — must hold the block's
+    // interior value at the clamped index; the rough field makes any
+    // stale ghost or unfilled cell stand out.
+    int outside = 0;
+    for (int ndim = 1; ndim <= 3; ++ndim)
+        for (int threads : {1, 4}) {
+            CommFixture f(ndim == 3 ? 16 : 32, 8, 2, ExecMode::Execute, 1,
+                          false, threads, ndim, /*periodic=*/false);
+            f.refineAt({0, 0, 0, 0});
+            fillRough(*f.mesh, 0xf11 + ndim);
+            f.exchange->exchangeBounds();
+
+            const MeshConfig& config = f.mesh->config();
+            const BlockShape s = config.blockShape();
+            const int ncomp = f.registry.ncompConserved();
+            const int nroot[3] = {config.nx1 / config.blockNx1,
+                                  config.nx2 / config.blockNx2,
+                                  config.nx3 / config.blockNx3};
+            const int lo[3] = {s.is(), s.js(), s.ks()};
+            const int hi[3] = {s.ie(), s.je(), s.ke()};
+            for (const auto& block : f.mesh->blocks()) {
+                const LogicalLocation& loc = block->loc();
+                const std::int64_t lx[3] = {loc.lx1, loc.lx2, loc.lx3};
+                const RealArray4& cons = block->cons();
+                for (int k = 0; k < s.nk(); ++k)
+                    for (int j = 0; j < s.nj(); ++j)
+                        for (int i = 0; i < s.ni(); ++i) {
+                            const int idx[3] = {i, j, k};
+                            int clamped[3];
+                            bool out = false;
+                            for (int d = 0; d < 3; ++d) {
+                                clamped[d] =
+                                    std::clamp(idx[d], lo[d], hi[d]);
+                                if (d >= ndim)
+                                    continue;
+                                const std::int64_t nblocks =
+                                    std::int64_t{nroot[d]} << loc.level;
+                                out = out ||
+                                      (idx[d] < lo[d] && lx[d] == 0) ||
+                                      (idx[d] > hi[d] &&
+                                       lx[d] == nblocks - 1);
+                            }
+                            if (!out)
+                                continue;
+                            ++outside;
+                            for (int n = 0; n < ncomp; ++n)
+                                ASSERT_EQ(cons(n, k, j, i),
+                                          cons(n, clamped[2], clamped[1],
+                                               clamped[0]))
+                                    << ndim << "-D, " << threads
+                                    << " threads, " << loc.str()
+                                    << " ghost (" << i << "," << j << ","
+                                    << k << ") n " << n;
+                        }
+            }
+        }
+    EXPECT_GT(outside, 0);
 }
 
 TEST(GhostExchange, ProfilerSeesFourPhases)

@@ -28,6 +28,8 @@ Rule catalog (rationale lives with each rule below):
                         outside materialize/unpack paths
   io-isolation          no file I/O (fstream/fopen) outside src/io/
                         (bench/ and tools/ are outside the linted tree)
+  plan-protocol         the boundary plan's slot and writer tables are
+                        read only under src/comm/
 
 Usage:
   vibe_lint.py [--root DIR]    lint DIR/src (default: repo root)
@@ -243,6 +245,32 @@ RULES = [
             "the recovery path must be able to rule out. Startup-time "
             "reads of user inputs (the parameter deck) are the "
             "audited exception."
+        ),
+    ),
+    Rule(
+        name="plan-protocol",
+        scope=("src/",),
+        exempt=("src/comm/",),
+        pattern=(
+            r"\b(?:slotWriters|recvSendSlot|localSendIds|localRecvIds)"
+            r"\s*\(|(?:\.|->)\s*(?:sendRows|recvRows|sendSlots|"
+            r"recvSlots)\b"
+        ),
+        message=(
+            "the plan's slot/writer tables belong to the boundary "
+            "exchange (wire tasks through GhostExchange's task ids and "
+            "BoundaryPlan::subPackOf)"
+        ),
+        rationale=(
+            "GhostExchange is the one module that knows the plan's "
+            "task protocol: which sub-packs write a send slot, which "
+            "recv slots a sub-pack's unpack reads, which message a "
+            "replica both sends and polls. A second module wiring "
+            "tasks from those tables has to change in lockstep with "
+            "the writer counts and inbox slots it cannot see, and a "
+            "missed edge is a data race on a payload. Code outside "
+            "src/comm/ gets per-sub-pack task ids and subPackOf() "
+            "instead."
         ),
     ),
 ]
